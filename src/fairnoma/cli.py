@@ -188,6 +188,10 @@ def _resolve_figure_params(args: argparse.Namespace) -> dict:
     resolved = dict(_COMMON_DEFAULTS)
     resolved["figure"] = figure
     resolved.update(_FIG_DEFAULTS[figure])
+    unknown = sorted(set(cfg) - set(resolved))
+    if unknown:
+        raise _Usage(f"unknown config key(s) {unknown} for figure {figure}; "
+                     f"expected some of {sorted(resolved)}")
     for key in resolved:
         if key != "figure" and cfg.get(key) is not None:
             resolved[key] = cfg[key]
@@ -215,19 +219,17 @@ def _xi_grid(p: dict) -> tuple:
 
 def _fig1_rows(p: dict, workers) -> tuple:
     grid = _xi_grid(p)
-    base = dict(trials=p["trials"], seed=p["seed"], xi_grid=grid,
-                beta=p["beta"], scenario="pair_iid")
-    mc_inf = run_ergodic_pair(SimConfig(a_policy="inf", **base), workers)
-    mc_sup = run_ergodic_pair(SimConfig(a_policy="sup", **base), workers)
+    config = SimConfig(trials=p["trials"], seed=p["seed"], xi_grid=grid,
+                       beta=p["beta"], scenario="pair_iid")
     rows = []
-    for db, pt_inf, pt_sup in zip(p["xi_db"], mc_inf, mc_sup):
-        params = SystemParams(xi=pt_inf.xi, beta=p["beta"])
+    for db, pt in zip(p["xi_db"], run_ergodic_pair(config, workers)):
+        params = SystemParams(xi=pt.xi, beta=p["beta"])
         cf = ergodic_curve_point(params)
         ap1, ap2 = high_snr_ergodic_approx(params)
         rows.append([db, cf.e_c1_oma, cf.e_c2_oma,
                      cf.e_c1_noma_ainf, cf.e_c2_noma_asup,
-                     pt_inf.measures["c1_noma"].mean,
-                     pt_sup.measures["c2_noma"].mean, ap1, ap2])
+                     pt.measures["c1_noma_ainf"].mean,
+                     pt.measures["c2_noma_asup"].mean, ap1, ap2])
     return _FIG1_HEADER, rows
 
 
@@ -334,6 +336,8 @@ fig.savefig(Path(__file__).with_name("figure{figure}.png"), dpi=150)
 
 def cmd_figure(args: argparse.Namespace) -> int:
     p = _resolve_figure_params(args)
+    if args.workers is not None and args.workers < 1:
+        raise _Usage(f"--workers must be at least 1, got {args.workers}")
     figure = p["figure"]
     out_dir = args.out_dir or os.environ.get(OUT_DIR_ENV) or "."
     os.makedirs(out_dir, exist_ok=True)
@@ -465,7 +469,9 @@ def _build_parser() -> argparse.ArgumentParser:
     figure.add_argument("--config", help="JSON config or manifest to re-run")
     figure.add_argument("--out-dir", dest="out_dir",
                         help=f"output directory (default ${OUT_DIR_ENV} or .)")
-    figure.add_argument("--workers", type=int)
+    figure.add_argument("--workers", type=int,
+                        help="simulation threads, at most the CPU count "
+                             "and the chunks per grid point")
     figure.add_argument("--plot", action="store_true",
                         help="also write a matplotlib script")
     figure.set_defaults(func=cmd_figure)

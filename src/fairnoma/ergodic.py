@@ -19,10 +19,9 @@ from typing import Callable
 
 from ._quad import integrate_semi_infinite
 from .errors import DomainError
-from .specfun import EULER_GAMMA, exp_integral_e1_scaled
+from .specfun import _LN2, EULER_GAMMA, exp_integral_e1_scaled
 from .twouser import SystemParams
 
-_LN2 = math.log(2.0)
 _LN4 = math.log(4.0)
 
 

@@ -1,29 +1,39 @@
 """Deterministic Monte Carlo engine for every expectation and probability in
 the package.
 
-Trials are processed in fixed 65536-draw chunks. Chunk ``ci`` of a run draws
-from ``Philox(SeedSequence((seed, scenario_id, grid_index, k_value, ci)))``,
-so each trial's channel realization is a pure function of the configuration
-and its own index: worker count cannot change it, and the a-policy is
-deliberately absent from the key so every policy sees identical draws
-(common random numbers). Per-chunk partial sums are combined in chunk order
-with ``math.fsum``, which is exactly rounded, making results bit-identical
-under any parallel schedule. Exponential gains use the inverse CDF
-``-beta*log1p(-u)``.
+One sweep driver serves every scenario. For each grid point (xi, and K for
+the pool scenarios) it splits the trials into fixed 65536-draw chunks. Chunk
+``ci`` draws its exponential gains, by the inverse CDF ``-beta*log1p(-u)``,
+from ``Philox(SeedSequence((seed, scenario_id, grid_index, k, ci)))`` (``k``
+is 0 for the plain pair), so each trial's channel realization is a pure
+function of the configuration and its own index. The scenario's kernel turns one chunk of gains into
+partial sums, and the driver combines them in chunk order with
+``math.fsum``, which is exactly rounded: results are bit-identical under
+any worker count. Workers are threads, clamped to the chunk count and the
+CPU count.
+
+The a-policy is deliberately absent from the stream key, and each pair
+kernel evaluates every allocation policy it reports on the same draws
+(common random numbers). Measures carry the policy as a tag: ``ainf`` and
+``asup`` for the two fair endpoints, ``mid`` for their average share and
+``fixed`` for a numeric share, as in ``c1_noma_ainf`` or ``ds_asup``.
+Paired differences between policies, or against OMA, therefore have far
+less variance than independent runs would give.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor, as_completed
-from dataclasses import dataclass, field
+import os
+from concurrent.futures import ThreadPoolExecutor
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from .errors import DomainError
-
-_LN2 = math.log(2.0)
+from .specfun import _LN2
+from .twouser import SystemParams
 
 #: trials per substream chunk; fixed so parallel partitioning cannot move
 #: draws between substreams
@@ -31,7 +41,9 @@ CHUNK_TRIALS = 1 << 16
 
 _SCENARIO_IDS = {"pair_iid": 1, "pair_minmax": 2, "multiuser": 3}
 
-_POLICIES = ("inf", "sup", "mid")
+#: measure-name tag of each named a-policy; a numeric share is tagged 'fixed'
+_POLICY_TAGS = {"inf": "ainf", "sup": "asup", "mid": "mid"}
+_POLICIES = tuple(_POLICY_TAGS)
 
 
 def _validate_policy(policy) -> None:
@@ -52,7 +64,9 @@ class SimConfig:
     """Experiment description; everything that can influence a result.
 
     ``a_policy`` is 'inf', 'sup', 'mid', or a float in (0,1) meaning a fixed
-    strong-user share. ``k_grid`` optionally sweeps the user count for the
+    strong-user share. The pair runners always report both fair endpoints
+    (tags ``ainf`` and ``asup``); 'mid' or a number adds the tag ``mid`` or
+    ``fixed``. ``k_grid`` optionally sweeps the user count for the
     pair_minmax scenario (defaults to just ``k_users``).
     """
 
@@ -118,33 +132,17 @@ class GridPoint:
 
 
 # ---------------------------------------------------------------------------
-# chunk plumbing
-
-def _chunk_rng(seed: int, scenario: str, grid_index: int, k_value: int,
-               chunk_index: int) -> np.random.Generator:
-    entropy = (seed, _SCENARIO_IDS[scenario], grid_index, k_value, chunk_index)
-    return np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy)))
-
-
-def _n_chunks(trials: int) -> int:
-    return (trials + CHUNK_TRIALS - 1) // CHUNK_TRIALS
-
-
-def _chunk_len(trials: int, chunk_index: int) -> int:
-    start = chunk_index * CHUNK_TRIALS
-    return min(CHUNK_TRIALS, trials - start)
-
+# sweep driver
 
 def _map_chunks(fn: Callable[[int], dict], n_chunks: int,
                 workers: int | None) -> list:
-    if workers is None or workers <= 1 or n_chunks <= 1:
+    """``[fn(0), ..., fn(n_chunks - 1)]``, on at most ``workers`` threads but
+    never more threads than chunks or CPUs."""
+    workers = min(workers or 1, n_chunks, os.cpu_count() or 1)
+    if workers <= 1:
         return [fn(ci) for ci in range(n_chunks)]
-    results: list = [None] * n_chunks
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = {pool.submit(fn, ci): ci for ci in range(n_chunks)}
-        for fut in as_completed(futures):
-            results[futures[fut]] = fut.result()
-    return results
+        return list(pool.map(fn, range(n_chunks)))
 
 
 def _moments(**arrays) -> dict:
@@ -177,23 +175,62 @@ def _reduce(parts: list, trials: int, seed: int) -> dict:
     return measures
 
 
+def _sweep(config: SimConfig, scenario: str, k_grid: tuple,
+           kernel: Callable[[np.ndarray, float], dict],
+           workers: int | None) -> list:
+    """One GridPoint per (xi, K) point, xi-major: ``kernel(gains, xi)`` maps
+    each chunk's (n, K) exponential gains to partial sums (``_moments``
+    pairs or integer counts), which are reduced in chunk order."""
+    if config.scenario != scenario:
+        raise DomainError(
+            f"this operation requires scenario={scenario!r}, got {config.scenario!r}")
+    if workers is not None and (not isinstance(workers, int) or workers < 1):
+        raise DomainError(f"workers must be a positive integer, got {workers!r}")
+    n_chunks = (config.trials + CHUNK_TRIALS - 1) // CHUNK_TRIALS
+    points = []
+    for gi, xi in enumerate(config.xi_grid):
+        for k in k_grid:
+            # the plain pair's width is fixed, so its substreams key K as 0
+            key = (config.seed, _SCENARIO_IDS[scenario], gi,
+                   0 if scenario == "pair_iid" else k)
+
+            def chunk(ci: int, xi: float = xi, k: int = k,
+                      key: tuple = key) -> dict:
+                rng = np.random.Generator(
+                    np.random.Philox(np.random.SeedSequence(key + (ci,))))
+                n = min(CHUNK_TRIALS, config.trials - ci * CHUNK_TRIALS)
+                return kernel(-config.beta * np.log1p(-rng.random((n, k))), xi)
+
+            parts = _map_chunks(chunk, n_chunks, workers)
+            points.append(GridPoint(xi=xi, k=k,
+                                    measures=_reduce(parts, config.trials,
+                                                     config.seed)))
+    return points
+
+
 # ---------------------------------------------------------------------------
 # per-draw physics
 
-def _draw_gains(rng: np.random.Generator, beta: float, shape) -> np.ndarray:
-    return -beta * np.log1p(-rng.random(shape))
+def _pair_snrs(g: np.ndarray, xi: float) -> tuple[np.ndarray, np.ndarray]:
+    """(weak, strong) instantaneous SNRs of an (n, 2) draw. Column-wise
+    minimum/maximum equals ``g.min(axis=1)``/``g.max(axis=1)`` exactly and is
+    far faster at width 2."""
+    return (xi * np.minimum(g[:, 0], g[:, 1]),
+            xi * np.maximum(g[:, 0], g[:, 1]))
 
 
-def _share(policy, w1: np.ndarray, w2: np.ndarray):
-    """Strong user's power share per draw under an allocation policy."""
-    if policy == "inf":
-        return 1.0 / (1.0 + np.sqrt(1.0 + w2))
-    if policy == "sup":
-        return 1.0 / (1.0 + np.sqrt(1.0 + w1))
-    if policy == "mid":
-        return 0.5 * (1.0 / (1.0 + np.sqrt(1.0 + w2))
-                      + 1.0 / (1.0 + np.sqrt(1.0 + w1)))
-    return float(policy)
+def _shares(w1: np.ndarray, w2: np.ndarray, extra=()) -> dict:
+    """Strong user's power share per draw, keyed by policy tag: the two fair
+    endpoints, then each policy in ``extra`` ('mid' or a fixed number;
+    'inf' and 'sup' are already there)."""
+    shares = {"ainf": 1.0 / (1.0 + np.sqrt(1.0 + w2)),
+              "asup": 1.0 / (1.0 + np.sqrt(1.0 + w1))}
+    for policy in extra:
+        if policy == "mid":
+            shares["mid"] = 0.5 * (shares["ainf"] + shares["asup"])
+        elif not isinstance(policy, str):
+            shares["fixed"] = float(policy)
+    return shares
 
 
 def _pair_rates(w1: np.ndarray, w2: np.ndarray, a) -> tuple[np.ndarray, np.ndarray]:
@@ -202,8 +239,23 @@ def _pair_rates(w1: np.ndarray, w2: np.ndarray, a) -> tuple[np.ndarray, np.ndarr
     return c1, c2
 
 
-def _oma_rates(w1: np.ndarray, w2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    return 0.5 * np.log1p(w1) / _LN2, 0.5 * np.log1p(w2) / _LN2
+def _rate_moments(w1: np.ndarray, w2: np.ndarray, extra, weak: str,
+                  strong: str, noma: str) -> dict:
+    """Moments of the pair's OMA capacities (``<weak>_oma``, ``<strong>_oma``,
+    ``s_oma``) and, per policy tag, its NOMA capacities
+    (``<weak><noma>_<tag>``, ``<strong><noma>_<tag>``, ``s<noma>_<tag>``)
+    with the paired per-draw sum-rate gain ``ds_<tag>``."""
+    c1o, c2o = 0.5 * np.log1p(w1) / _LN2, 0.5 * np.log1p(w2) / _LN2
+    s_o = c1o + c2o
+    vals = {f"{weak}_oma": c1o, f"{strong}_oma": c2o, "s_oma": s_o}
+    for tag, a in _shares(w1, w2, extra).items():
+        c1n, c2n = _pair_rates(w1, w2, a)
+        s_n = c1n + c2n
+        vals[f"{weak}{noma}_{tag}"] = c1n
+        vals[f"{strong}{noma}_{tag}"] = c2n
+        vals[f"s{noma}_{tag}"] = s_n
+        vals[f"ds_{tag}"] = s_n - s_o
+    return _moments(**vals)
 
 
 def _min_power_total(w_sorted: np.ndarray, k: int) -> np.ndarray:
@@ -224,151 +276,92 @@ def _min_power_total(w_sorted: np.ndarray, k: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # scenario runners
 
-def _require_scenario(config: SimConfig, expected: str) -> None:
-    if config.scenario != expected:
-        raise DomainError(
-            f"this operation requires scenario={expected!r}, got {config.scenario!r}")
-
-
 def run_ergodic_pair(config: SimConfig, workers: int | None = None) -> list:
-    """Per-xi capacity means for the ordered two-user pair under the
-    configured a-policy, plus the paired per-draw sum-rate gain ``ds``."""
-    _require_scenario(config, "pair_iid")
-    points = []
-    for gi, xi in enumerate(config.xi_grid):
-        def chunk(ci: int, xi: float = xi, gi: int = gi) -> dict:
-            rng = _chunk_rng(config.seed, "pair_iid", gi, 0, ci)
-            n = _chunk_len(config.trials, ci)
-            g = _draw_gains(rng, config.beta, (n, 2))
-            w1 = xi * g.min(axis=1)
-            w2 = xi * g.max(axis=1)
-            c1o, c2o = _oma_rates(w1, w2)
-            c1n, c2n = _pair_rates(w1, w2, _share(config.a_policy, w1, w2))
-            s_o = c1o + c2o
-            s_n = c1n + c2n
-            return _moments(c1_oma=c1o, c2_oma=c2o, s_oma=s_o,
-                            c1_noma=c1n, c2_noma=c2n, s_noma=s_n,
-                            ds=s_n - s_o)
+    """Per-xi capacity means for the ordered two-user pair: ``c1_oma``,
+    ``c2_oma``, ``s_oma``, and per policy tag ``c1_noma_<tag>``,
+    ``c2_noma_<tag>``, ``s_noma_<tag>`` with the paired per-draw sum-rate
+    gain ``ds_<tag>``, for both fair endpoints and ``a_policy``."""
 
-        parts = _map_chunks(chunk, _n_chunks(config.trials), workers)
-        points.append(GridPoint(xi=xi, k=2,
-                                measures=_reduce(parts, config.trials, config.seed)))
-    return points
+    def kernel(g: np.ndarray, xi: float) -> dict:
+        w1, w2 = _pair_snrs(g, xi)
+        return _rate_moments(w1, w2, (config.a_policy,), "c1", "c2", "_noma")
+
+    return _sweep(config, "pair_iid", (2,), kernel, workers)
 
 
 def run_outage(config: SimConfig, workers: int | None = None) -> list:
     """Per-xi outage frequencies below r0.
 
-    Reports OMA for both users, the region endpoints that matter
-    (weak at a_inf, strong at a_sup), the mid policy for both users, and the
-    boundary-identity pair (weak at a_sup, strong at a_inf) from the same
-    draws.
+    Reports OMA for both users (``p_oma_weak``, ``p_oma_strong``) and, per
+    policy tag, ``p_noma_weak_<tag>`` and ``p_noma_strong_<tag>`` for both
+    fair endpoints, the mid policy, and a numeric ``a_policy`` as ``fixed``,
+    all from the same draws. The region endpoints that matter are weak at
+    ``ainf`` and strong at ``asup``; weak at ``asup`` and strong at ``ainf``
+    are the boundary identities.
     """
-    _require_scenario(config, "pair_iid")
     r0 = config.r0
     o_thresh = 4.0 ** r0 - 1.0   # outage iff xi*g < threshold, per user in OMA
-    points = []
-    for gi, xi in enumerate(config.xi_grid):
-        def chunk(ci: int, xi: float = xi, gi: int = gi) -> dict:
-            rng = _chunk_rng(config.seed, "pair_iid", gi, 0, ci)
-            n = _chunk_len(config.trials, ci)
-            g = _draw_gains(rng, config.beta, (n, 2))
-            w1 = xi * g.min(axis=1)
-            w2 = xi * g.max(axis=1)
-            out = {
-                "p_oma_weak": int(np.count_nonzero(w1 < o_thresh)),
-                "p_oma_strong": int(np.count_nonzero(w2 < o_thresh)),
-            }
-            for policy, tag in (("inf", "ainf"), ("sup", "asup"), ("mid", "mid")):
-                c1n, c2n = _pair_rates(w1, w2, _share(policy, w1, w2))
-                out[f"p_noma_weak_{tag}"] = int(np.count_nonzero(c1n < r0))
-                out[f"p_noma_strong_{tag}"] = int(np.count_nonzero(c2n < r0))
-            return out
 
-        parts = _map_chunks(chunk, _n_chunks(config.trials), workers)
-        points.append(GridPoint(xi=xi, k=2,
-                                measures=_reduce(parts, config.trials, config.seed)))
-    return points
+    def kernel(g: np.ndarray, xi: float) -> dict:
+        w1, w2 = _pair_snrs(g, xi)
+        out = {
+            "p_oma_weak": int(np.count_nonzero(w1 < o_thresh)),
+            "p_oma_strong": int(np.count_nonzero(w2 < o_thresh)),
+        }
+        for tag, a in _shares(w1, w2, ("mid", config.a_policy)).items():
+            c1n, c2n = _pair_rates(w1, w2, a)
+            out[f"p_noma_weak_{tag}"] = int(np.count_nonzero(c1n < r0))
+            out[f"p_noma_strong_{tag}"] = int(np.count_nonzero(c2n < r0))
+        return out
+
+    return _sweep(config, "pair_iid", (2,), kernel, workers)
 
 
-def run_pair_policy_outage(config: SimConfig,
-                           workers: int | None = None) -> list:
-    """Per-xi outage frequencies for the single configured a-policy."""
-    _require_scenario(config, "pair_iid")
-    r0 = config.r0
-    points = []
-    for gi, xi in enumerate(config.xi_grid):
-        def chunk(ci: int, xi: float = xi, gi: int = gi) -> dict:
-            rng = _chunk_rng(config.seed, "pair_iid", gi, 0, ci)
-            n = _chunk_len(config.trials, ci)
-            g = _draw_gains(rng, config.beta, (n, 2))
-            w1 = xi * g.min(axis=1)
-            w2 = xi * g.max(axis=1)
-            c1n, c2n = _pair_rates(w1, w2, _share(config.a_policy, w1, w2))
-            return {"p_weak": int(np.count_nonzero(c1n < r0)),
-                    "p_strong": int(np.count_nonzero(c2n < r0))}
+def noma_outage_empirical(params: SystemParams, a_policy, trials: int,
+                          seed: int, workers: int | None = None,
+                          ) -> tuple[SimResult, SimResult]:
+    """Monte Carlo outage frequencies (weak, strong) under any share policy.
 
-        parts = _map_chunks(chunk, _n_chunks(config.trials), workers)
-        points.append(GridPoint(xi=xi, k=2,
-                                measures=_reduce(parts, config.trials, config.seed)))
-    return points
+    Deterministic given (params, trials, seed); policies share draws, so
+    policy comparisons at one seed are paired.
+    """
+    config = SimConfig(trials=trials, seed=seed, xi_grid=(params.xi,),
+                       beta=params.beta, r0=params.r0, a_policy=a_policy,
+                       scenario="pair_iid")
+    m = run_outage(config, workers=workers)[0].measures
+    tag = _POLICY_TAGS.get(a_policy, "fixed")
+    return m[f"p_noma_weak_{tag}"], m[f"p_noma_strong_{tag}"]
 
 
 def run_pairing(config: SimConfig, workers: int | None = None) -> list:
-    """Min/max-pairing capacities over (xi, K): OMA, the two fair endpoints,
-    and a fixed-share benchmark, with paired per-draw sum-rate gains.
+    """Min/max-pairing capacities over (xi, K): OMA (``c_min_oma``,
+    ``c_max_oma``, ``s_oma``) and, per policy tag, ``c_min_<tag>``,
+    ``c_max_<tag>``, ``s_<tag>`` and the paired per-draw sum-rate gain
+    ``ds_<tag>`` for the two fair endpoints and a fixed-share benchmark.
 
     The fixed share is ``a_policy`` when it is numeric, else 1/5.
     """
-    _require_scenario(config, "pair_minmax")
     k_grid = config.k_grid if config.k_grid is not None else (config.k_users,)
     if any(k < 2 for k in k_grid):
         raise DomainError("pair_minmax requires at least 2 users per point")
     fixed_share = (float(config.a_policy)
                    if isinstance(config.a_policy, (int, float)) else 0.2)
-    points = []
-    for gi, xi in enumerate(config.xi_grid):
-        for k in k_grid:
-            def chunk(ci: int, xi: float = xi, gi: int = gi, k: int = k) -> dict:
-                rng = _chunk_rng(config.seed, "pair_minmax", gi, k, ci)
-                n = _chunk_len(config.trials, ci)
-                g = _draw_gains(rng, config.beta, (n, k))
-                w1 = xi * g.min(axis=1)
-                w2 = xi * g.max(axis=1)
-                c1o, c2o = _oma_rates(w1, w2)
-                s_o = c1o + c2o
-                vals = {"c_min_oma": c1o, "c_max_oma": c2o, "s_oma": s_o}
-                for policy, tag in (("inf", "ainf"), ("sup", "asup"),
-                                    (fixed_share, "fixed")):
-                    c1n, c2n = _pair_rates(w1, w2, _share(policy, w1, w2))
-                    vals[f"c_min_{tag}"] = c1n
-                    vals[f"c_max_{tag}"] = c2n
-                    vals[f"s_{tag}"] = c1n + c2n
-                    vals[f"ds_{tag}"] = c1n + c2n - s_o
-                return _moments(**vals)
 
-            parts = _map_chunks(chunk, _n_chunks(config.trials), workers)
-            points.append(GridPoint(xi=xi, k=k,
-                                    measures=_reduce(parts, config.trials,
-                                                     config.seed)))
-    return points
+    def kernel(g: np.ndarray, xi: float) -> dict:
+        w1 = xi * g.min(axis=1)
+        w2 = xi * g.max(axis=1)
+        return _rate_moments(w1, w2, (fixed_share,), "c_min", "c_max", "")
+
+    return _sweep(config, "pair_minmax", k_grid, kernel, workers)
 
 
 def run_multiuser_power(config: SimConfig, workers: int | None = None) -> list:
     """Per-xi mean of the minimum total NOMA power share that matches OMA
     for every one of K users (measure ``sum_b``)."""
-    _require_scenario(config, "multiuser")
     k = config.k_users
-    points = []
-    for gi, xi in enumerate(config.xi_grid):
-        def chunk(ci: int, xi: float = xi, gi: int = gi) -> dict:
-            rng = _chunk_rng(config.seed, "multiuser", gi, k, ci)
-            n = _chunk_len(config.trials, ci)
-            g = _draw_gains(rng, config.beta, (n, k))
-            g.sort(axis=1)
-            return _moments(sum_b=_min_power_total(xi * g, k))
 
-        parts = _map_chunks(chunk, _n_chunks(config.trials), workers)
-        points.append(GridPoint(xi=xi, k=k,
-                                measures=_reduce(parts, config.trials, config.seed)))
-    return points
+    def kernel(g: np.ndarray, xi: float) -> dict:
+        g.sort(axis=1)
+        return _moments(sum_b=_min_power_total(xi * g, k))
+
+    return _sweep(config, "multiuser", (k,), kernel, workers)

@@ -16,8 +16,8 @@ import math
 from dataclasses import dataclass
 
 from .errors import DomainError
+from .specfun import _LN2
 
-_LN2 = math.log(2.0)
 
 _ALLOC_KINDS = ("b_min", "a_full")
 

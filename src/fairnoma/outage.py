@@ -17,11 +17,9 @@ from typing import Callable
 
 from ._quad import integrate_interval
 from .errors import DomainError
-from .mcsim import SimConfig, SimResult, run_pair_policy_outage
 from .specfun import erfcx
 from .twouser import SystemParams
 
-_LN2 = math.log(2.0)
 _LN4 = math.log(4.0)
 
 # y-units tail cut: exp(-29) ~ 2.5e-13 bounds the truncated mass below 1e-12
@@ -156,21 +154,6 @@ def noma_outage_strong_asup(params: SystemParams) -> float:
     p = (math.expm1(-tau) - 2.0 * math.expm1(-sigma)
          + (q - 1.0) * math.sqrt(math.pi / bx) * bracket)
     return min(max(p, 0.0), 1.0)
-
-
-def noma_outage_empirical(params: SystemParams, a_policy, trials: int,
-                          seed: int, workers: int | None = None,
-                          ) -> tuple[SimResult, SimResult]:
-    """Monte Carlo outage frequencies (weak, strong) under any share policy.
-
-    Deterministic given (params, trials, seed); policies share draws, so
-    policy comparisons at one seed are paired.
-    """
-    config = SimConfig(trials=trials, seed=seed, xi_grid=(params.xi,),
-                       beta=params.beta, r0=params.r0, a_policy=a_policy,
-                       scenario="pair_iid")
-    point = run_pair_policy_outage(config, workers=workers)[0]
-    return point.measures["p_weak"], point.measures["p_strong"]
 
 
 def outage_point(params: SystemParams) -> OutagePoint:

@@ -18,6 +18,9 @@ from .errors import DomainError
 #: Euler-Mascheroni constant, 20 significant digits.
 EULER_GAMMA = 0.57721566490153286061
 
+# ln 2, for converting natural-log capacities to b/s/Hz across the package
+_LN2 = math.log(2.0)
+
 _EPS = 2.220446049250313e-16
 _MAX_ITER = 500
 _TWO_OVER_SQRT_PI = 2.0 / math.sqrt(math.pi)

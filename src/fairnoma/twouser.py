@@ -14,8 +14,8 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .errors import DomainError
+from .specfun import _LN2
 
-_LN2 = math.log(2.0)
 
 
 def _require_positive(name: str, value: float) -> None:

@@ -207,6 +207,25 @@ class TestFigureReproducibility:
         assert manifest["config"]["trials"] == 5000
         assert manifest["config"]["k"] == 3
 
+    def test_unknown_config_keys_and_bad_workers_exit_2(self, capsys,
+                                                         tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"figure": 6, "trails": 5}),
+                       encoding="utf-8")
+        code, _, err = run_cli(capsys, ["figure", "--config", str(cfg),
+                                        "--out-dir", str(tmp_path)])
+        assert code == 2 and "trails" in err
+        # a key of another figure is unknown to this one
+        cfg.write_text(json.dumps({"figure": 6, "r0": 2.0}), encoding="utf-8")
+        assert run_cli(capsys, ["figure", "--config", str(cfg)])[0] == 2
+        assert not (tmp_path / "figure6.csv").exists()
+        for workers in ("0", "-3"):
+            code, _, err = run_cli(capsys, [
+                "figure", "6", "--trials", "2000", "--xi-db", "0,20",
+                "--workers", workers, "--out-dir", str(tmp_path)])
+            assert code == 2 and "--workers" in err
+        assert not (tmp_path / "figure6.csv").exists()
+
     def test_out_dir_env_honored(self, capsys, tmp_path, monkeypatch):
         env_dir = tmp_path / "from_env"
         monkeypatch.setenv("FAIRNOMA_OUT_DIR", str(env_dir))

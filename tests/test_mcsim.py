@@ -2,13 +2,14 @@
 
 import math
 
+import numpy as np
 import pytest
 
-from fairnoma import ergodic, outage, twouser
+from fairnoma import ergodic, mcsim, twouser
 from fairnoma.errors import DomainError
-from fairnoma.mcsim import (CHUNK_TRIALS, SimConfig, SimResult, run_ergodic_pair,
-                            run_multiuser_power, run_outage,
-                            run_pair_policy_outage, run_pairing)
+from fairnoma.mcsim import (CHUNK_TRIALS, SimConfig, SimResult,
+                            noma_outage_empirical, run_ergodic_pair,
+                            run_multiuser_power, run_outage, run_pairing)
 
 
 def _cfg(**kw):
@@ -86,8 +87,8 @@ class TestDeterminism:
         assert serial.measures == parallel.measures
 
     def test_different_seeds_differ(self):
-        a = run_ergodic_pair(_cfg(seed=1))[0].measures["s_noma"].mean
-        b = run_ergodic_pair(_cfg(seed=2))[0].measures["s_noma"].mean
+        a = run_ergodic_pair(_cfg(seed=1))[0].measures["s_noma_asup"].mean
+        b = run_ergodic_pair(_cfg(seed=2))[0].measures["s_noma_asup"].mean
         assert a != b
 
     def test_result_carries_provenance(self):
@@ -96,6 +97,45 @@ class TestDeterminism:
         assert isinstance(sr, SimResult)
         assert sr.trials == 1234 and sr.seed == 77
         assert res.xi == 100.0 and res.k == 2
+
+
+class TestWorkers:
+    def test_pool_clamped_to_chunks_and_cpus(self, monkeypatch):
+        sizes = []
+
+        class RecordingPool:
+            """Stands in for ThreadPoolExecutor: records its size, starts no
+            thread, and maps serially."""
+
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(mcsim, "ThreadPoolExecutor", RecordingPool)
+        monkeypatch.setattr(mcsim.os, "cpu_count", lambda: 8)
+        assert mcsim._map_chunks(lambda ci: ci * ci, 3, 16) == [0, 1, 4]
+        assert mcsim._map_chunks(lambda ci: ci, 20, 16) == list(range(20))
+        assert mcsim._map_chunks(lambda ci: ci, 20, 5) == list(range(20))
+        assert sizes == [3, 8, 5]
+        monkeypatch.setattr(mcsim.os, "cpu_count", lambda: 1)
+        assert mcsim._map_chunks(lambda ci: ci, 4, 4) == [0, 1, 2, 3]
+        monkeypatch.setattr(mcsim.os, "cpu_count", lambda: 8)
+        assert mcsim._map_chunks(lambda ci: ci, 1, 4) == [0]
+        assert mcsim._map_chunks(lambda ci: ci, 4, None) == [0, 1, 2, 3]
+        assert sizes == [3, 8, 5]
+
+    def test_rejects_worker_counts_below_one(self):
+        for workers in (0, -3, 1.5):
+            with pytest.raises(DomainError):
+                run_outage(_cfg(trials=100, r0=1.0), workers=workers)
 
 
 class TestCommonRandomNumbers:
@@ -107,24 +147,46 @@ class TestCommonRandomNumbers:
         res_sup = run_ergodic_pair(cfg_sup)[0].measures
         assert res_inf["c1_oma"] == res_sup["c1_oma"]
         assert res_inf["s_oma"] == res_sup["s_oma"]
-        assert res_inf["s_noma"].mean != res_sup["s_noma"].mean
+        assert res_inf["s_noma_ainf"].mean != res_sup["s_noma_asup"].mean
+
+    def test_every_policy_from_one_draw_set(self):
+        # a numeric policy adds 'fixed' measures without moving the others
+        plain = run_ergodic_pair(_cfg(trials=50_000))[0].measures
+        fixed = run_ergodic_pair(_cfg(trials=50_000, a_policy=0.3))[0].measures
+        assert set(fixed) - set(plain) == {"c1_noma_fixed", "c2_noma_fixed",
+                                           "s_noma_fixed", "ds_fixed"}
+        for name in plain:
+            assert fixed[name] == plain[name]
+        table = run_outage(_cfg(trials=50_000, r0=2.0, a_policy=0.3))[0].measures
+        p_weak, p_strong = noma_outage_empirical(
+            twouser.SystemParams(xi=100.0, r0=2.0), 0.3, 50_000, 5)
+        assert p_weak == table["p_noma_weak_fixed"]
+        assert p_strong == table["p_noma_strong_fixed"]
+
+    def test_pair_order_statistic_matches_row_reduction(self):
+        g = np.random.default_rng(0).exponential(size=(1000, 2))
+        g[:10, 1] = g[:10, 0]   # ties
+        w1, w2 = mcsim._pair_snrs(g, 123.0)
+        assert np.array_equal(w1, 123.0 * g.min(axis=1))
+        assert np.array_equal(w2, 123.0 * g.max(axis=1))
 
     def test_paired_difference_cuts_variance(self):
         m = run_ergodic_pair(_cfg(trials=200_000, xi_grid=(1e4,)))[0].measures
-        direct = m["ds"].mean
-        indirect = m["s_noma"].mean - m["s_oma"].mean
+        direct = m["ds_asup"].mean
+        indirect = m["s_noma_asup"].mean - m["s_oma"].mean
         assert abs(direct - indirect) <= 1e-10
         # pairing beats what two independent runs would propagate
-        independent = math.hypot(m["s_noma"].std_error, m["s_oma"].std_error)
-        assert m["ds"].std_error < 0.75 * independent
+        independent = math.hypot(m["s_noma_asup"].std_error,
+                                 m["s_oma"].std_error)
+        assert m["ds_asup"].std_error < 0.75 * independent
 
 
 class TestStatisticalHonesty:
     def test_se_scales_like_inverse_root_n(self):
         small = run_ergodic_pair(_cfg(trials=10_000, seed=3))[0]
         big = run_ergodic_pair(_cfg(trials=1_000_000, seed=3))[0]
-        ratio = (small.measures["s_noma"].std_error
-                 / big.measures["s_noma"].std_error)
+        ratio = (small.measures["s_noma_asup"].std_error
+                 / big.measures["s_noma_asup"].std_error)
         assert 8.0 <= ratio <= 12.0
 
     def test_means_match_closed_forms(self):
@@ -133,7 +195,7 @@ class TestStatisticalHonesty:
                                   a_policy="inf"))[0].measures
         e_c1, e_c2, e_s = ergodic.ergodic_oma(params)
         targets = {"c1_oma": e_c1, "c2_oma": e_c2, "s_oma": e_s,
-                   "c1_noma": ergodic.ergodic_noma_weak_ainf(params)}
+                   "c1_noma_ainf": ergodic.ergodic_noma_weak_ainf(params)}
         for name, cf in targets.items():
             z = (m[name].mean - cf) / m[name].std_error
             assert abs(z) < 4.0, (name, z)
@@ -151,12 +213,12 @@ class TestBoundaryIdentities:
     def test_sup_weak_equals_oma_weak_per_draw(self):
         m = run_ergodic_pair(_cfg(trials=100_000, a_policy="sup",
                                   xi_grid=(1e4,)))[0].measures
-        assert abs(m["c1_noma"].mean - m["c1_oma"].mean) <= 1e-12
+        assert abs(m["c1_noma_asup"].mean - m["c1_oma"].mean) <= 1e-12
 
     def test_inf_strong_equals_oma_strong_per_draw(self):
         m = run_ergodic_pair(_cfg(trials=100_000, a_policy="inf",
                                   xi_grid=(1e4,)))[0].measures
-        assert abs(m["c2_noma"].mean - m["c2_oma"].mean) <= 1e-12
+        assert abs(m["c2_noma_ainf"].mean - m["c2_oma"].mean) <= 1e-12
 
     def test_outage_identity_counts_are_exact(self):
         cfg = _cfg(trials=300_000, r0=2.0, xi_grid=(100.0, 1e3))
@@ -175,9 +237,10 @@ class TestBoundaryIdentities:
     def test_single_policy_op_matches_full_table(self):
         cfg = _cfg(trials=150_000, r0=2.0, xi_grid=(1e3,), a_policy="inf")
         full = run_outage(cfg)[0].measures
-        solo = run_pair_policy_outage(cfg)[0].measures
-        assert solo["p_weak"].mean == full["p_noma_weak_ainf"].mean
-        assert solo["p_strong"].mean == full["p_noma_strong_ainf"].mean
+        p_weak, p_strong = noma_outage_empirical(
+            twouser.SystemParams(xi=1e3, r0=2.0), "inf", 150_000, 5)
+        assert p_weak.mean == full["p_noma_weak_ainf"].mean
+        assert p_strong.mean == full["p_noma_strong_ainf"].mean
 
 
 class TestPairingScenario:

@@ -9,6 +9,7 @@ from scipy import integrate
 
 from fairnoma import outage
 from fairnoma.errors import DomainError
+from fairnoma.mcsim import noma_outage_empirical
 from fairnoma.twouser import SystemParams
 
 
@@ -151,7 +152,7 @@ class TestWeakUserLowerEndpoint:
 
     def test_matches_monte_carlo(self):
         p = _params(1e3)
-        pw, _ = outage.noma_outage_empirical(p, "inf", 1_000_000, 101)
+        pw, _ = noma_outage_empirical(p, "inf", 1_000_000, 101)
         cf = outage.noma_outage_weak_ainf(p)
         assert abs(pw.mean - cf) < 3.0 * pw.std_error
 
@@ -186,7 +187,7 @@ class TestStrongUserUpperEndpoint:
 
     def test_matches_monte_carlo(self):
         p = _params(1e3)
-        _, ps = outage.noma_outage_empirical(p, "sup", 1_000_000, 101)
+        _, ps = noma_outage_empirical(p, "sup", 1_000_000, 101)
         cf = outage.noma_outage_strong_asup(p)
         assert abs(ps.mean - cf) < 3.0 * ps.std_error
 
@@ -217,14 +218,14 @@ class TestProbabilityRange:
 class TestEmpiricalPolicies:
     def test_boundary_identities_via_mc(self):
         p = _params(1e3)
-        pw, _ = outage.noma_outage_empirical(p, "sup", 400_000, 13)
+        pw, _ = noma_outage_empirical(p, "sup", 400_000, 13)
         assert abs(pw.mean - outage.oma_outage_weak(p)) < 3.0 * pw.std_error
-        _, ps = outage.noma_outage_empirical(p, "inf", 400_000, 13)
+        _, ps = noma_outage_empirical(p, "inf", 400_000, 13)
         assert abs(ps.mean - outage.oma_outage_strong(p)) < 3.0 * ps.std_error
 
     def test_mid_policy_between_endpoints(self):
         p = _params(1e3)
-        pw_mid, ps_mid = outage.noma_outage_empirical(p, "mid", 400_000, 17)
+        pw_mid, ps_mid = noma_outage_empirical(p, "mid", 400_000, 17)
         assert (outage.noma_outage_weak_ainf(p) - 3.0 * pw_mid.std_error
                 < pw_mid.mean
                 < outage.oma_outage_weak(p) + 3.0 * pw_mid.std_error)
@@ -237,7 +238,7 @@ class TestEmpiricalPolicies:
         p = _params(1e3)
         weak, strong = [], []
         for policy in ("inf", "mid", "sup"):
-            pw, ps = outage.noma_outage_empirical(p, policy, 200_000, 29)
+            pw, ps = noma_outage_empirical(p, policy, 200_000, 29)
             weak.append(pw.mean)
             strong.append(ps.mean)
         assert weak[0] <= weak[1] <= weak[2]
@@ -245,8 +246,8 @@ class TestEmpiricalPolicies:
 
     def test_deterministic_given_seed(self):
         p = _params(500.0)
-        first = outage.noma_outage_empirical(p, "mid", 100_000, 3)
-        second = outage.noma_outage_empirical(p, "mid", 100_000, 3)
+        first = noma_outage_empirical(p, "mid", 100_000, 3)
+        second = noma_outage_empirical(p, "mid", 100_000, 3)
         assert first == second
 
 
