@@ -10,7 +10,8 @@ fairness slacks.
 Decibels exist only at this boundary: every flag named ``--xi-db`` is
 converted to linear SNR on entry and echoed in both forms. CSV cells carry
 17 significant digits so doubles round-trip. Exit codes: 0 ok, 1 domain
-error, 2 usage error, 3 I/O error.
+error or numerical failure (a closed form that cannot meet its error
+target), 2 usage error, 3 I/O error.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .errors import DomainError
+from .errors import DomainError, QuadratureError
 from .ergodic import ergodic_curve_point, high_snr_ergodic_approx
 from .mcsim import (
     SimConfig,
@@ -505,8 +506,9 @@ def main(argv=None) -> int:
     except _Usage as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    except DomainError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (DomainError, QuadratureError) as exc:
+        # scipy's quadrature diagnostics span several lines; print one
+        print("error: " + " ".join(str(exc).split()), file=sys.stderr)
         return 1
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)

@@ -6,10 +6,13 @@ class DomainError(ValueError):
 
 
 class QuadratureError(RuntimeError):
-    """Adaptive quadrature could not meet its error target.
+    """A numerical approximation could not meet its error target: adaptive
+    quadrature, or a special function's continued fraction that ran out of
+    iterations.
 
-    Carries the best available value and the achieved absolute-error
-    estimate so callers can decide whether the result is still usable.
+    Carries the best available value (for a continued fraction, its last
+    iterate) and the achieved absolute-error estimate so callers can decide
+    whether the result is still usable.
     """
 
     def __init__(self, message: str, value: float | None = None,

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import DomainError
+from .errors import DomainError, QuadratureError
 
 #: Euler-Mascheroni constant, 20 significant digits.
 EULER_GAMMA = 0.57721566490153286061
@@ -75,7 +75,9 @@ def _e1_cf_scaled(x: float) -> tuple[float, float]:
         h *= delta
         if abs(delta - 1.0) < _EPS:
             return h, abs(delta - 1.0) + 4.0 * _EPS
-    raise RuntimeError(f"E1 continued fraction did not converge for x={x!r}")
+    raise QuadratureError(
+        f"e^x E1(x) continued fraction did not converge for x={x!r}",
+        value=h, estimate=abs(h) * abs(delta - 1.0))
 
 
 def exp_integral_e1(x: float) -> float:
@@ -142,7 +144,10 @@ def _erfcx_cf(z: float) -> tuple[float, float]:
         h *= delta
         if abs(delta - 1.0) < _EPS:
             return 1.0 / (_SQRT_PI * h), abs(delta - 1.0) + 4.0 * _EPS
-    raise RuntimeError(f"erfc continued fraction did not converge for z={z!r}")
+    value = 1.0 / (_SQRT_PI * h)
+    raise QuadratureError(
+        f"e^(z^2) erfc(z) continued fraction did not converge for z={z!r}",
+        value=value, estimate=abs(value) * abs(delta - 1.0))
 
 
 def erfc(z: float) -> float:

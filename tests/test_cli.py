@@ -7,6 +7,7 @@ import sys
 
 import pytest
 
+from fairnoma import specfun
 from fairnoma.cli import main
 from fairnoma.outage import oma_outage_weak
 from fairnoma.twouser import SystemParams
@@ -250,6 +251,27 @@ class TestFigureReproducibility:
         assert run_cli(capsys, ["figure", "6", "--trials", "2000",
                                 "--xi-db", "0,20",
                                 "--out-dir", str(blocker)])[0] == 3
+
+    @pytest.mark.parametrize("argv", [
+        ["figure", "2", "--trials", "10", "--xi-db", "66", "--r0", "4"],
+        ["figure", "1", "--trials", "10", "--xi-db", "76", "--beta", "2"],
+    ])
+    def test_quadrature_failure_exits_one(self, capsys, tmp_path, argv):
+        code, _, err = run_cli(capsys, argv + ["--out-dir", str(tmp_path)])
+        assert code == 1
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not list(tmp_path.iterdir())
+
+    def test_continued_fraction_failure_exits_one(self, capsys, tmp_path,
+                                                  monkeypatch):
+        # at 0 dB the ergodic closed form needs e^x E1(x) at x = 2, which
+        # takes the continued fraction
+        monkeypatch.setattr(specfun, "_MAX_ITER", 3)
+        code, _, err = run_cli(capsys, ["figure", "1", "--trials", "10",
+                                        "--xi-db", "0",
+                                        "--out-dir", str(tmp_path)])
+        assert code == 1
+        assert err.startswith("error: ") and "continued fraction" in err
 
 
 class TestMultiuserCommand:

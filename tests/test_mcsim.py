@@ -1,6 +1,10 @@
 """Monte Carlo engine: determinism, paired draws, and statistical honesty."""
 
 import math
+import os
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
@@ -86,6 +90,32 @@ class TestDeterminism:
         parallel = run_outage(cfg, workers=3)[0]
         assert serial.measures == parallel.measures
 
+    def test_blas_thread_count_cannot_change_results(self):
+        # chunks long enough that a BLAS dot product would go multi-threaded
+        probe = textwrap.dedent("""
+            from fairnoma.mcsim import (SimConfig, run_multiuser_power,
+                                        run_pairing)
+            pool = SimConfig(trials=70_000, seed=9, xi_grid=(1e3,),
+                             scenario="pair_minmax", k_grid=(2, 7, 30))
+            multi = SimConfig(trials=70_000, seed=9, xi_grid=(10.0, 1e4),
+                              scenario="multiuser", k_users=5)
+            for p in run_pairing(pool) + run_multiuser_power(multi):
+                for name, r in sorted(p.measures.items()):
+                    print(p.xi, p.k, name, r.mean.hex(), r.std_error.hex())
+            """)
+        src = os.path.dirname(os.path.dirname(mcsim.__file__))
+        outputs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                       PYTHONPATH=os.pathsep.join(
+                           filter(None, (src, os.environ.get("PYTHONPATH")))))
+            proc = subprocess.run([sys.executable, "-c", probe], env=env,
+                                  capture_output=True, text=True, timeout=300)
+            assert proc.returncode == 0, proc.stderr
+            outputs.append(proc.stdout)
+        assert outputs[0].count("\n") == 3 * 15 + 2
+        assert outputs[0] == outputs[1]
+
     def test_different_seeds_differ(self):
         a = run_ergodic_pair(_cfg(seed=1))[0].measures["s_noma_asup"].mean
         b = run_ergodic_pair(_cfg(seed=2))[0].measures["s_noma_asup"].mean
@@ -164,11 +194,19 @@ class TestCommonRandomNumbers:
         assert p_strong == table["p_noma_strong_fixed"]
 
     def test_pair_order_statistic_matches_row_reduction(self):
-        g = np.random.default_rng(0).exponential(size=(1000, 2))
-        g[:10, 1] = g[:10, 0]   # ties
-        w1, w2 = mcsim._pair_snrs(g, 123.0)
-        assert np.array_equal(w1, 123.0 * g.min(axis=1))
-        assert np.array_equal(w2, 123.0 * g.max(axis=1))
+        # the order statistic of the uniforms, mapped to gains, is the row
+        # reduction of the gains bit for bit: on a full chunk, on a partial
+        # one that ends inside a row block, and with ties
+        rng = np.random.default_rng(0)
+        for n in (CHUNK_TRIALS, 3 * mcsim._ROW_BLOCK // 2 + 7, 1):
+            for k in range(2, 31):
+                u = rng.random((n, k))
+                u[:10, 1] = u[:10, 0]
+                for beta in (0.5, 1.0, 2.0):
+                    g = mcsim._gains(u, beta)
+                    w1, w2 = mcsim._pair_snrs(u, 123.0, beta)
+                    assert np.array_equal(w1, 123.0 * g.min(axis=1))
+                    assert np.array_equal(w2, 123.0 * g.max(axis=1))
 
     def test_paired_difference_cuts_variance(self):
         m = run_ergodic_pair(_cfg(trials=200_000, xi_grid=(1e4,)))[0].measures

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from fairnoma import specfun as sf
-from fairnoma.errors import DomainError
+from fairnoma.errors import DomainError, QuadratureError
 from helpers import e1_oracle, erfc_oracle, harmonic_number
 
 
@@ -148,3 +148,19 @@ class TestDigamma:
             # recurrence-based reference from a far-shifted evaluation
             ref = sf.digamma(x + 60.0) - math.fsum(1.0 / (x + i) for i in range(60))
             assert abs(r.value - ref) <= (r.est_rel_error + 1e-13) * max(abs(ref), 1.0)
+
+
+class TestContinuedFractionFailure:
+    @pytest.mark.parametrize("fn, x, exact", [
+        (sf.exp_integral_e1_scaled, 2.0, math.exp(2.0) * 0.04890051070806112),
+        (sf.erfcx, 2.0, math.exp(4.0) * 0.004677734981047266),
+    ])
+    def test_raises_quadrature_error_with_last_iterate(self, monkeypatch,
+                                                       fn, x, exact):
+        monkeypatch.setattr(sf, "_MAX_ITER", 3)
+        with pytest.raises(QuadratureError, match="continued fraction") as info:
+            fn(x)
+        # the last iterate is close, and its estimate is the right size
+        err = info.value
+        assert 0.0 < err.estimate < 0.1 * exact
+        assert abs(err.value - exact) < 10.0 * err.estimate
