@@ -34,6 +34,22 @@ GOLDEN = [
      "5ac4fb1445bb141fe02d1135cd9769564f95ec8dc20311d767bdde5545b33bcb"),
 ]
 
+# three full chunks and a partial fourth per grid point, at one and two
+# workers, so buffers reused across chunks, grid points and threads are
+# covered (recorded before the kernels wrote into reused buffers)
+_MULTI_CHUNK = [
+    (1, ["--xi-db", "0,30,60"],
+     "67f2338b5131ae2f12ba16d75ca7a4399cfbae09b694e9a872fd05b2f830cdde"),
+    (2, ["--xi-db", "0,30,60"],
+     "d4f80d88107124f6b1311a934cc03335614f9f03dd02a11692b87650b17b5a6e"),
+    (3, ["--k-grid", "2,7,30"],
+     "0b84c07da70636f3bd3fe711362659a064390042888c253a0bfc44c4f5c930d3"),
+    (6, ["--xi-db", "0,30,60"],
+     "4d369754761d82c3b57d51953db19762f17cdade7672d12c79c39117e5518201"),
+]
+GOLDEN += [(figure, 200000, grid + ["--workers", workers], digest)
+           for figure, grid, digest in _MULTI_CHUNK for workers in ("1", "2")]
+
 
 @pytest.mark.parametrize("figure,trials,extra,digest", GOLDEN,
                          ids=[f"figure{f}-{n}{'-'.join([''] + x)}"
