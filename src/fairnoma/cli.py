@@ -166,23 +166,57 @@ def cmd_region(args: argparse.Namespace) -> int:
 # figure
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _is_list_of(check):
+    return lambda value: (isinstance(value, (list, tuple))
+                          and all(map(check, value)))
+
+
+# the type each figure parameter must have, checked before any conversion so
+# a config value is never coerced (2.5 to 2, true to 1)
+_PARAM_TYPES = {
+    "trials": ("an integer", _is_int),
+    "seed": ("an integer", _is_int),
+    "k": ("an integer", _is_int),
+    "k_grid": ("a list of integers", _is_list_of(_is_int)),
+    "xi_db": ("a number or a list of numbers",
+              lambda v: _is_number(v) or _is_list_of(_is_number)(v)),
+    "beta": ("a number", _is_number),
+    "r0": ("a number", _is_number),
+    "fixed_share": ("a number", _is_number),
+}
+
+
 def _resolve_figure_params(args: argparse.Namespace) -> dict:
-    """Defaults, then config file, then explicit flags; strict on keys."""
+    """Defaults, then config file, then explicit flags; strict on keys and
+    on value types."""
     cfg = {}
     if args.config is not None:
         with open(args.config, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
+            try:
+                data = json.load(fh)
+            except ValueError as exc:   # bad JSON, or bytes that are not UTF-8
+                raise _Usage(f"config file {args.config} is not valid JSON:"
+                             f" {exc}")
         if isinstance(data, dict) and "command" in data:
             # a manifest: unwrap its config echo
             data = data.get("config", {})
         if not isinstance(data, dict):
-            raise DomainError("config file must hold a JSON object")
+            raise _Usage(f"config file {args.config} must hold a JSON object,"
+                         f" got {type(data).__name__}")
         cfg = data
 
     figure = args.figure
     if figure is None:
         figure = cfg.get("figure")
-    if figure not in _FIGURE_IDS:
+    if not _is_int(figure) or figure not in _FIGURE_IDS:
         raise _Usage(f"figure must be one of {list(_FIGURE_IDS)}, "
                      f"got {figure!r}")
 
@@ -200,15 +234,18 @@ def _resolve_figure_params(args: argparse.Namespace) -> dict:
         flag = getattr(args, key, None)
         if key != "figure" and flag is not None:
             resolved[key] = flag
+    for key, (kind, check) in _PARAM_TYPES.items():
+        if key in resolved and not check(resolved[key]):
+            raise _Usage(f"{key} must be {kind}, got {resolved[key]!r}")
 
     if isinstance(resolved["xi_db"], (int, float)):
         resolved["xi_db"] = (float(resolved["xi_db"]),)
     resolved["xi_db"] = tuple(float(d) for d in resolved["xi_db"])
     if "k_grid" in resolved:
-        resolved["k_grid"] = tuple(int(k) for k in resolved["k_grid"])
+        resolved["k_grid"] = tuple(resolved["k_grid"])
         if len(resolved["xi_db"]) != 1:
             raise _Usage(f"figure {figure} sweeps K at a single --xi-db")
-    if not isinstance(resolved["trials"], int) or resolved["trials"] < 1:
+    if resolved["trials"] < 1:
         raise _Usage(f"trials must be a positive integer, "
                      f"got {resolved['trials']!r}")
     return resolved

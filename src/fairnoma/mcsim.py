@@ -22,6 +22,27 @@ not BLAS dot products, so standard errors do not depend on the machine's
 BLAS thread pool either, and no BLAS threads compete with the workers.
 Workers are threads, clamped to the chunk count and the CPU count.
 
+A chunk allocates no large arrays. Each sweep gives every worker a workspace
+(``_Workspace``): a buffer for 8192 rows of uniforms, as wide as the widest
+K of the sweep, plus a few chunk-length scratch vectors. The chunk's
+uniforms are drawn into that buffer one row block at a time by
+``Generator.random(out=...)``, and the kernel reduces each block (row
+minimum and maximum, or sort and power recursion) while it is still in
+cache. Workspaces wait in a queue between chunks, so any thread may run any
+chunk with any free workspace, and all of them are dropped when the sweep
+returns. Fresh half-megabyte temporaries would each be mapped, zero-filled
+by the kernel and unmapped again.
+
+None of this moves a bit. Successive ``random(out=...)`` calls continue
+one Philox stream, so the blocks hold exactly ``random((n, K))``. Every
+elementwise step is the same ufunc on the same operands in the same
+order, only written with ``out=`` into a whole vector or a block of rows of
+it, and each element's result does not depend on where it sits. Every
+measure is still reduced by one ``np.sum`` and one ``einsum`` over its full
+chunk, so no summation order changes, and a buffer is overwritten only
+after its moments are taken. A fixed share is broadcast into a vector,
+which rounds exactly as the scalar did.
+
 The a-policy is deliberately absent from the stream key, and each pair
 kernel evaluates every allocation policy it reports on the same draws
 (common random numbers). Measures carry the policy as a tag: ``ainf`` and
@@ -35,9 +56,10 @@ from __future__ import annotations
 
 import math
 import os
+import queue
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -49,7 +71,8 @@ from .twouser import SystemParams
 #: draws between substreams
 CHUNK_TRIALS = 1 << 16
 
-#: rows per block of ``_row_min_max``; a block of a K = 30 pool is 1.9 MB
+#: rows of uniforms drawn at a time; a block of a K = 30 pool is 1.9 MB, so
+#: it is still in cache when the kernel reads it
 _ROW_BLOCK = 1 << 13
 
 _SCENARIO_IDS = {"pair_iid": 1, "pair_minmax": 2, "multiuser": 3}
@@ -158,13 +181,10 @@ def _map_chunks(fn: Callable[[int], dict], n_chunks: int,
         return list(pool.map(fn, range(n_chunks)))
 
 
-def _moments(**arrays) -> dict:
-    out = {}
-    for name, v in arrays.items():
-        # einsum's own loop, not BLAS ddot: no thread pool, and the same
-        # rounding whatever the machine's BLAS thread count
-        out[name] = (float(np.sum(v)), float(np.einsum("i,i->", v, v)))
-    return out
+def _moment(v: np.ndarray) -> tuple[float, float]:
+    # einsum's own loop, not BLAS ddot: no thread pool, and the same
+    # rounding whatever the machine's BLAS thread count
+    return float(np.sum(v)), float(np.einsum("i,i->", v, v))
 
 
 def _reduce(parts: list, trials: int, seed: int) -> dict:
@@ -190,18 +210,52 @@ def _reduce(parts: list, trials: int, seed: int) -> dict:
     return measures
 
 
+class _Workspace:
+    """One worker's chunk buffers: a block of ``_ROW_BLOCK`` rows of
+    uniforms up to ``width`` users wide, and ``n_scratch`` chunk-length
+    scratch vectors."""
+
+    def __init__(self, width: int, n_scratch: int):
+        # one allocation: from 4 MB on, numpy advises huge pages for it, so
+        # its first touch takes far fewer page faults
+        buf = np.empty(_ROW_BLOCK * width + CHUNK_TRIALS * n_scratch)
+        self._draw = buf[:_ROW_BLOCK * width]
+        self._scratch = buf[_ROW_BLOCK * width:].reshape(n_scratch, -1)
+
+    def blocks(self, rng: np.random.Generator, n: int, k: int):
+        """The chunk's (n, k) uniforms as consecutive row blocks, yielded as
+        ``(rows, u)`` with ``u`` drawn into the one block buffer: together
+        they are exactly ``rng.random((n, k))``, and each block overwrites
+        the one before."""
+        for start in range(0, n, _ROW_BLOCK):
+            u = self._draw[:min(_ROW_BLOCK, n - start) * k].reshape(-1, k)
+            rng.random(out=u)
+            yield slice(start, start + len(u)), u
+
+    def scratch(self, n: int) -> list:
+        """The scratch vectors, each cut to length n."""
+        return list(self._scratch[:, :n])
+
+
 def _sweep(config: SimConfig, scenario: str, k_grid: tuple,
-           kernel: Callable[[np.ndarray, float], dict],
-           workers: int | None) -> list:
-    """One GridPoint per (xi, K) point, xi-major: ``kernel(u, xi)`` maps
-    each chunk's (n, K) uniforms on [0, 1) to partial sums (``_moments``
-    pairs or integer counts), which are reduced in chunk order."""
+           kernel: Callable[[Iterator, float, list], dict],
+           workers: int | None, n_scratch: int) -> list:
+    """One GridPoint per (xi, K) point, xi-major:
+    ``kernel(blocks, xi, scratch)`` maps each chunk's (n, K) uniforms on
+    [0, 1), given as row blocks by ``_Workspace.blocks``, to partial sums
+    (``_moment`` pairs or integer counts), which are reduced in chunk order.
+    ``scratch`` holds ``n_scratch`` vectors of length n that the kernel may
+    overwrite; they and the blocks belong to a workspace reused by later
+    chunks."""
     if config.scenario != scenario:
         raise DomainError(
             f"this operation requires scenario={scenario!r}, got {config.scenario!r}")
     if workers is not None and (not isinstance(workers, int) or workers < 1):
         raise DomainError(f"workers must be a positive integer, got {workers!r}")
     n_chunks = (config.trials + CHUNK_TRIALS - 1) // CHUNK_TRIALS
+    # idle workspaces; a chunk that finds none makes one, so there are never
+    # more workspaces than threads
+    free = queue.SimpleQueue()
     points = []
     for gi, xi in enumerate(config.xi_grid):
         for k in k_grid:
@@ -211,10 +265,17 @@ def _sweep(config: SimConfig, scenario: str, k_grid: tuple,
 
             def chunk(ci: int, xi: float = xi, k: int = k,
                       key: tuple = key) -> dict:
-                rng = np.random.Generator(
-                    np.random.Philox(np.random.SeedSequence(key + (ci,))))
-                n = min(CHUNK_TRIALS, config.trials - ci * CHUNK_TRIALS)
-                return kernel(rng.random((n, k)), xi)
+                try:
+                    ws = free.get_nowait()
+                except queue.Empty:
+                    ws = _Workspace(max(k_grid), n_scratch)
+                try:
+                    rng = np.random.Generator(
+                        np.random.Philox(np.random.SeedSequence(key + (ci,))))
+                    n = min(CHUNK_TRIALS, config.trials - ci * CHUNK_TRIALS)
+                    return kernel(ws.blocks(rng, n, k), xi, ws.scratch(n))
+                finally:
+                    free.put(ws)
 
             parts = _map_chunks(chunk, n_chunks, workers)
             points.append(GridPoint(xi=xi, k=k,
@@ -224,90 +285,149 @@ def _sweep(config: SimConfig, scenario: str, k_grid: tuple,
 
 
 # ---------------------------------------------------------------------------
-# per-draw physics
+# per-draw physics; each function writes into the buffers it is given, with
+# the operations and operand order of the plain expression in its docstring
 
-def _gains(u: np.ndarray, beta: float) -> np.ndarray:
-    """Exp(beta) channel gains from uniforms on [0, 1) by the inverse CDF.
-    Non-decreasing in ``u``, so it commutes with row minima, maxima and
-    sorts bit for bit."""
-    return -beta * np.log1p(-u)
+def _gains(u: np.ndarray, beta: float, out: np.ndarray | None = None) -> np.ndarray:
+    """Exp(beta) channel gains ``-beta * log1p(-u)`` from uniforms on [0, 1)
+    by the inverse CDF. Non-decreasing in ``u``, so it commutes with row
+    minima, maxima and sorts bit for bit."""
+    g = np.negative(u, out=out)
+    np.log1p(g, out=g)
+    return np.multiply(-beta, g, out=g)
 
 
-def _row_min_max(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _row_min_max(x: np.ndarray, out) -> tuple[np.ndarray, np.ndarray]:
     """Row minimum and maximum of an (n, K) array, exactly ``x.min(axis=1)``
-    and ``x.max(axis=1)``. A column loop over row blocks that stay in cache
-    runs several times faster than numpy's row reduction at these widths."""
-    lo = x[:, 0].copy()
-    hi = lo.copy()
-    for start in range(0, x.shape[0], _ROW_BLOCK):
-        rows = slice(start, start + _ROW_BLOCK)
-        for j in range(1, x.shape[1]):
-            np.minimum(lo[rows], x[rows, j], out=lo[rows])
-            np.maximum(hi[rows], x[rows, j], out=hi[rows])
+    and ``x.max(axis=1)``, into the vector pair ``out``. On a block that
+    stays in cache, a column loop runs several times faster than numpy's
+    row reduction at these widths."""
+    lo, hi = out
+    np.copyto(lo, x[:, 0])
+    np.copyto(hi, lo)
+    for j in range(1, x.shape[1]):
+        np.minimum(lo, x[:, j], out=lo)
+        np.maximum(hi, x[:, j], out=hi)
     return lo, hi
 
 
-def _pair_snrs(u: np.ndarray, xi: float,
-               beta: float) -> tuple[np.ndarray, np.ndarray]:
-    """(weak, strong) instantaneous SNRs of the weakest and strongest user in
-    each row of an (n, K) uniform draw. The order statistic is taken on the
-    uniforms and only those 2n values are mapped to gains, which equals
-    taking it on the nK gains bit for bit because ``_gains`` is monotone."""
-    lo, hi = _row_min_max(u)
-    return xi * _gains(lo, beta), xi * _gains(hi, beta)
+def _pair_snrs(blocks: Iterator, xi: float, beta: float,
+               out) -> tuple[np.ndarray, np.ndarray]:
+    """(weak, strong) instantaneous SNRs ``xi * _gains(.)`` of the weakest
+    and strongest user in each row of an (n, K) uniform draw, given as
+    ``(rows, u)`` row blocks, into the vector pair ``out``. The order
+    statistic is taken on the uniforms and only those 2n values are mapped
+    to gains, which equals taking it on the nK gains bit for bit because
+    ``_gains`` is monotone."""
+    lo, hi = out
+    for rows, u in blocks:
+        _row_min_max(u, (lo[rows], hi[rows]))
+    for w in out:
+        _gains(w, beta, out=w)
+        np.multiply(xi, w, out=w)
+    return lo, hi
 
 
-def _shares(w1: np.ndarray, w2: np.ndarray, extra=()) -> dict:
-    """Strong user's power share per draw, keyed by policy tag: the two fair
-    endpoints, then each policy in ``extra`` ('mid' or a fixed number;
-    'inf' and 'sup' are already there)."""
-    shares = {"ainf": 1.0 / (1.0 + np.sqrt(1.0 + w2)),
-              "asup": 1.0 / (1.0 + np.sqrt(1.0 + w1))}
+def _fair_share(w: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``1.0 / (1.0 + np.sqrt(1.0 + w))``: the strong user's share at a fair
+    endpoint, from the weak (``asup``) or strong (``ainf``) user's SNR."""
+    np.add(1.0, w, out=out)
+    np.sqrt(out, out=out)
+    np.add(1.0, out, out=out)
+    return np.divide(1.0, out, out=out)
+
+
+def _shares(w1: np.ndarray, w2: np.ndarray, extra, bufs: list) -> dict:
+    """Strong user's power share per draw, keyed by policy tag and written
+    into ``bufs``: the two fair endpoints, then each policy in ``extra``
+    ('mid', ``0.5 * (ainf + asup)``, or a fixed number broadcast to every
+    draw; 'inf' and 'sup' are already there)."""
+    shares = {"ainf": _fair_share(w2, bufs[0]),
+              "asup": _fair_share(w1, bufs[1])}
     for policy in extra:
+        buf = bufs[len(shares)]
         if policy == "mid":
-            shares["mid"] = 0.5 * (shares["ainf"] + shares["asup"])
+            np.add(shares["ainf"], shares["asup"], out=buf)
+            shares["mid"] = np.multiply(0.5, buf, out=buf)
         elif not isinstance(policy, str):
-            shares["fixed"] = float(policy)
+            buf.fill(policy)
+            shares["fixed"] = buf
     return shares
 
 
-def _pair_rates(w1: np.ndarray, w2: np.ndarray, a) -> tuple[np.ndarray, np.ndarray]:
-    c1 = np.log1p((1.0 - a) * w1 / (a * w1 + 1.0)) / _LN2
-    c2 = np.log1p(a * w2) / _LN2
+def _oma_rate(w: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """OMA capacity ``0.5 * np.log1p(w) / _LN2`` of each draw."""
+    np.log1p(w, out=out)
+    np.multiply(0.5, out, out=out)
+    return np.divide(out, _LN2, out=out)
+
+
+def _pair_rates(w1: np.ndarray, w2: np.ndarray, a: np.ndarray,
+                c1: np.ndarray, c2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """NOMA capacities under strong-user share ``a``, into ``c1`` and
+    ``c2``: ``np.log1p((1.0 - a) * w1 / (a * w1 + 1.0)) / _LN2`` and
+    ``np.log1p(a * w2) / _LN2``."""
+    np.subtract(1.0, a, out=c1)
+    np.multiply(c1, w1, out=c1)
+    np.multiply(a, w1, out=c2)
+    np.add(c2, 1.0, out=c2)
+    np.divide(c1, c2, out=c1)
+    np.log1p(c1, out=c1)
+    np.divide(c1, _LN2, out=c1)
+    np.multiply(a, w2, out=c2)
+    np.log1p(c2, out=c2)
+    np.divide(c2, _LN2, out=c2)
     return c1, c2
 
 
+#: scratch vectors of a pair kernel: weak and strong SNR, OMA sum rate, the
+#: three NOMA rates, and the shares of both endpoints plus one more policy
+_PAIR_SCRATCH = 9
+
+
 def _rate_moments(w1: np.ndarray, w2: np.ndarray, extra, weak: str,
-                  strong: str, noma: str) -> dict:
+                  strong: str, noma: str, scratch: list) -> dict:
     """Moments of the pair's OMA capacities (``<weak>_oma``, ``<strong>_oma``,
     ``s_oma``) and, per policy tag, its NOMA capacities
     (``<weak><noma>_<tag>``, ``<strong><noma>_<tag>``, ``s<noma>_<tag>``)
-    with the paired per-draw sum-rate gain ``ds_<tag>``."""
-    c1o, c2o = 0.5 * np.log1p(w1) / _LN2, 0.5 * np.log1p(w2) / _LN2
-    s_o = c1o + c2o
-    vals = {f"{weak}_oma": c1o, f"{strong}_oma": c2o, "s_oma": s_o}
-    for tag, a in _shares(w1, w2, extra).items():
-        c1n, c2n = _pair_rates(w1, w2, a)
-        s_n = c1n + c2n
-        vals[f"{weak}{noma}_{tag}"] = c1n
-        vals[f"{strong}{noma}_{tag}"] = c2n
-        vals[f"s{noma}_{tag}"] = s_n
-        vals[f"ds_{tag}"] = s_n - s_o
-    return _moments(**vals)
+    with the paired per-draw sum-rate gain ``ds_<tag>``; ``scratch`` holds
+    four vectors plus one per share."""
+    s_o, c1, c2, s, *share_bufs = scratch
+    out = {f"{weak}_oma": _moment(_oma_rate(w1, c1)),
+           f"{strong}_oma": _moment(_oma_rate(w2, c2)),
+           "s_oma": _moment(np.add(c1, c2, out=s_o))}
+    for tag, a in _shares(w1, w2, extra, share_bufs).items():
+        _pair_rates(w1, w2, a, c1, c2)
+        out[f"{weak}{noma}_{tag}"] = _moment(c1)
+        out[f"{strong}{noma}_{tag}"] = _moment(c2)
+        out[f"s{noma}_{tag}"] = _moment(np.add(c1, c2, out=s))
+        out[f"ds_{tag}"] = _moment(np.subtract(s, s_o, out=c1))
+    return out
 
 
-def _min_power_total(w_sorted: np.ndarray, k: int) -> np.ndarray:
+def _min_power_total(w_sorted: np.ndarray, k: int, scratch: list) -> np.ndarray:
     """Sum of the minimum per-user shares that replicate OMA capacities.
 
     Downward recursion over users K..1 on a (n, K) array of sorted
-    instantaneous SNRs; for K = 1 the root power simplifies to exactly 1.
+    instantaneous SNRs, ``total = total + t * (1.0 + w * total) / w`` with
+    ``t = np.expm1(np.log1p(w) / k)``; for K = 1 the root power simplifies
+    to ``t = w`` and the total to exactly 1. Uses three scratch vectors and
+    returns the first.
     """
-    n = w_sorted.shape[0]
-    total = np.zeros(n)
+    total, root, term = scratch
+    total.fill(0.0)
     for j in range(k - 1, -1, -1):
         w = w_sorted[:, j]
-        t = np.expm1(np.log1p(w) / k) if k > 1 else w
-        total = total + t * (1.0 + w * total) / w
+        t = w
+        if k > 1:
+            t = np.log1p(w, out=root)
+            np.divide(t, k, out=t)
+            np.expm1(t, out=t)
+        np.multiply(w, total, out=term)
+        np.add(1.0, term, out=term)
+        np.multiply(t, term, out=term)
+        np.divide(term, w, out=term)
+        np.add(total, term, out=total)
     return total
 
 
@@ -320,11 +440,12 @@ def run_ergodic_pair(config: SimConfig, workers: int | None = None) -> list:
     ``c2_noma_<tag>``, ``s_noma_<tag>`` with the paired per-draw sum-rate
     gain ``ds_<tag>``, for both fair endpoints and ``a_policy``."""
 
-    def kernel(u: np.ndarray, xi: float) -> dict:
-        w1, w2 = _pair_snrs(u, xi, config.beta)
-        return _rate_moments(w1, w2, (config.a_policy,), "c1", "c2", "_noma")
+    def kernel(blocks: Iterator, xi: float, scratch: list) -> dict:
+        w1, w2 = _pair_snrs(blocks, xi, config.beta, scratch[:2])
+        return _rate_moments(w1, w2, (config.a_policy,), "c1", "c2", "_noma",
+                             scratch[2:])
 
-    return _sweep(config, "pair_iid", (2,), kernel, workers)
+    return _sweep(config, "pair_iid", (2,), kernel, workers, _PAIR_SCRATCH)
 
 
 def run_outage(config: SimConfig, workers: int | None = None) -> list:
@@ -340,19 +461,22 @@ def run_outage(config: SimConfig, workers: int | None = None) -> list:
     r0 = config.r0
     o_thresh = 4.0 ** r0 - 1.0   # outage iff xi*g < threshold, per user in OMA
 
-    def kernel(u: np.ndarray, xi: float) -> dict:
-        w1, w2 = _pair_snrs(u, xi, config.beta)
+    def kernel(blocks: Iterator, xi: float, scratch: list) -> dict:
+        w1, w2, c1, c2, *share_bufs = scratch
+        _pair_snrs(blocks, xi, config.beta, (w1, w2))
         out = {
             "p_oma_weak": int(np.count_nonzero(w1 < o_thresh)),
             "p_oma_strong": int(np.count_nonzero(w2 < o_thresh)),
         }
-        for tag, a in _shares(w1, w2, ("mid", config.a_policy)).items():
-            c1n, c2n = _pair_rates(w1, w2, a)
-            out[f"p_noma_weak_{tag}"] = int(np.count_nonzero(c1n < r0))
-            out[f"p_noma_strong_{tag}"] = int(np.count_nonzero(c2n < r0))
+        shares = _shares(w1, w2, ("mid", config.a_policy), share_bufs)
+        for tag, a in shares.items():
+            _pair_rates(w1, w2, a, c1, c2)
+            out[f"p_noma_weak_{tag}"] = int(np.count_nonzero(c1 < r0))
+            out[f"p_noma_strong_{tag}"] = int(np.count_nonzero(c2 < r0))
         return out
 
-    return _sweep(config, "pair_iid", (2,), kernel, workers)
+    # SNRs, rates, and the shares of both endpoints, mid and a fixed policy
+    return _sweep(config, "pair_iid", (2,), kernel, workers, 8)
 
 
 def noma_outage_empirical(params: SystemParams, a_policy, trials: int,
@@ -385,11 +509,13 @@ def run_pairing(config: SimConfig, workers: int | None = None) -> list:
     fixed_share = (float(config.a_policy)
                    if isinstance(config.a_policy, (int, float)) else 0.2)
 
-    def kernel(u: np.ndarray, xi: float) -> dict:
-        w1, w2 = _pair_snrs(u, xi, config.beta)
-        return _rate_moments(w1, w2, (fixed_share,), "c_min", "c_max", "")
+    def kernel(blocks: Iterator, xi: float, scratch: list) -> dict:
+        w1, w2 = _pair_snrs(blocks, xi, config.beta, scratch[:2])
+        return _rate_moments(w1, w2, (fixed_share,), "c_min", "c_max", "",
+                             scratch[2:])
 
-    return _sweep(config, "pair_minmax", k_grid, kernel, workers)
+    return _sweep(config, "pair_minmax", k_grid, kernel, workers,
+                  _PAIR_SCRATCH)
 
 
 def run_multiuser_power(config: SimConfig, workers: int | None = None) -> list:
@@ -397,9 +523,14 @@ def run_multiuser_power(config: SimConfig, workers: int | None = None) -> list:
     for every one of K users (measure ``sum_b``)."""
     k = config.k_users
 
-    def kernel(u: np.ndarray, xi: float) -> dict:
-        g = _gains(u, config.beta)
-        g.sort(axis=1)
-        return _moments(sum_b=_min_power_total(xi * g, k))
+    def kernel(blocks: Iterator, xi: float, scratch: list) -> dict:
+        for rows, u in blocks:
+            g = _gains(u, config.beta, out=u)
+            g.sort(axis=1)
+            np.multiply(xi, g, out=g)
+            _min_power_total(g, k, [v[rows] for v in scratch])
+        return {"sum_b": _moment(scratch[0])}
 
-    return _sweep(config, "multiuser", (k,), kernel, workers)
+    # the three vectors of _min_power_total
+    return _sweep(config, "multiuser", (k,), kernel, workers, 3)
+

@@ -158,6 +158,30 @@ class TestFigureOutputs:
         compile(script, "figure6_plot.py", "exec")
 
 
+# config files that must exit 2 with one usage line, before any work
+_BAD_CONFIGS = {
+    "malformed-json": '{"figure": 6, "trials": ',
+    "array": '[6, 1000]',
+    "string": '"figure 6"',
+    "manifest-array": '{"command": "figure", "config": [6]}',
+    "xi_db-string": '{"figure": 6, "trials": 200, "xi_db": "abc"}',
+    "xi_db-list-string": '{"figure": 6, "trials": 200, "xi_db": [0, "20"]}',
+    "beta-string": '{"figure": 6, "trials": 200, "beta": "x"}',
+    "fixed_share-string": '{"figure": 5, "trials": 200, "fixed_share": "0.2"}',
+    "r0-list": '{"figure": 2, "trials": 200, "r0": [2]}',
+    "k_grid-fractional": '{"figure": 3, "trials": 200, "k_grid": [2.5, 3.7]}',
+    "k_grid-scalar": '{"figure": 3, "trials": 200, "k_grid": 5}',
+    "k-fractional": '{"figure": 6, "trials": 200, "k": 3.5}',
+    "trials-fractional": '{"figure": 6, "trials": 200.5}',
+    "seed-fractional": '{"figure": 6, "trials": 200, "seed": 1.5}',
+    "trials-bool": '{"figure": 6, "trials": true}',
+    "k-bool": '{"figure": 6, "trials": 200, "k": true}',
+    "xi_db-bool": '{"figure": 6, "trials": 200, "xi_db": [0, true]}',
+    "figure-bool": '{"figure": true, "trials": 200}',
+    "figure-float": '{"figure": 1.0, "trials": 200}',
+}
+
+
 class TestFigureReproducibility:
     def test_byte_identical_reruns_and_worker_counts(self, capsys, tmp_path):
         # 70000 trials split into multiple chunks, so worker scheduling
@@ -226,6 +250,18 @@ class TestFigureReproducibility:
                 "--workers", workers, "--out-dir", str(tmp_path)])
             assert code == 2 and "--workers" in err
         assert not (tmp_path / "figure6.csv").exists()
+
+    @pytest.mark.parametrize("text", _BAD_CONFIGS.values(),
+                             ids=_BAD_CONFIGS.keys())
+    def test_bad_config_values_exit_2(self, capsys, tmp_path, text):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(text, encoding="utf-8")
+        code, out, err = run_cli(capsys, ["figure", "--config", str(cfg),
+                                          "--out-dir", str(tmp_path)])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("usage error: ") and err.count("\n") == 1, err
+        assert not list(tmp_path.glob("figure*"))
 
     def test_out_dir_env_honored(self, capsys, tmp_path, monkeypatch):
         env_dir = tmp_path / "from_env"

@@ -22,6 +22,19 @@ def _cfg(**kw):
     return SimConfig(**base)
 
 
+def _run_probe(probe: str, **env) -> str:
+    """stdout of ``probe`` run in a fresh interpreter that imports this
+    checkout's fairnoma, with ``env`` added to the environment."""
+    src = os.path.dirname(os.path.dirname(mcsim.__file__))
+    env = dict(os.environ, **env,
+               PYTHONPATH=os.pathsep.join(
+                   filter(None, (src, os.environ.get("PYTHONPATH")))))
+    proc = subprocess.run([sys.executable, "-c", textwrap.dedent(probe)],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
 class TestConfigValidation:
     def test_rejects_bad_trials(self):
         for trials in (0, -1, 2.5):
@@ -92,7 +105,7 @@ class TestDeterminism:
 
     def test_blas_thread_count_cannot_change_results(self):
         # chunks long enough that a BLAS dot product would go multi-threaded
-        probe = textwrap.dedent("""
+        probe = """
             from fairnoma.mcsim import (SimConfig, run_multiuser_power,
                                         run_pairing)
             pool = SimConfig(trials=70_000, seed=9, xi_grid=(1e3,),
@@ -102,17 +115,9 @@ class TestDeterminism:
             for p in run_pairing(pool) + run_multiuser_power(multi):
                 for name, r in sorted(p.measures.items()):
                     print(p.xi, p.k, name, r.mean.hex(), r.std_error.hex())
-            """)
-        src = os.path.dirname(os.path.dirname(mcsim.__file__))
-        outputs = []
-        for threads in ("1", "2"):
-            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
-                       PYTHONPATH=os.pathsep.join(
-                           filter(None, (src, os.environ.get("PYTHONPATH")))))
-            proc = subprocess.run([sys.executable, "-c", probe], env=env,
-                                  capture_output=True, text=True, timeout=300)
-            assert proc.returncode == 0, proc.stderr
-            outputs.append(proc.stdout)
+            """
+        outputs = [_run_probe(probe, OPENBLAS_NUM_THREADS=threads)
+                   for threads in ("1", "2")]
         assert outputs[0].count("\n") == 3 * 15 + 2
         assert outputs[0] == outputs[1]
 
@@ -167,6 +172,58 @@ class TestWorkers:
             with pytest.raises(DomainError):
                 run_outage(_cfg(trials=100, r0=1.0), workers=workers)
 
+    def test_threads_never_share_a_workspace(self, monkeypatch):
+        # more threads than cores, switching as often as the interpreter
+        # allows: two chunks writing one workspace at once would corrupt
+        # their draws, and the results would differ from a serial run
+        monkeypatch.setattr(mcsim.os, "cpu_count", lambda: 8)
+        pool = _cfg(trials=6 * CHUNK_TRIALS + 5, scenario="pair_minmax",
+                    k_grid=(3, 7))
+        multi = _cfg(trials=6 * CHUNK_TRIALS + 5, scenario="multiuser",
+                     k_users=4)
+        serial = run_pairing(pool) + run_multiuser_power(multi)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threaded = (run_pairing(pool, workers=8)
+                        + run_multiuser_power(multi, workers=8))
+        finally:
+            sys.setswitchinterval(interval)
+        assert [p.measures for p in threaded] == [p.measures for p in serial]
+
+
+class TestChunkMemory:
+    @pytest.mark.skipif(not sys.platform.startswith("linux"),
+                        reason="counts Linux minor page faults")
+    @pytest.mark.parametrize("runner,options", [
+        ("run_ergodic_pair", {}),
+        ("run_outage", {"r0": 2.0, "a_policy": 0.3}),
+        ("run_pairing", {"scenario": "pair_minmax", "k_grid": (7,)}),
+        ("run_multiuser_power", {"scenario": "multiuser", "k_users": 5}),
+    ])
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_chunks_do_not_page_fault(self, runner, options, workers):
+        # Chunk temporaries of half a megabyte or more are mapped fresh,
+        # zero-filled by the kernel and unmapped again: about 1500-2500
+        # minor faults per chunk. Reused workspaces take none once the
+        # allocator is warm. Two warm-up sweeps, because glibc unmaps the
+        # first sweep's workspace, then serves the second from a heap that
+        # it keeps for the third. The 8-chunk sweep measured last still
+        # pays any first touch of its own workspaces.
+        probe = f"""
+            import resource
+            from fairnoma.mcsim import CHUNK_TRIALS, SimConfig, {runner}
+            config = SimConfig(trials=4 * CHUNK_TRIALS, seed=3,
+                               xi_grid=(10.0, 1e3), **{options!r})
+            {runner}(config, {workers})
+            {runner}(config, {workers})
+            before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+            {runner}(config, {workers})
+            print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+            """
+        faults_per_chunk = int(_run_probe(probe)) / 8
+        assert faults_per_chunk < 100, faults_per_chunk
+
 
 class TestCommonRandomNumbers:
     def test_policy_not_in_stream_key(self):
@@ -198,15 +255,33 @@ class TestCommonRandomNumbers:
         # reduction of the gains bit for bit: on a full chunk, on a partial
         # one that ends inside a row block, and with ties
         rng = np.random.default_rng(0)
-        for n in (CHUNK_TRIALS, 3 * mcsim._ROW_BLOCK // 2 + 7, 1):
+        step = mcsim._ROW_BLOCK
+        for n in (CHUNK_TRIALS, 3 * step // 2 + 7, 1):
             for k in range(2, 31):
                 u = rng.random((n, k))
                 u[:10, 1] = u[:10, 0]
                 for beta in (0.5, 1.0, 2.0):
                     g = mcsim._gains(u, beta)
-                    w1, w2 = mcsim._pair_snrs(u, 123.0, beta)
+                    blocks = ((slice(s, s + step), u[s:s + step])
+                              for s in range(0, n, step))
+                    w1, w2 = mcsim._pair_snrs(blocks, 123.0, beta,
+                                              (np.empty(n), np.empty(n)))
                     assert np.array_equal(w1, 123.0 * g.min(axis=1))
                     assert np.array_equal(w2, 123.0 * g.max(axis=1))
+
+    def test_row_blocks_are_the_chunk_draw(self):
+        # the chunk drawn a row block at a time into one reused buffer is
+        # the one-shot draw of the whole chunk, value for value
+        ws = mcsim._Workspace(30, 1)
+        for n in (CHUNK_TRIALS, 3 * mcsim._ROW_BLOCK // 2 + 7, 1):
+            for k in (2, 7, 30):
+                key = np.random.SeedSequence((1, 2, 0, k, 3))
+                whole = np.random.Generator(np.random.Philox(key)).random((n, k))
+                rng = np.random.Generator(np.random.Philox(key))
+                got = np.full((n, k), np.nan)
+                for rows, u in ws.blocks(rng, n, k):
+                    got[rows] = u
+                assert np.array_equal(got, whole)
 
     def test_paired_difference_cuts_variance(self):
         m = run_ergodic_pair(_cfg(trials=200_000, xi_grid=(1e4,)))[0].measures
