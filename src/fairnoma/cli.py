@@ -52,6 +52,7 @@ from .twouser import (
     noma_capacity_strong,
     noma_capacity_weak,
     oma_capacity,
+    _require_positive,
 )
 
 OUT_DIR_ENV = "FAIRNOMA_OUT_DIR"
@@ -126,10 +127,8 @@ def _csv_text(header: str, rows: list) -> str:
 def cmd_region(args: argparse.Namespace) -> int:
     xi = _db_to_linear(args.xi_db) if args.xi is None else args.xi
     g1, g2 = args.g1, args.g2
-    if not (math.isfinite(g1) and g1 > 0.0):
-        raise DomainError(f"g1 must be positive, got {g1!r}")
-    if not (math.isfinite(g2) and g2 > 0.0):
-        raise DomainError(f"g2 must be positive, got {g2!r}")
+    _require_positive("g1", g1)
+    _require_positive("g2", g2)
     if g1 > g2:
         print("warning: g1 > g2, swapping so g1 is the weaker user",
               file=sys.stderr)
@@ -228,7 +227,8 @@ def _resolve_figure_params(args: argparse.Namespace) -> dict:
         raise _Usage(f"unknown config key(s) {unknown} for figure {figure}; "
                      f"expected some of {sorted(resolved)}")
     for key in resolved:
-        if key != "figure" and cfg.get(key) is not None:
+        # a null value is a value, and fails its type check below
+        if key != "figure" and key in cfg:
             resolved[key] = cfg[key]
     for key in resolved:
         flag = getattr(args, key, None)

@@ -19,10 +19,8 @@ from typing import Callable
 
 from ._quad import integrate_semi_infinite
 from .errors import DomainError
-from .specfun import _LN2, EULER_GAMMA, exp_integral_e1_scaled
+from .specfun import _LN2, _LN4, EULER_GAMMA, exp_integral_e1_scaled
 from .twouser import SystemParams
-
-_LN4 = math.log(4.0)
 
 
 @dataclass(frozen=True)

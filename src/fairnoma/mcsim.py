@@ -33,15 +33,15 @@ chunk with any free workspace, and all of them are dropped when the sweep
 returns. Fresh half-megabyte temporaries would each be mapped, zero-filled
 by the kernel and unmapped again.
 
-None of this moves a bit. Successive ``random(out=...)`` calls continue
-one Philox stream, so the blocks hold exactly ``random((n, K))``. Every
-elementwise step is the same ufunc on the same operands in the same
-order, only written with ``out=`` into a whole vector or a block of rows of
-it, and each element's result does not depend on where it sits. Every
-measure is still reduced by one ``np.sum`` and one ``einsum`` over its full
-chunk, so no summation order changes, and a buffer is overwritten only
-after its moments are taken. A fixed share is broadcast into a vector,
-which rounds exactly as the scalar did.
+No bit depends on where a value sits. Successive ``random(out=...)`` calls
+continue one Philox stream, so the blocks hold exactly ``random((n, K))``,
+and an elementwise ufunc rounds each element alike in a chunk, a block of
+rows or a one-element array. So the per-draw physics (the fair share
+bound, the OMA and NOMA rates, the minimum-power recursion) is the array
+code of ``twouser`` and ``multiuser`` that the scalar API runs too, and
+each draw's values equal the scalar API's at its gains bit for bit. Every
+measure is reduced by one ``np.sum`` and one ``einsum`` over its full
+chunk, and a buffer is overwritten only after its moments are taken.
 
 The a-policy is deliberately absent from the stream key, and each pair
 kernel evaluates every allocation policy it reports on the same draws
@@ -64,8 +64,9 @@ from typing import Callable, Iterator
 import numpy as np
 
 from .errors import DomainError
-from .specfun import _LN2
-from .twouser import SystemParams
+from .multiuser import _min_power_total
+from .twouser import (SystemParams, _oma_rate, _pair_rates, _require_positive,
+                      _share_bound)
 
 #: trials per substream chunk; fixed so parallel partitioning cannot move
 #: draws between substreams
@@ -125,13 +126,11 @@ class SimConfig:
         if not xi_grid:
             raise DomainError("xi_grid must be non-empty")
         for x in xi_grid:
-            if not (math.isfinite(x) and x > 0.0):
-                raise DomainError(f"xi_grid entries must be positive, got {x!r}")
+            _require_positive("xi_grid entries", x)
         if any(a >= b for a, b in zip(xi_grid, xi_grid[1:])):
             raise DomainError("xi_grid must be strictly increasing")
         object.__setattr__(self, "xi_grid", xi_grid)
-        if not (math.isfinite(self.beta) and self.beta > 0.0):
-            raise DomainError(f"beta must be positive, got {self.beta!r}")
+        _require_positive("beta", self.beta)
         if not isinstance(self.k_users, int) or self.k_users < 1:
             raise DomainError(f"k_users must be a positive integer, got {self.k_users!r}")
         if not (math.isfinite(self.r0) and self.r0 >= 0.0):
@@ -285,8 +284,8 @@ def _sweep(config: SimConfig, scenario: str, k_grid: tuple,
 
 
 # ---------------------------------------------------------------------------
-# per-draw physics; each function writes into the buffers it is given, with
-# the operations and operand order of the plain expression in its docstring
+# draws, order statistics and policies; the per-draw physics is twouser's and
+# multiuser's
 
 def _gains(u: np.ndarray, beta: float, out: np.ndarray | None = None) -> np.ndarray:
     """Exp(beta) channel gains ``-beta * log1p(-u)`` from uniforms on [0, 1)
@@ -328,22 +327,13 @@ def _pair_snrs(blocks: Iterator, xi: float, beta: float,
     return lo, hi
 
 
-def _fair_share(w: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """``1.0 / (1.0 + np.sqrt(1.0 + w))``: the strong user's share at a fair
-    endpoint, from the weak (``asup``) or strong (``ainf``) user's SNR."""
-    np.add(1.0, w, out=out)
-    np.sqrt(out, out=out)
-    np.add(1.0, out, out=out)
-    return np.divide(1.0, out, out=out)
-
-
 def _shares(w1: np.ndarray, w2: np.ndarray, extra, bufs: list) -> dict:
     """Strong user's power share per draw, keyed by policy tag and written
     into ``bufs``: the two fair endpoints, then each policy in ``extra``
     ('mid', ``0.5 * (ainf + asup)``, or a fixed number broadcast to every
     draw; 'inf' and 'sup' are already there)."""
-    shares = {"ainf": _fair_share(w2, bufs[0]),
-              "asup": _fair_share(w1, bufs[1])}
+    shares = {"ainf": _share_bound(w2, bufs[0]),
+              "asup": _share_bound(w1, bufs[1])}
     for policy in extra:
         buf = bufs[len(shares)]
         if policy == "mid":
@@ -353,31 +343,6 @@ def _shares(w1: np.ndarray, w2: np.ndarray, extra, bufs: list) -> dict:
             buf.fill(policy)
             shares["fixed"] = buf
     return shares
-
-
-def _oma_rate(w: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """OMA capacity ``0.5 * np.log1p(w) / _LN2`` of each draw."""
-    np.log1p(w, out=out)
-    np.multiply(0.5, out, out=out)
-    return np.divide(out, _LN2, out=out)
-
-
-def _pair_rates(w1: np.ndarray, w2: np.ndarray, a: np.ndarray,
-                c1: np.ndarray, c2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """NOMA capacities under strong-user share ``a``, into ``c1`` and
-    ``c2``: ``np.log1p((1.0 - a) * w1 / (a * w1 + 1.0)) / _LN2`` and
-    ``np.log1p(a * w2) / _LN2``."""
-    np.subtract(1.0, a, out=c1)
-    np.multiply(c1, w1, out=c1)
-    np.multiply(a, w1, out=c2)
-    np.add(c2, 1.0, out=c2)
-    np.divide(c1, c2, out=c1)
-    np.log1p(c1, out=c1)
-    np.divide(c1, _LN2, out=c1)
-    np.multiply(a, w2, out=c2)
-    np.log1p(c2, out=c2)
-    np.divide(c2, _LN2, out=c2)
-    return c1, c2
 
 
 #: scratch vectors of a pair kernel: weak and strong SNR, OMA sum rate, the
@@ -393,8 +358,8 @@ def _rate_moments(w1: np.ndarray, w2: np.ndarray, extra, weak: str,
     with the paired per-draw sum-rate gain ``ds_<tag>``; ``scratch`` holds
     four vectors plus one per share."""
     s_o, c1, c2, s, *share_bufs = scratch
-    out = {f"{weak}_oma": _moment(_oma_rate(w1, c1)),
-           f"{strong}_oma": _moment(_oma_rate(w2, c2)),
+    out = {f"{weak}_oma": _moment(_oma_rate(w1, 2, c1)),
+           f"{strong}_oma": _moment(_oma_rate(w2, 2, c2)),
            "s_oma": _moment(np.add(c1, c2, out=s_o))}
     for tag, a in _shares(w1, w2, extra, share_bufs).items():
         _pair_rates(w1, w2, a, c1, c2)
@@ -403,32 +368,6 @@ def _rate_moments(w1: np.ndarray, w2: np.ndarray, extra, weak: str,
         out[f"s{noma}_{tag}"] = _moment(np.add(c1, c2, out=s))
         out[f"ds_{tag}"] = _moment(np.subtract(s, s_o, out=c1))
     return out
-
-
-def _min_power_total(w_sorted: np.ndarray, k: int, scratch: list) -> np.ndarray:
-    """Sum of the minimum per-user shares that replicate OMA capacities.
-
-    Downward recursion over users K..1 on a (n, K) array of sorted
-    instantaneous SNRs, ``total = total + t * (1.0 + w * total) / w`` with
-    ``t = np.expm1(np.log1p(w) / k)``; for K = 1 the root power simplifies
-    to ``t = w`` and the total to exactly 1. Uses three scratch vectors and
-    returns the first.
-    """
-    total, root, term = scratch
-    total.fill(0.0)
-    for j in range(k - 1, -1, -1):
-        w = w_sorted[:, j]
-        t = w
-        if k > 1:
-            t = np.log1p(w, out=root)
-            np.divide(t, k, out=t)
-            np.expm1(t, out=t)
-        np.multiply(w, total, out=term)
-        np.add(1.0, term, out=term)
-        np.multiply(t, term, out=term)
-        np.divide(term, w, out=term)
-        np.add(total, term, out=total)
-    return total
 
 
 # ---------------------------------------------------------------------------

@@ -15,8 +15,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import DomainError
-from .specfun import _LN2
+from .twouser import _noma_rate, _oma_rate, _one, _require_positive
 
 
 _ALLOC_KINDS = ("b_min", "a_full")
@@ -34,12 +36,10 @@ class ChannelSet:
         if not gains:
             raise DomainError("need at least one user")
         for g in gains:
-            if not (math.isfinite(g) and g > 0.0):
-                raise DomainError(f"gains must be positive, got {g!r}")
+            _require_positive("gains", g)
         if any(a > b for a, b in zip(gains, gains[1:])):
             raise DomainError("gains must be sorted ascending")
-        if not (math.isfinite(self.beta) and self.beta > 0.0):
-            raise DomainError(f"beta must be positive, got {self.beta!r}")
+        _require_positive("beta", self.beta)
         object.__setattr__(self, "gains", gains)
 
     @property
@@ -92,22 +92,17 @@ def _check_user_index(k: int, n_users: int) -> None:
         raise IndexError(f"user index must be in 1..{n_users}, got {k!r}")
 
 
-def _check_xi(xi: float) -> None:
-    if not (math.isfinite(xi) and xi > 0.0):
-        raise DomainError(f"xi must be positive, got {xi!r}")
-
-
 def oma_capacity_k(xi: float, channels: ChannelSet, k: int) -> float:
     """User k's rate under a 1/K orthogonal share (k is 1-based, SIC order)."""
-    _check_xi(xi)
+    _require_positive("xi", xi)
     _check_user_index(k, channels.k)
-    return math.log1p(xi * channels.gains[k - 1]) / (channels.k * _LN2)
+    return _oma_rate(_one(xi * channels.gains[k - 1]), channels.k).item()
 
 
-def noma_capacity_k(xi: float, channels: ChannelSet, coeffs, k: int) -> float:
-    """User k's NOMA rate: own power over downstream (undecodable) power."""
-    _check_xi(xi)
-    _check_user_index(k, channels.k)
+def _noma_rates(xi: float, channels: ChannelSet, coeffs) -> np.ndarray:
+    """Every user's NOMA rate: own power over downstream (undecodable)
+    power. ``coeffs`` may be an AllocationVector."""
+    _require_positive("xi", xi)
     if isinstance(coeffs, AllocationVector):
         coeffs = coeffs.coeffs
     coeffs = tuple(float(c) for c in coeffs)
@@ -118,14 +113,44 @@ def noma_capacity_k(xi: float, channels: ChannelSet, coeffs, k: int) -> float:
             raise DomainError(f"coefficients must be >= 0, got {c!r}")
     if math.fsum(coeffs) > 1.0 + 1e-9:
         raise DomainError("coefficients exceed the power budget")
-    w = xi * channels.gains[k - 1]
-    downstream = math.fsum(coeffs[k:])
-    return math.log1p(coeffs[k - 1] * w / (1.0 + w * downstream)) / _LN2
+    rest = [math.fsum(coeffs[k:]) for k in range(1, channels.k + 1)]
+    return _noma_rate(np.multiply(xi, channels.gains), coeffs, rest)
 
 
-def _root_minus_one(w: float, k: int) -> float:
-    """(1+w)**(1/k) - 1; exact at k = 1."""
-    return w if k == 1 else math.expm1(math.log1p(w) / k)
+def noma_capacity_k(xi: float, channels: ChannelSet, coeffs, k: int) -> float:
+    """User k's NOMA rate: own power over downstream (undecodable) power."""
+    _check_user_index(k, channels.k)
+    return _noma_rates(xi, channels, coeffs)[k - 1].item()
+
+
+def _root_minus_one(w: np.ndarray, k: int,
+                    out: np.ndarray | None = None) -> np.ndarray:
+    """``np.expm1(np.log1p(w) / k)``, that is (1+w)**(1/k) - 1; ``w``
+    itself at k = 1, where it is exact."""
+    if k == 1:
+        return w
+    out = np.log1p(w, out=out)
+    np.divide(out, k, out=out)
+    return np.expm1(out, out=out)
+
+
+def _min_power_total(w: np.ndarray, k: int, scratch=None) -> np.ndarray:
+    """Sum of the minimum per-user shares that replicate OMA capacities:
+    ``total = total + t * (1.0 + w * total) / w`` over the users K..1 of an
+    (n, K) array of ascending SNRs, ``t`` from ``_root_minus_one``. Each SNR
+    column is overwritten by its user's share. ``scratch`` holds three
+    vectors of length n (fresh ones when None); returns the first."""
+    total, root, term = np.empty((3, len(w))) if scratch is None else scratch
+    total.fill(0.0)
+    for j in range(k - 1, -1, -1):
+        wj = w[:, j]
+        t = _root_minus_one(wj, k, out=root)
+        np.multiply(wj, total, out=term)
+        np.add(1.0, term, out=term)
+        np.multiply(t, term, out=term)
+        np.divide(term, wj, out=wj)
+        np.add(total, wj, out=total)
+    return total
 
 
 def min_alloc_b(xi: float, channels: ChannelSet) -> AllocationVector:
@@ -135,17 +160,12 @@ def min_alloc_b(xi: float, channels: ChannelSet) -> AllocationVector:
     so every user's rate matches its 1/K orthogonal rate exactly and the
     total spend stays at or below the budget.
     """
-    _check_xi(xi)
-    n = channels.k
-    coeffs = [0.0] * n
-    downstream = 0.0
-    for idx in range(n - 1, -1, -1):
-        w = xi * channels.gains[idx]
-        b = _root_minus_one(w, n) * (1.0 + w * downstream) / w
-        coeffs[idx] = b
-        downstream += b
-    return AllocationVector(coeffs=tuple(coeffs),
-                            residual=1.0 - math.fsum(coeffs), kind="b_min")
+    _require_positive("xi", xi)
+    b = np.multiply(xi, [channels.gains])
+    _min_power_total(b, channels.k)
+    coeffs = tuple(b[0].tolist())
+    return AllocationVector(coeffs=coeffs, residual=1.0 - math.fsum(coeffs),
+                            kind="b_min")
 
 
 def full_alloc_a(xi: float, channels: ChannelSet) -> AllocationVector:
@@ -155,18 +175,15 @@ def full_alloc_a(xi: float, channels: ChannelSet) -> AllocationVector:
     k sizes its share against the remaining-power level A_{k-1}. The
     residual is the final ladder level A_K >= 0.
     """
-    _check_xi(xi)
+    _require_positive("xi", xi)
     n = channels.k
-    w1 = xi * channels.gains[0]
     if n == 1:
         return AllocationVector(coeffs=(1.0,), residual=0.0, kind="a_full")
-    # a_1 = (1 + w - (1+w)^{(K-1)/K})/w without forming the large power
-    a1 = -(1.0 + w1) * math.expm1(-math.log1p(w1) / n) / w1
-    coeffs = [a1]
-    level = 1.0 - a1
-    for idx in range(1, n):
-        w = xi * channels.gains[idx]
-        t = _root_minus_one(w, n)
+    # at A_0 = 1 this is a_1 = (1 + w - (1+w)^{(K-1)/K})/w, without the power
+    coeffs = []
+    level = 1.0
+    snrs = np.multiply(xi, channels.gains)
+    for w, t in zip(snrs.tolist(), _root_minus_one(snrs, n).tolist()):
         a = (1.0 + level * w) * t / (w * (1.0 + t))
         coeffs.append(a)
         level -= a
@@ -194,7 +211,6 @@ def verify_fairness(xi: float, channels: ChannelSet, alloc) -> tuple:
     (its construction assumes ladder interference, which is never less than
     the actual sum of downstream coefficients).
     """
-    n = channels.k
-    return tuple(
-        noma_capacity_k(xi, channels, alloc, k) - oma_capacity_k(xi, channels, k)
-        for k in range(1, n + 1))
+    noma = _noma_rates(xi, channels, alloc)
+    oma = _oma_rate(np.multiply(xi, channels.gains), channels.k)
+    return tuple((noma - oma).tolist())

@@ -17,10 +17,8 @@ from typing import Callable
 
 from ._quad import integrate_interval
 from .errors import DomainError
-from .specfun import erfcx
-from .twouser import SystemParams
-
-_LN4 = math.log(4.0)
+from .specfun import _LN4, erfcx
+from .twouser import SystemParams, _require_positive
 
 # y-units tail cut: exp(-29) ~ 2.5e-13 bounds the truncated mass below 1e-12
 _TAIL_WIDTH = 29.0
@@ -93,8 +91,7 @@ def alpha_pair(params: SystemParams) -> AlphaPair:
     alpha2 = _rate_threshold(params.r0) / xi
 
     def alpha1_fn(x: float) -> float:
-        if not (math.isfinite(x) and x > 0.0):
-            raise DomainError(f"alpha1 requires x > 0, got {x!r}")
+        _require_positive("x", x)
         s = math.sqrt(1.0 + xi * x)
         margin = s + 1.0 - q
         if margin <= 0.0:

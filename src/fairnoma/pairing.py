@@ -17,10 +17,8 @@ import numpy as np
 
 from ._quad import integrate_semi_infinite
 from .errors import DomainError
-from .specfun import _LN2, EULER_GAMMA, digamma, exp_integral_e1_scaled
-from .twouser import SystemParams
-
-_LN4 = math.log(4.0)
+from .specfun import _LN2, _LN4, EULER_GAMMA, digamma, exp_integral_e1_scaled
+from .twouser import SystemParams, _require_positive
 
 # largest K where the alternating sum keeps ~1e-6 absolute accuracy
 _SUM_MAX_K = 30
@@ -47,15 +45,10 @@ def _check_pool(k: int) -> None:
         raise DomainError(f"pool size must be an integer >= 2, got {k!r}")
 
 
-def _check_beta(beta: float) -> None:
-    if not (math.isfinite(beta) and beta > 0.0):
-        raise DomainError(f"beta must be positive, got {beta!r}")
-
-
 def minmax_joint_cdf(x0: float, xm: float, k: int, beta: float = 1.0) -> float:
     """P(g_min <= x0, g_max <= xm) for the extremes of k i.i.d. gains."""
     _check_pool(k)
-    _check_beta(beta)
+    _require_positive("beta", beta)
     if not (0.0 <= x0 <= xm):
         raise DomainError(f"need 0 <= x0 <= xm, got ({x0!r}, {xm!r})")
     em = math.exp(-xm / beta)
@@ -66,7 +59,7 @@ def minmax_joint_cdf(x0: float, xm: float, k: int, beta: float = 1.0) -> float:
 def minmax_joint_pdf(x0: float, xm: float, k: int, beta: float = 1.0) -> float:
     """Joint density of (g_min, g_max) on the wedge 0 < x0 < xm."""
     _check_pool(k)
-    _check_beta(beta)
+    _require_positive("beta", beta)
     if not (0.0 < x0 < xm):
         raise DomainError(f"density defined only for 0 < x0 < xm, got ({x0!r}, {xm!r})")
     e0 = math.exp(-x0 / beta)
@@ -78,7 +71,7 @@ def sample_minmax(k: int, beta: float, rng: np.random.Generator) -> MinMaxPair:
     """Draw k i.i.d. Exponential(mean beta) gains, keep the extremes."""
     if not isinstance(k, int) or k < 1:
         raise DomainError(f"pool size must be a positive integer, got {k!r}")
-    _check_beta(beta)
+    _require_positive("beta", beta)
     g = -beta * np.log1p(-rng.random(k))
     return MinMaxPair(g_min=float(g.min()), g_max=float(g.max()), k=k)
 
@@ -88,7 +81,7 @@ def sample_minmax_many(k: int, beta: float, rng: np.random.Generator,
     """Vectorized sample_minmax: n pools at once, returns (mins, maxes)."""
     if not isinstance(k, int) or k < 1:
         raise DomainError(f"pool size must be a positive integer, got {k!r}")
-    _check_beta(beta)
+    _require_positive("beta", beta)
     if not isinstance(n, int) or n < 1:
         raise DomainError(f"sample count must be a positive integer, got {n!r}")
     g = -beta * np.log1p(-rng.random((n, k)))

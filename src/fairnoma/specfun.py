@@ -18,8 +18,9 @@ from .errors import DomainError, QuadratureError
 #: Euler-Mascheroni constant, 20 significant digits.
 EULER_GAMMA = 0.57721566490153286061
 
-# ln 2, for converting natural-log capacities to b/s/Hz across the package
+# ln 2 and ln 4, for converting natural-log rates to b/s/Hz across the package
 _LN2 = math.log(2.0)
+_LN4 = math.log(4.0)
 
 _EPS = 2.220446049250313e-16
 _MAX_ITER = 500

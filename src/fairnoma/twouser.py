@@ -5,6 +5,11 @@ the fair power-allocation region [a_inf, a_sup] in which NOMA beats OMA for
 both users simultaneously, and the high-SNR capacity approximations. All
 rates are in b/s/Hz; the transmit SNR ``xi`` is linear (dB conversion happens
 only at the CLI boundary).
+
+Each per-draw formula is written once, on arrays of instantaneous SNRs
+``w = xi*g``, each step into ``out`` (and ``tmp``) when given. The scalar API
+evaluates it on a one-element array, the Monte Carlo kernels on whole
+chunks: the same ufuncs in the same order, so both give the same bits.
 """
 
 from __future__ import annotations
@@ -13,9 +18,10 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
+import numpy as np
+
 from .errors import DomainError
 from .specfun import _LN2
-
 
 
 def _require_positive(name: str, value: float) -> None:
@@ -89,11 +95,60 @@ class FairRegion:
         return 0.5 * (self.a_inf + self.a_sup)
 
 
+def _one(x: float) -> np.ndarray:
+    """``x`` as a one-element float array (on 0-d input ufuncs return
+    scalars, which take no ``out=``)."""
+    return np.array([x], dtype=float)
+
+
+def _share_bound(w: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """``1.0 / (1.0 + np.sqrt(1.0 + w))``: the bound a(x) at SNR w = xi*x."""
+    out = np.add(1.0, w, out=out)
+    np.sqrt(out, out=out)
+    np.add(1.0, out, out=out)
+    return np.divide(1.0, out, out=out)
+
+
+def _oma_rate(w: np.ndarray, k: int, out: np.ndarray | None = None) -> np.ndarray:
+    """``np.log1p(w) / (k * _LN2)``: the capacity of a 1/k orthogonal share
+    (at k = 2 exactly ``0.5 * np.log1p(w) / _LN2``, as 2 * _LN2 is exact)."""
+    out = np.log1p(w, out=out)
+    return np.divide(out, k * _LN2, out=out)
+
+
+def _noma_rate(w: np.ndarray, own, rest, out: np.ndarray | None = None,
+               tmp: np.ndarray | None = None) -> np.ndarray:
+    """``np.log1p(own * w / (rest * w + 1.0)) / _LN2``: NOMA capacity at
+    share ``own`` under the undecoded share ``rest``; ``out`` may be ``own``."""
+    out = np.multiply(own, w, out=out)
+    tmp = np.multiply(rest, w, out=tmp)
+    np.add(tmp, 1.0, out=tmp)
+    np.divide(out, tmp, out=out)
+    np.log1p(out, out=out)
+    return np.divide(out, _LN2, out=out)
+
+
+def _strong_rate(w: np.ndarray, a, out: np.ndarray | None = None) -> np.ndarray:
+    """``np.log1p(a * w) / _LN2``: the strong user's NOMA capacity after SIC."""
+    out = np.multiply(a, w, out=out)
+    np.log1p(out, out=out)
+    return np.divide(out, _LN2, out=out)
+
+
+def _pair_rates(w1: np.ndarray, w2: np.ndarray, a: np.ndarray,
+                c1: np.ndarray, c2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Both NOMA capacities of the pair under strong-user share ``a``,
+    written into ``c1`` (weak) and ``c2`` (strong)."""
+    np.subtract(1.0, a, out=c1)
+    _noma_rate(w1, c1, a, out=c1, tmp=c2)
+    return c1, _strong_rate(w2, a, out=c2)
+
+
 def oma_capacity(xi: float, g: float) -> float:
     """Half-bandwidth orthogonal-access capacity, (1/2) log2(1 + xi*g)."""
     _require_positive("xi", xi)
     _require_positive("g", g)
-    return 0.5 * math.log1p(xi * g) / _LN2
+    return _oma_rate(_one(xi * g), 2).item()
 
 
 def _check_share(a: float) -> None:
@@ -110,8 +165,7 @@ def noma_capacity_weak(xi: float, g1: float, a: float) -> float:
     _require_positive("xi", xi)
     _require_positive("g1", g1)
     _check_share(a)
-    w = xi * g1
-    return math.log1p((1.0 - a) * w / (a * w + 1.0)) / _LN2
+    return _noma_rate(_one(xi * g1), 1.0 - a, a).item()
 
 
 def noma_capacity_strong(xi: float, g2: float, a: float) -> float:
@@ -119,7 +173,7 @@ def noma_capacity_strong(xi: float, g2: float, a: float) -> float:
     _require_positive("xi", xi)
     _require_positive("g2", g2)
     _check_share(a)
-    return math.log1p(a * xi * g2) / _LN2
+    return _strong_rate(_one(xi * g2), a).item()
 
 
 def allocation_bound(xi: float, x: float) -> float:
@@ -130,7 +184,7 @@ def allocation_bound(xi: float, x: float) -> float:
     """
     _require_positive("xi", xi)
     _require_positive("x", x)
-    return 1.0 / (1.0 + math.sqrt(1.0 + xi * x))
+    return _share_bound(_one(xi * x)).item()
 
 
 def fair_region(params: SystemParams, ch: ChannelPair) -> FairRegion:

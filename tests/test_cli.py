@@ -179,6 +179,8 @@ _BAD_CONFIGS = {
     "xi_db-bool": '{"figure": 6, "trials": 200, "xi_db": [0, true]}',
     "figure-bool": '{"figure": true, "trials": 200}',
     "figure-float": '{"figure": 1.0, "trials": 200}',
+    "trials-null": '{"figure": 6, "trials": null}',
+    "xi_db-null": '{"figure": 1, "xi_db": null}',
 }
 
 

@@ -9,7 +9,7 @@ import textwrap
 import numpy as np
 import pytest
 
-from fairnoma import ergodic, mcsim, twouser
+from fairnoma import ergodic, mcsim, multiuser, twouser
 from fairnoma.errors import DomainError
 from fairnoma.mcsim import (CHUNK_TRIALS, SimConfig, SimResult,
                             noma_outage_empirical, run_ergodic_pair,
@@ -404,3 +404,101 @@ class TestMultiuserScenario:
         means = [p.measures["sum_b"].mean for p in points]
         assert all(m < 1.0 for m in means)
         assert means[0] > means[1] > means[2]
+
+
+class TestScalarApiIsTheEngine:
+    """The scalar API and the Monte Carlo kernels share one implementation
+    of the per-draw physics, so the API reproduces every value a kernel
+    reduces, bit for bit. The kernels' intermediate vectors are recorded by
+    wrapping the engine's ``_gains``, ``_shares`` and ``_moment``."""
+
+    XI_GRID = (0.1, 3.7, 1e2, 1e4, 1e6, 1e9)
+
+    @staticmethod
+    def _record(monkeypatch) -> dict:
+        seen = {"gains": [], "shares": [], "moments": []}
+        gains, shares, moment = mcsim._gains, mcsim._shares, mcsim._moment
+
+        def record_gains(*args, **kwargs):
+            g = gains(*args, **kwargs)
+            seen["gains"].append(g.copy())
+            return g
+
+        def record_shares(*args, **kwargs):
+            out = shares(*args, **kwargs)
+            seen["shares"].append({tag: a.copy() for tag, a in out.items()})
+            return out
+
+        def record_moment(v):
+            seen["moments"].append(v.copy())
+            return moment(v)
+
+        monkeypatch.setattr(mcsim, "_gains", record_gains)
+        monkeypatch.setattr(mcsim, "_shares", record_shares)
+        monkeypatch.setattr(mcsim, "_moment", record_moment)
+        return seen
+
+    @staticmethod
+    def _mismatches(pairs) -> list:
+        return [(name, float.hex(api), float.hex(float(engine)))
+                for name, api, engine in pairs
+                if float.hex(api) != float.hex(float(engine))]
+
+    @pytest.mark.parametrize("beta", (0.5, 1.0, 2.0))
+    def test_pair_shares_and_rates(self, monkeypatch, beta):
+        seen = self._record(monkeypatch)
+        # a full chunk and a partial one per grid point, run serially so the
+        # recordings come in chunk order
+        run_ergodic_pair(_cfg(trials=CHUNK_TRIALS + 37, beta=beta,
+                              xi_grid=self.XI_GRID))
+        checked = []
+        for chunk, xi in enumerate(np.repeat(self.XI_GRID, 2).tolist()):
+            weak, strong = seen["gains"][2 * chunk:2 * chunk + 2]
+            shares = seen["shares"][chunk]
+            assert list(shares) == ["ainf", "asup"]
+            # c1_oma, c2_oma, s_oma, then c1, c2, s, ds per share
+            moments = seen["moments"][11 * chunk:11 * chunk + 11]
+            n = len(weak)
+            for i in range(0, n, 97) if chunk % 2 == 0 else range(n):
+                g1, g2 = float(weak[i]), float(strong[i])
+                region = twouser.fair_region(twouser.SystemParams(xi=xi),
+                                             twouser.ChannelPair(g1, g2))
+                checked += [
+                    ("a_inf", region.a_inf, shares["ainf"][i]),
+                    ("a_sup", region.a_sup, shares["asup"][i]),
+                    ("c1_oma", twouser.oma_capacity(xi, g1), moments[0][i]),
+                    ("c2_oma", twouser.oma_capacity(xi, g2), moments[1][i])]
+                for j, a in enumerate((region.a_inf, region.a_sup)):
+                    checked += [
+                        ("c1_noma", twouser.noma_capacity_weak(xi, g1, a),
+                         moments[3 + 4 * j][i]),
+                        ("c2_noma", twouser.noma_capacity_strong(xi, g2, a),
+                         moments[4 + 4 * j][i])]
+        assert len(seen["moments"]) == 11 * 2 * len(self.XI_GRID)
+        bad = self._mismatches(checked)
+        assert not bad, (len(bad), len(checked), bad[:5])
+
+    @pytest.mark.parametrize("beta", (0.5, 1.0, 2.0))
+    def test_k_user_power_total(self, monkeypatch, beta):
+        checked = []
+        seen = self._record(monkeypatch)
+        for k in range(1, 31):
+            for records in seen.values():
+                records.clear()
+            # one partial chunk per grid point
+            run_multiuser_power(_cfg(trials=23, beta=beta, k_users=k,
+                                     scenario="multiuser",
+                                     xi_grid=self.XI_GRID))
+            assert len(seen["gains"]) == len(self.XI_GRID)
+            for xi, g, total in zip(self.XI_GRID, seen["gains"],
+                                    seen["moments"]):
+                for i in range(len(g)):
+                    channels = multiuser.ChannelSet(tuple(np.sort(g[i])))
+                    running = 0.0
+                    # the API's b-vector summed strongest first, the
+                    # recursion's own order
+                    for b in reversed(multiuser.min_alloc_b(xi, channels).coeffs):
+                        running += b
+                    checked.append((f"sum_b K={k}", running, total[i]))
+        bad = self._mismatches(checked)
+        assert not bad, (len(bad), len(checked), bad[:5])
