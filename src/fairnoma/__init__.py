@@ -49,14 +49,10 @@ from .outage import (
     outage_point,
 )
 from .pairing import (
-    MinMaxPair,
     expected_gain_ainf_approx,
     expected_gain_asup,
-    expected_gain_asup_detailed,
     minmax_joint_cdf,
     minmax_joint_pdf,
-    sample_minmax,
-    sample_minmax_many,
 )
 from .multiuser import (
     AllocationVector,
@@ -92,7 +88,6 @@ __all__ = [
     "FairRegion",
     "GridPoint",
     "InterferenceLadder",
-    "MinMaxPair",
     "OutagePoint",
     "QuadratureError",
     "SimConfig",
@@ -112,7 +107,6 @@ __all__ = [
     "expected_gain",
     "expected_gain_ainf_approx",
     "expected_gain_asup",
-    "expected_gain_asup_detailed",
     "fair_region",
     "full_alloc_a",
     "high_snr_capacities",
@@ -136,8 +130,6 @@ __all__ = [
     "run_multiuser_power",
     "run_outage",
     "run_pairing",
-    "sample_minmax",
-    "sample_minmax_many",
     "sum_rate",
     "sum_rate_oma",
     "verify_fairness",

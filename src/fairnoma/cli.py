@@ -421,6 +421,10 @@ def cmd_multiuser(args: argparse.Namespace) -> int:
             raise _Usage(f"--gains lists {len(args.gains)} values but --k is {k}")
         gains = tuple(sorted(args.gains))
     else:
+        # checked here, as numpy's own ValueError would escape main
+        if k < 1:
+            raise DomainError(f"need at least one user, got --k {k}")
+        _require_positive("beta", args.beta)
         rng = np.random.default_rng(args.seed)
         gains = tuple(np.sort(rng.exponential(args.beta, k)))
     channels = ChannelSet(gains=gains, beta=args.beta)

@@ -65,8 +65,8 @@ import numpy as np
 
 from .errors import DomainError
 from .multiuser import _min_power_total
-from .twouser import (SystemParams, _oma_rate, _pair_rates, _require_positive,
-                      _share_bound)
+from .twouser import (SystemParams, _oma_rate, _pair_rates, _rate_threshold,
+                      _require_positive, _share_bound)
 
 #: trials per substream chunk; fixed so parallel partitioning cannot move
 #: draws between substreams
@@ -104,7 +104,10 @@ class SimConfig:
     strong-user share. The pair runners always report both fair endpoints
     (tags ``ainf`` and ``asup``); 'mid' or a number adds the tag ``mid`` or
     ``fixed``. ``k_grid`` optionally sweeps the user count for the
-    pair_minmax scenario (defaults to just ``k_users``).
+    pair_minmax scenario (defaults to just ``k_users``). ``scenario`` must
+    name the scenario of the runner it is passed to: 'pair_iid' for
+    ``run_ergodic_pair`` and ``run_outage``, 'pair_minmax' for
+    ``run_pairing``, 'multiuser' for ``run_multiuser_power``.
     """
 
     trials: int
@@ -398,7 +401,8 @@ def run_outage(config: SimConfig, workers: int | None = None) -> list:
     are the boundary identities.
     """
     r0 = config.r0
-    o_thresh = 4.0 ** r0 - 1.0   # outage iff xi*g < threshold, per user in OMA
+    # outage iff xi*g < threshold, per user in OMA
+    o_thresh = _rate_threshold(r0)
 
     def kernel(blocks: Iterator, xi: float, scratch: list) -> dict:
         w1, w2, c1, c2, *share_bufs = scratch

@@ -18,7 +18,7 @@ from typing import Callable
 from ._quad import integrate_interval
 from .errors import DomainError
 from .specfun import _LN4, erfcx
-from .twouser import SystemParams, _require_positive
+from .twouser import SystemParams, _rate_threshold, _require_positive
 
 # y-units tail cut: exp(-29) ~ 2.5e-13 bounds the truncated mass below 1e-12
 _TAIL_WIDTH = 29.0
@@ -56,11 +56,6 @@ class OutagePoint:
         if (self.p_noma_weak_ainf > self.p_oma_weak + 1e-12
                 or self.p_noma_strong_asup > self.p_oma_strong + 1e-12):
             raise DomainError("fair endpoints cannot be worse than orthogonal access")
-
-
-def _rate_threshold(r0: float) -> float:
-    """4**r0 - 1, accurate for small r0."""
-    return math.expm1(r0 * _LN4)
 
 
 def oma_outage_weak(params: SystemParams) -> float:

@@ -21,7 +21,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DomainError
-from .specfun import _LN2
+from .specfun import _LN2, _LN4
 
 
 def _require_positive(name: str, value: float) -> None:
@@ -114,6 +114,12 @@ def _oma_rate(w: np.ndarray, k: int, out: np.ndarray | None = None) -> np.ndarra
     (at k = 2 exactly ``0.5 * np.log1p(w) / _LN2``, as 2 * _LN2 is exact)."""
     out = np.log1p(w, out=out)
     return np.divide(out, k * _LN2, out=out)
+
+
+def _rate_threshold(r0: float) -> float:
+    """4**r0 - 1, accurate for small r0: the SNR below which a half
+    orthogonal share (``_oma_rate`` at k = 2) falls short of rate r0."""
+    return math.expm1(r0 * _LN4)
 
 
 def _noma_rate(w: np.ndarray, own, rest, out: np.ndarray | None = None,

@@ -356,6 +356,12 @@ class TestMultiuserCommand:
                                 "--gains", "0.5,2.0"])[0] == 2
         assert run_cli(capsys, ["multiuser", "--k", "2",
                                 "--gains", "0.5,2.0"])[0] == 2
+        # rejected before the draw, with one line and no traceback
+        for argv in (["--k", "3", "--xi", "10", "--random", "--beta", "-1"],
+                     ["--k", "-1", "--xi", "10", "--random"]):
+            code, _, err = run_cli(capsys, ["multiuser"] + argv)
+            assert code == 1
+            assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
 def test_console_entry_point_runs():

@@ -478,6 +478,24 @@ class TestScalarApiIsTheEngine:
         bad = self._mismatches(checked)
         assert not bad, (len(bad), len(checked), bad[:5])
 
+    def test_oma_outage_threshold(self, monkeypatch):
+        # SNRs at the threshold and one ulp below it, so a threshold that
+        # differs from the closed form's in the last bit changes the counts
+        pair_snrs = mcsim._pair_snrs
+        for r0 in (0.1, 0.5, 1.0, 2.0, 3.0):
+            theta = twouser._rate_threshold(r0)
+
+            def at_threshold(*args, theta=theta):
+                out = pair_snrs(*args)
+                for w in out:
+                    w[0::2] = theta
+                    w[1::2] = np.nextafter(theta, 0.0)
+                return out
+
+            monkeypatch.setattr(mcsim, "_pair_snrs", at_threshold)
+            m = run_outage(_cfg(trials=1000, r0=r0))[0].measures
+            assert m["p_oma_weak"].mean == m["p_oma_strong"].mean == 0.5, r0
+
     @pytest.mark.parametrize("beta", (0.5, 1.0, 2.0))
     def test_k_user_power_total(self, monkeypatch, beta):
         checked = []

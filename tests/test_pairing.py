@@ -12,7 +12,25 @@ from fairnoma.errors import DomainError
 from fairnoma.mcsim import SimConfig, run_pairing
 from fairnoma.specfun import EULER_GAMMA, digamma
 from fairnoma.twouser import SystemParams
-from helpers import harmonic_number
+from helpers import engine_minmax, harmonic_number
+
+# expected_gain_asup(k) from 50-digit mpmath, as the order-statistic integral
+# and as the alternating binomial sum at k*0.3 + 70 digits (they agree to
+# 1e-50); pinned so the test needs no mpmath
+GAIN_ASUP_REFERENCE = [
+    (2, 1.0),
+    (3, 1.5),
+    (4, 1.8300749985576876371),
+    (5, 2.0751874963942190927),
+    (10, 2.7913803408639264206),
+    (20, 3.4596969417224409451),
+    (25, 3.6675841980108481172),
+    (30, 3.8353092825518519562),
+    (31, 3.8652857315703766801),
+    (64, 4.5153885995581882346),
+    (128, 5.1188605933605155211),
+    (512, 6.2891027263080106793),
+]
 
 
 class TestJointCdf:
@@ -38,7 +56,7 @@ class TestJointCdf:
     def test_matches_empirical_cdf(self):
         rng = np.random.default_rng(2024)
         k = 4
-        mn, mx = pairing.sample_minmax_many(k, 1.0, rng, 200_000)
+        mn, mx = engine_minmax(k, 1.0, rng, 200_000)
         for x0, xm in ((0.2, 0.9), (0.5, 2.0), (1.0, 1.5)):
             emp = float(np.mean((mn <= x0) & (mx <= xm)))
             cdf = pairing.minmax_joint_cdf(x0, xm, k)
@@ -92,36 +110,19 @@ class TestJointPdf:
 
 
 class TestSampling:
-    def test_singleton_pool(self):
-        pair = pairing.sample_minmax(1, 1.0, np.random.default_rng(0))
-        assert pair.g_min == pair.g_max and pair.k == 1
-
-    def test_pair_type_validates(self):
-        with pytest.raises(DomainError):
-            pairing.MinMaxPair(g_min=2.0, g_max=1.0, k=3)
-        with pytest.raises(DomainError):
-            pairing.MinMaxPair(g_min=0.0, g_max=1.0, k=3)
-        with pytest.raises(DomainError):
-            pairing.MinMaxPair(g_min=1.0, g_max=2.0, k=0)
-
     def test_max_mean_is_harmonic_number(self):
         rng = np.random.default_rng(99)
-        _, mx = pairing.sample_minmax_many(10, 1.0, rng, 1_000_000)
+        _, mx = engine_minmax(10, 1.0, rng, 1_000_000)
         se = float(np.std(mx, ddof=1)) / 1000.0
         assert abs(float(np.mean(mx)) - harmonic_number(10)) < 3.0 * se
         assert harmonic_number(10) == pytest.approx(2.9289682540, abs=1e-9)
 
     def test_min_mean_is_beta_over_k(self):
         rng = np.random.default_rng(98)
-        mn, _ = pairing.sample_minmax_many(10, 1.0, rng, 1_000_000)
-        se = float(np.std(mn, ddof=1)) / 1000.0
-        assert abs(float(np.mean(mn)) - 0.1) < 3.0 * se
-
-    def test_scalar_matches_batch_distribution(self):
-        rng = np.random.default_rng(5)
-        pairs = [pairing.sample_minmax(5, 2.0, rng) for _ in range(4000)]
-        mean_min = sum(p.g_min for p in pairs) / 4000.0
-        assert mean_min == pytest.approx(2.0 / 5.0, rel=0.15)
+        for beta in (1.0, 2.0):
+            mn, _ = engine_minmax(10, beta, rng, 1_000_000)
+            se = float(np.std(mn, ddof=1)) / 1000.0
+            assert abs(float(np.mean(mn)) - beta / 10) < 3.0 * se
 
 
 class TestUpperEndpointGain:
@@ -130,21 +131,15 @@ class TestUpperEndpointGain:
         assert pairing.expected_gain_asup(2) == pytest.approx(1.0, rel=1e-14)
         assert pairing.expected_gain_asup(3) == pytest.approx(1.5, rel=1e-12)
 
-    def test_sum_and_integral_paths_agree_at_crossover(self):
-        for k in (25, 28, 30):
-            s = pairing._gain_sum(k)
-            i = pairing._gain_integral(k)
-            assert abs(s - i) < 1e-5
-
-    def test_path_flag(self):
-        assert pairing.expected_gain_asup_detailed(30)[1] == "sum"
-        assert pairing.expected_gain_asup_detailed(31)[1] == "integral"
-        assert pairing.expected_gain_asup_detailed(1)[1] == "sum"
+    def test_matches_mpmath_reference_table(self):
+        for k, want in GAIN_ASUP_REFERENCE:
+            got = pairing.expected_gain_asup(k)
+            assert abs(got - want) <= 1e-9 * want, (k, got, want)
 
     def test_strictly_increasing_in_pool_size(self):
         vals = [pairing.expected_gain_asup(k) for k in range(2, 31)]
         assert all(b > a for a, b in zip(vals, vals[1:]))
-        # and across the path switch
+        # and beyond the figures' K = 2..30
         assert pairing.expected_gain_asup(40) > pairing.expected_gain_asup(30)
 
     def test_matches_monte_carlo_gain(self):
@@ -159,7 +154,7 @@ class TestUpperEndpointGain:
         # the quantity the formula integrates: E[log2(g_max/g_min)] / 2
         rng = np.random.default_rng(310)
         for k in (5, 30, 100):
-            mn, mx = pairing.sample_minmax_many(k, 1.0, rng, 300_000)
+            mn, mx = engine_minmax(k, 1.0, rng, 300_000)
             vals = 0.5 * np.log2(mx / mn)
             se = float(np.std(vals, ddof=1)) / math.sqrt(300_000)
             z = (float(np.mean(vals)) - pairing.expected_gain_asup(k)) / se
