@@ -71,7 +71,6 @@ from .mcsim import (
     SimConfig,
     SimResult,
     noma_outage_empirical,
-    run_ergodic_pair,
     run_multiuser_power,
     run_outage,
     run_pairing,
@@ -126,7 +125,6 @@ __all__ = [
     "oma_outage_strong",
     "oma_outage_weak",
     "outage_point",
-    "run_ergodic_pair",
     "run_multiuser_power",
     "run_outage",
     "run_pairing",

@@ -28,13 +28,7 @@ import numpy as np
 from . import __version__
 from .errors import DomainError, QuadratureError
 from .ergodic import ergodic_curve_point, high_snr_ergodic_approx
-from .mcsim import (
-    SimConfig,
-    run_ergodic_pair,
-    run_multiuser_power,
-    run_outage,
-    run_pairing,
-)
+from .mcsim import SimConfig, run_multiuser_power, run_outage, run_pairing
 from .multiuser import (
     ChannelSet,
     full_alloc_a,
@@ -194,8 +188,9 @@ _PARAM_TYPES = {
 
 
 def _resolve_figure_params(args: argparse.Namespace) -> dict:
-    """Defaults, then config file, then explicit flags; strict on keys and
-    on value types."""
+    """Defaults, then config file, then explicit flags; strict on keys (a
+    flag or key the figure does not take is an error) and on value
+    types."""
     cfg = {}
     if args.config is not None:
         with open(args.config, "r", encoding="utf-8") as fh:
@@ -222,18 +217,17 @@ def _resolve_figure_params(args: argparse.Namespace) -> dict:
     resolved = dict(_COMMON_DEFAULTS)
     resolved["figure"] = figure
     resolved.update(_FIG_DEFAULTS[figure])
-    unknown = sorted(set(cfg) - set(resolved))
+    # a null config value is a value, and fails its type check below; an
+    # unset flag is None
+    given = dict(cfg)
+    given.update((key, getattr(args, key)) for key in _PARAM_TYPES
+                 if getattr(args, key) is not None)
+    given.pop("figure", None)
+    unknown = sorted(set(given) - set(resolved))
     if unknown:
-        raise _Usage(f"unknown config key(s) {unknown} for figure {figure}; "
+        raise _Usage(f"unknown parameter(s) {unknown} for figure {figure}; "
                      f"expected some of {sorted(resolved)}")
-    for key in resolved:
-        # a null value is a value, and fails its type check below
-        if key != "figure" and key in cfg:
-            resolved[key] = cfg[key]
-    for key in resolved:
-        flag = getattr(args, key, None)
-        if key != "figure" and flag is not None:
-            resolved[key] = flag
+    resolved.update(given)
     for key, (kind, check) in _PARAM_TYPES.items():
         if key in resolved and not check(resolved[key]):
             raise _Usage(f"{key} must be {kind}, got {resolved[key]!r}")
@@ -251,16 +245,23 @@ def _resolve_figure_params(args: argparse.Namespace) -> dict:
     return resolved
 
 
-def _xi_grid(p: dict) -> tuple:
-    return tuple(_db_to_linear(d) for d in p["xi_db"])
+# figure parameters that SimConfig names differently; xi_db becomes the
+# linear xi_grid, and every other parameter but the figure id keeps its name
+_SIM_FIELDS = {"k": "k_users", "fixed_share": "a_policy"}
+
+
+def _run(runner, p: dict, scenario: str, workers) -> list:
+    """``runner``'s grid points for the figure parameters ``p``."""
+    fields = {_SIM_FIELDS.get(key, key): value for key, value in p.items()
+              if key not in ("figure", "xi_db")}
+    config = SimConfig(xi_grid=tuple(_db_to_linear(d) for d in p["xi_db"]),
+                       scenario=scenario, **fields)
+    return runner(config, workers)
 
 
 def _fig1_rows(p: dict, workers) -> tuple:
-    grid = _xi_grid(p)
-    config = SimConfig(trials=p["trials"], seed=p["seed"], xi_grid=grid,
-                       beta=p["beta"], scenario="pair_iid")
     rows = []
-    for db, pt in zip(p["xi_db"], run_ergodic_pair(config, workers)):
+    for db, pt in zip(p["xi_db"], _run(run_pairing, p, "pair_iid", workers)):
         params = SystemParams(xi=pt.xi, beta=p["beta"])
         cf = ergodic_curve_point(params)
         ap1, ap2 = high_snr_ergodic_approx(params)
@@ -272,12 +273,8 @@ def _fig1_rows(p: dict, workers) -> tuple:
 
 
 def _fig2_rows(p: dict, workers) -> tuple:
-    grid = _xi_grid(p)
-    config = SimConfig(trials=p["trials"], seed=p["seed"], xi_grid=grid,
-                       beta=p["beta"], r0=p["r0"], scenario="pair_iid")
-    mc = run_outage(config, workers)
     rows = []
-    for db, pt in zip(p["xi_db"], mc):
+    for db, pt in zip(p["xi_db"], _run(run_outage, p, "pair_iid", workers)):
         params = SystemParams(xi=pt.xi, beta=p["beta"], r0=p["r0"])
         cf = outage_point(params)
         m = pt.measures
@@ -293,22 +290,13 @@ def _fig2_rows(p: dict, workers) -> tuple:
     return header, rows
 
 
-def _pairing_points(p: dict, workers) -> list:
-    k_grid = p["k_grid"] if "k_grid" in p else (p["k"],)
-    config = SimConfig(trials=p["trials"], seed=p["seed"], xi_grid=_xi_grid(p),
-                       beta=p["beta"], k_users=2,
-                       a_policy=p.get("fixed_share", 0.2),
-                       scenario="pair_minmax", k_grid=k_grid)
-    return run_pairing(config, workers)
-
-
 def _fig3_rows(p: dict, workers) -> tuple:
     rows = []
-    for pt in _pairing_points(p, workers):
+    for pt in _run(run_pairing, p, "pair_minmax", workers):
         m = pt.measures
-        rows.append([pt.k, m["c_min_oma"].mean, m["c_max_oma"].mean,
-                     m["c_min_ainf"].mean, m["c_max_ainf"].mean,
-                     m["c_min_asup"].mean, m["c_max_asup"].mean])
+        rows.append([pt.k, m["c1_oma"].mean, m["c2_oma"].mean,
+                     m["c1_noma_ainf"].mean, m["c2_noma_ainf"].mean,
+                     m["c1_noma_asup"].mean, m["c2_noma_asup"].mean])
     header = ("k,c_min_oma_mc,c_max_oma_mc,c_min_ainf_mc,c_max_ainf_mc,"
               "c_min_asup_mc,c_max_asup_mc")
     return header, rows
@@ -316,16 +304,17 @@ def _fig3_rows(p: dict, workers) -> tuple:
 
 def _fig4_rows(p: dict, workers) -> tuple:
     rows = []
-    for db, pt in zip(p["xi_db"], _pairing_points(p, workers)):
+    for db, pt in zip(p["xi_db"],
+                      _run(run_pairing, p, "pair_minmax", workers)):
         m = pt.measures
-        rows.append([db, m["s_oma"].mean, m["s_ainf"].mean,
-                     m["s_asup"].mean, m["s_fixed"].mean])
+        rows.append([db, m["s_oma"].mean, m["s_noma_ainf"].mean,
+                     m["s_noma_asup"].mean, m["s_noma_fixed"].mean])
     return "xi_db,s_oma_mc,s_ainf_mc,s_asup_mc,s_fixed_mc", rows
 
 
 def _fig5_rows(p: dict, workers) -> tuple:
     rows = []
-    for pt in _pairing_points(p, workers):
+    for pt in _run(run_pairing, p, "pair_minmax", workers):
         m = pt.measures
         rows.append([pt.k, m["ds_ainf"].mean, m["ds_asup"].mean,
                      m["ds_fixed"].mean, expected_gain_asup(pt.k)])
@@ -333,9 +322,7 @@ def _fig5_rows(p: dict, workers) -> tuple:
 
 
 def _fig6_rows(p: dict, workers) -> tuple:
-    config = SimConfig(trials=p["trials"], seed=p["seed"], xi_grid=_xi_grid(p),
-                       beta=p["beta"], k_users=p["k"], scenario="multiuser")
-    mc = run_multiuser_power(config, workers)
+    mc = _run(run_multiuser_power, p, "multiuser", workers)
     rows = [[db, pt.measures["sum_b"].mean] for db, pt in zip(p["xi_db"], mc)]
     return "xi_db,e_sum_b_mc", rows
 
@@ -416,6 +403,7 @@ def cmd_figure(args: argparse.Namespace) -> int:
 def cmd_multiuser(args: argparse.Namespace) -> int:
     xi = _db_to_linear(args.xi_db) if args.xi is None else args.xi
     k = args.k
+    _require_positive("beta", args.beta)
     if args.gains is not None:
         if len(args.gains) != k:
             raise _Usage(f"--gains lists {len(args.gains)} values but --k is {k}")
@@ -424,10 +412,9 @@ def cmd_multiuser(args: argparse.Namespace) -> int:
         # checked here, as numpy's own ValueError would escape main
         if k < 1:
             raise DomainError(f"need at least one user, got --k {k}")
-        _require_positive("beta", args.beta)
         rng = np.random.default_rng(args.seed)
         gains = tuple(np.sort(rng.exponential(args.beta, k)))
-    channels = ChannelSet(gains=gains, beta=args.beta)
+    channels = ChannelSet(gains=gains)
 
     b = min_alloc_b(xi, channels)
     a = full_alloc_a(xi, channels)

@@ -1,12 +1,15 @@
 """Deterministic Monte Carlo engine for every expectation and probability in
 the package.
 
-One sweep driver serves every scenario. For each grid point (xi, and K for
-the pool scenarios) it splits the trials into fixed 65536-draw chunks. Chunk
-``ci`` draws its uniforms from
-``Philox(SeedSequence((seed, scenario_id, grid_index, k, ci)))`` (``k`` is 0
-for the plain pair), so each trial's channel realization is a pure function
-of the configuration and its own index.
+One sweep driver serves every scenario, and ``SimConfig.scenario`` is the
+one statement of which users a trial draws: 'pair_iid' is a random pair of
+two i.i.d. users, 'pair_minmax' the weakest and strongest of K, 'multiuser'
+all K users in gain order. A runner only names the scenarios its kernel
+serves. For each grid point (xi, and K from ``k_grid`` or ``k_users``) the
+driver splits the trials into fixed 65536-draw chunks. Chunk ``ci`` draws its
+uniforms from ``Philox(SeedSequence((seed, scenario_id, grid_index, k, ci)))``
+(``k`` is 0 for 'pair_iid'), so each trial's channel realization is a pure
+function of the configuration and its own index.
 
 The scenario's kernel receives the chunk's uniforms and turns them into
 exponential gains with the inverse CDF ``-beta*log1p(-u)`` (``_gains``).
@@ -100,14 +103,15 @@ def _validate_policy(policy) -> None:
 class SimConfig:
     """Experiment description; everything that can influence a result.
 
-    ``a_policy`` is 'inf', 'sup', 'mid', or a float in (0,1) meaning a fixed
-    strong-user share. The pair runners always report both fair endpoints
-    (tags ``ainf`` and ``asup``); 'mid' or a number adds the tag ``mid`` or
-    ``fixed``. ``k_grid`` optionally sweeps the user count for the
-    pair_minmax scenario (defaults to just ``k_users``). ``scenario`` must
-    name the scenario of the runner it is passed to: 'pair_iid' for
-    ``run_ergodic_pair`` and ``run_outage``, 'pair_minmax' for
-    ``run_pairing``, 'multiuser' for ``run_multiuser_power``.
+    ``scenario`` picks the users of a trial and the substreams they are
+    drawn from: 'pair_iid' (two i.i.d. users, so ``k_users`` is 2) and
+    'pair_minmax' (the weakest and strongest of ``k_users`` >= 2) for
+    ``run_pairing``, 'pair_iid' for ``run_outage``, and 'multiuser' for
+    ``run_multiuser_power``. ``k_grid`` sweeps the pool size instead of the
+    single ``k_users``, for 'pair_minmax' only. ``a_policy`` is 'inf',
+    'sup', 'mid', or a float in (0,1) meaning a fixed strong-user share. The
+    pair runners always report both fair endpoints (tags ``ainf`` and
+    ``asup``); 'mid' or a number adds the tag ``mid`` or ``fixed``.
     """
 
     trials: int
@@ -141,13 +145,22 @@ class SimConfig:
         _validate_policy(self.a_policy)
         if self.scenario not in _SCENARIO_IDS:
             raise DomainError(f"unknown scenario {self.scenario!r}")
+        if self.scenario == "pair_iid" and self.k_users != 2:
+            raise DomainError(
+                f"scenario 'pair_iid' has 2 users, got k_users={self.k_users}")
         if self.k_grid is not None:
+            if self.scenario != "pair_minmax":
+                raise DomainError(f"k_grid sweeps the pool of scenario"
+                                  f" 'pair_minmax' only, not {self.scenario!r}")
             k_grid = tuple(self.k_grid)
             if not k_grid or any(not isinstance(k, int) or k < 1 for k in k_grid):
                 raise DomainError(f"k_grid must hold positive integers, got {self.k_grid!r}")
             if any(a >= b for a, b in zip(k_grid, k_grid[1:])):
                 raise DomainError("k_grid must be strictly increasing")
             object.__setattr__(self, "k_grid", k_grid)
+        if (self.scenario == "pair_minmax"
+                and min(self.k_grid or (self.k_users,)) < 2):
+            raise DomainError("pair_minmax requires at least 2 users per point")
 
 
 @dataclass(frozen=True)
@@ -239,21 +252,25 @@ class _Workspace:
         return list(self._scratch[:, :n])
 
 
-def _sweep(config: SimConfig, scenario: str, k_grid: tuple,
+def _sweep(config: SimConfig, accepted: tuple,
            kernel: Callable[[Iterator, float, list], dict],
            workers: int | None, n_scratch: int) -> list:
-    """One GridPoint per (xi, K) point, xi-major:
+    """One GridPoint per (xi, K) point of ``config``, xi-major, for a kernel
+    that serves the scenarios in ``accepted``:
     ``kernel(blocks, xi, scratch)`` maps each chunk's (n, K) uniforms on
     [0, 1), given as row blocks by ``_Workspace.blocks``, to partial sums
     (``_moment`` pairs or integer counts), which are reduced in chunk order.
     ``scratch`` holds ``n_scratch`` vectors of length n that the kernel may
     overwrite; they and the blocks belong to a workspace reused by later
     chunks."""
-    if config.scenario != scenario:
+    scenario = config.scenario
+    if scenario not in accepted:
         raise DomainError(
-            f"this operation requires scenario={scenario!r}, got {config.scenario!r}")
+            f"this operation takes scenario {' or '.join(map(repr, accepted))},"
+            f" got {scenario!r}")
     if workers is not None and (not isinstance(workers, int) or workers < 1):
         raise DomainError(f"workers must be a positive integer, got {workers!r}")
+    k_grid = config.k_grid or (config.k_users,)
     n_chunks = (config.trials + CHUNK_TRIALS - 1) // CHUNK_TRIALS
     # idle workspaces; a chunk that finds none makes one, so there are never
     # more workspaces than threads
@@ -353,42 +370,28 @@ def _shares(w1: np.ndarray, w2: np.ndarray, extra, bufs: list) -> dict:
 _PAIR_SCRATCH = 9
 
 
-def _rate_moments(w1: np.ndarray, w2: np.ndarray, extra, weak: str,
-                  strong: str, noma: str, scratch: list) -> dict:
-    """Moments of the pair's OMA capacities (``<weak>_oma``, ``<strong>_oma``,
-    ``s_oma``) and, per policy tag, its NOMA capacities
-    (``<weak><noma>_<tag>``, ``<strong><noma>_<tag>``, ``s<noma>_<tag>``)
-    with the paired per-draw sum-rate gain ``ds_<tag>``; ``scratch`` holds
-    four vectors plus one per share."""
+def _rate_moments(w1: np.ndarray, w2: np.ndarray, policy,
+                  scratch: list) -> dict:
+    """Moments of the pair's OMA capacities (``c1_oma`` of the weak user,
+    ``c2_oma`` of the strong one, ``s_oma``) and, per policy tag of both fair
+    endpoints and ``policy``, its NOMA capacities (``c1_noma_<tag>``,
+    ``c2_noma_<tag>``, ``s_noma_<tag>``) with the paired per-draw sum-rate
+    gain ``ds_<tag>``; ``scratch`` holds four vectors plus one per share."""
     s_o, c1, c2, s, *share_bufs = scratch
-    out = {f"{weak}_oma": _moment(_oma_rate(w1, 2, c1)),
-           f"{strong}_oma": _moment(_oma_rate(w2, 2, c2)),
+    out = {"c1_oma": _moment(_oma_rate(w1, 2, c1)),
+           "c2_oma": _moment(_oma_rate(w2, 2, c2)),
            "s_oma": _moment(np.add(c1, c2, out=s_o))}
-    for tag, a in _shares(w1, w2, extra, share_bufs).items():
+    for tag, a in _shares(w1, w2, (policy,), share_bufs).items():
         _pair_rates(w1, w2, a, c1, c2)
-        out[f"{weak}{noma}_{tag}"] = _moment(c1)
-        out[f"{strong}{noma}_{tag}"] = _moment(c2)
-        out[f"s{noma}_{tag}"] = _moment(np.add(c1, c2, out=s))
+        out[f"c1_noma_{tag}"] = _moment(c1)
+        out[f"c2_noma_{tag}"] = _moment(c2)
+        out[f"s_noma_{tag}"] = _moment(np.add(c1, c2, out=s))
         out[f"ds_{tag}"] = _moment(np.subtract(s, s_o, out=c1))
     return out
 
 
 # ---------------------------------------------------------------------------
 # scenario runners
-
-def run_ergodic_pair(config: SimConfig, workers: int | None = None) -> list:
-    """Per-xi capacity means for the ordered two-user pair: ``c1_oma``,
-    ``c2_oma``, ``s_oma``, and per policy tag ``c1_noma_<tag>``,
-    ``c2_noma_<tag>``, ``s_noma_<tag>`` with the paired per-draw sum-rate
-    gain ``ds_<tag>``, for both fair endpoints and ``a_policy``."""
-
-    def kernel(blocks: Iterator, xi: float, scratch: list) -> dict:
-        w1, w2 = _pair_snrs(blocks, xi, config.beta, scratch[:2])
-        return _rate_moments(w1, w2, (config.a_policy,), "c1", "c2", "_noma",
-                             scratch[2:])
-
-    return _sweep(config, "pair_iid", (2,), kernel, workers, _PAIR_SCRATCH)
-
 
 def run_outage(config: SimConfig, workers: int | None = None) -> list:
     """Per-xi outage frequencies below r0.
@@ -419,7 +422,7 @@ def run_outage(config: SimConfig, workers: int | None = None) -> list:
         return out
 
     # SNRs, rates, and the shares of both endpoints, mid and a fixed policy
-    return _sweep(config, "pair_iid", (2,), kernel, workers, 8)
+    return _sweep(config, ("pair_iid",), kernel, workers, 8)
 
 
 def noma_outage_empirical(params: SystemParams, a_policy, trials: int,
@@ -439,25 +442,18 @@ def noma_outage_empirical(params: SystemParams, a_policy, trials: int,
 
 
 def run_pairing(config: SimConfig, workers: int | None = None) -> list:
-    """Min/max-pairing capacities over (xi, K): OMA (``c_min_oma``,
-    ``c_max_oma``, ``s_oma``) and, per policy tag, ``c_min_<tag>``,
-    ``c_max_<tag>``, ``s_<tag>`` and the paired per-draw sum-rate gain
-    ``ds_<tag>`` for the two fair endpoints and a fixed-share benchmark.
-
-    The fixed share is ``a_policy`` when it is numeric, else 1/5.
-    """
-    k_grid = config.k_grid if config.k_grid is not None else (config.k_users,)
-    if any(k < 2 for k in k_grid):
-        raise DomainError("pair_minmax requires at least 2 users per point")
-    fixed_share = (float(config.a_policy)
-                   if isinstance(config.a_policy, (int, float)) else 0.2)
+    """Pair capacities over (xi, K), for a random pair of two i.i.d. users
+    ('pair_iid') or the weakest and strongest of K ('pair_minmax'): OMA
+    (``c1_oma`` of the weak user, ``c2_oma`` of the strong one, ``s_oma``)
+    and, per policy tag, ``c1_noma_<tag>``, ``c2_noma_<tag>``,
+    ``s_noma_<tag>`` and the paired per-draw sum-rate gain ``ds_<tag>``, for
+    both fair endpoints and ``a_policy``."""
 
     def kernel(blocks: Iterator, xi: float, scratch: list) -> dict:
         w1, w2 = _pair_snrs(blocks, xi, config.beta, scratch[:2])
-        return _rate_moments(w1, w2, (fixed_share,), "c_min", "c_max", "",
-                             scratch[2:])
+        return _rate_moments(w1, w2, config.a_policy, scratch[2:])
 
-    return _sweep(config, "pair_minmax", k_grid, kernel, workers,
+    return _sweep(config, ("pair_iid", "pair_minmax"), kernel, workers,
                   _PAIR_SCRATCH)
 
 
@@ -475,5 +471,5 @@ def run_multiuser_power(config: SimConfig, workers: int | None = None) -> list:
         return {"sum_b": _moment(scratch[0])}
 
     # the three vectors of _min_power_total
-    return _sweep(config, "multiuser", (k,), kernel, workers, 3)
+    return _sweep(config, ("multiuser",), kernel, workers, 3)
 

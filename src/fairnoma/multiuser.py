@@ -29,7 +29,6 @@ class ChannelSet:
     """Ascending instantaneous gains for K users sharing one carrier."""
 
     gains: tuple
-    beta: float = 1.0
 
     def __post_init__(self):
         gains = tuple(float(g) for g in self.gains)
@@ -39,7 +38,6 @@ class ChannelSet:
             _require_positive("gains", g)
         if any(a > b for a, b in zip(gains, gains[1:])):
             raise DomainError("gains must be sorted ascending")
-        _require_positive("beta", self.beta)
         object.__setattr__(self, "gains", gains)
 
     @property

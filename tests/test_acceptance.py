@@ -21,7 +21,6 @@ from fairnoma.cli import main as cli_main
 from fairnoma.ergodic import ergodic_curve_point, ergodic_oma
 from fairnoma.mcsim import (
     SimConfig,
-    run_ergodic_pair,
     run_multiuser_power,
     run_outage,
     run_pairing,
@@ -54,14 +53,14 @@ def ergodic_runs():
     over the 10 dB grid."""
     config = SimConfig(trials=1_000_000, seed=SEED, xi_grid=XI_GRID, beta=1.0,
                        scenario="pair_iid")
-    return run_ergodic_pair(config, workers=4)
+    return run_pairing(config, workers=4)
 
 
 def test_criterion_01_sum_rate_gain_near_one_bit():
     t0 = time.perf_counter()
     config = SimConfig(trials=1_000_000, seed=SEED, xi_grid=(1e5,), beta=1.0,
                        scenario="pair_iid")
-    m = run_ergodic_pair(config, workers=4)[0].measures
+    m = run_pairing(config, workers=4)[0].measures
     gains = {"inf": m["ds_ainf"].mean, "sup": m["ds_asup"].mean}
     elapsed = time.perf_counter() - t0
     assert abs(gains["inf"] - 1.0) <= 0.05, gains

@@ -265,6 +265,21 @@ class TestFigureReproducibility:
         assert err.startswith("usage error: ") and err.count("\n") == 1, err
         assert not list(tmp_path.glob("figure*"))
 
+    @pytest.mark.parametrize("argv", [
+        ["figure", "1", "--r0", "3"],
+        ["figure", "6", "--k-grid", "2,3"],
+        ["figure", "3", "--k", "9"],
+    ])
+    def test_flag_the_figure_does_not_take_exits_2(self, capsys, tmp_path,
+                                                   argv):
+        # the same check as an unknown config key, not a silent no-op
+        code, out, err = run_cli(capsys, argv + ["--trials", "200",
+                                                 "--out-dir", str(tmp_path)])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("usage error: ") and err.count("\n") == 1, err
+        assert not list(tmp_path.glob("figure*"))
+
     def test_out_dir_env_honored(self, capsys, tmp_path, monkeypatch):
         env_dir = tmp_path / "from_env"
         monkeypatch.setenv("FAIRNOMA_OUT_DIR", str(env_dir))
@@ -358,7 +373,9 @@ class TestMultiuserCommand:
                                 "--gains", "0.5,2.0"])[0] == 2
         # rejected before the draw, with one line and no traceback
         for argv in (["--k", "3", "--xi", "10", "--random", "--beta", "-1"],
-                     ["--k", "-1", "--xi", "10", "--random"]):
+                     ["--k", "-1", "--xi", "10", "--random"],
+                     ["--k", "2", "--xi", "10", "--gains", "1,2",
+                      "--beta", "-1"]):
             code, _, err = run_cli(capsys, ["multiuser"] + argv)
             assert code == 1
             assert err.startswith("error: ") and err.count("\n") == 1, err

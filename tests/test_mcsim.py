@@ -12,8 +12,8 @@ import pytest
 from fairnoma import ergodic, mcsim, multiuser, twouser
 from fairnoma.errors import DomainError
 from fairnoma.mcsim import (CHUNK_TRIALS, SimConfig, SimResult,
-                            noma_outage_empirical, run_ergodic_pair,
-                            run_multiuser_power, run_outage, run_pairing)
+                            noma_outage_empirical, run_multiuser_power,
+                            run_outage, run_pairing)
 
 
 def _cfg(**kw):
@@ -67,32 +67,36 @@ class TestConfigValidation:
             _cfg(r0=-0.1)
         for k_grid in ((), (0,), (2.0,), (5, 3)):
             with pytest.raises(DomainError):
-                _cfg(k_grid=k_grid)
+                _cfg(scenario="pair_minmax", k_grid=k_grid)
+        # a K the scenario would ignore is an error, not a no-op
+        for scenario in ("pair_iid", "multiuser"):
+            with pytest.raises(DomainError):
+                _cfg(scenario=scenario, k_grid=(2, 3))
+        with pytest.raises(DomainError):
+            _cfg(scenario="pair_iid", k_users=3)
 
     def test_scenario_mismatch_raises(self):
         with pytest.raises(DomainError):
-            run_pairing(_cfg(scenario="pair_iid"))
-        with pytest.raises(DomainError):
-            run_multiuser_power(_cfg(scenario="pair_iid"))
-        with pytest.raises(DomainError):
-            run_ergodic_pair(_cfg(scenario="multiuser"))
+            run_pairing(_cfg(scenario="multiuser"))
         with pytest.raises(DomainError):
             run_outage(_cfg(scenario="pair_minmax"))
+        with pytest.raises(DomainError):
+            run_multiuser_power(_cfg(scenario="pair_iid"))
 
 
 class TestDeterminism:
     def test_repeat_run_is_bit_identical(self):
         cfg = _cfg(trials=30_000, xi_grid=(10.0, 1000.0))
-        first = run_ergodic_pair(cfg)
-        second = run_ergodic_pair(cfg)
+        first = run_pairing(cfg)
+        second = run_pairing(cfg)
         for p, q in zip(first, second):
             assert p.measures == q.measures
 
     def test_worker_count_cannot_change_results(self):
         # spans several chunks so parallel partitioning is actually exercised
         cfg = _cfg(trials=3 * CHUNK_TRIALS + 17, xi_grid=(10.0, 1000.0))
-        serial = run_ergodic_pair(cfg, workers=None)
-        parallel = run_ergodic_pair(cfg, workers=4)
+        serial = run_pairing(cfg, workers=None)
+        parallel = run_pairing(cfg, workers=4)
         for p, q in zip(serial, parallel):
             for name in p.measures:
                 assert p.measures[name] == q.measures[name]
@@ -109,7 +113,8 @@ class TestDeterminism:
             from fairnoma.mcsim import (SimConfig, run_multiuser_power,
                                         run_pairing)
             pool = SimConfig(trials=70_000, seed=9, xi_grid=(1e3,),
-                             scenario="pair_minmax", k_grid=(2, 7, 30))
+                             scenario="pair_minmax", k_grid=(2, 7, 30),
+                             a_policy=0.2)
             multi = SimConfig(trials=70_000, seed=9, xi_grid=(10.0, 1e4),
                               scenario="multiuser", k_users=5)
             for p in run_pairing(pool) + run_multiuser_power(multi):
@@ -122,12 +127,12 @@ class TestDeterminism:
         assert outputs[0] == outputs[1]
 
     def test_different_seeds_differ(self):
-        a = run_ergodic_pair(_cfg(seed=1))[0].measures["s_noma_asup"].mean
-        b = run_ergodic_pair(_cfg(seed=2))[0].measures["s_noma_asup"].mean
+        a = run_pairing(_cfg(seed=1))[0].measures["s_noma_asup"].mean
+        b = run_pairing(_cfg(seed=2))[0].measures["s_noma_asup"].mean
         assert a != b
 
     def test_result_carries_provenance(self):
-        res = run_ergodic_pair(_cfg(trials=1234, seed=77))[0]
+        res = run_pairing(_cfg(trials=1234, seed=77))[0]
         sr = res.measures["c1_oma"]
         assert isinstance(sr, SimResult)
         assert sr.trials == 1234 and sr.seed == 77
@@ -196,7 +201,7 @@ class TestChunkMemory:
     @pytest.mark.skipif(not sys.platform.startswith("linux"),
                         reason="counts Linux minor page faults")
     @pytest.mark.parametrize("runner,options", [
-        ("run_ergodic_pair", {}),
+        ("run_pairing", {}),
         ("run_outage", {"r0": 2.0, "a_policy": 0.3}),
         ("run_pairing", {"scenario": "pair_minmax", "k_grid": (7,)}),
         ("run_multiuser_power", {"scenario": "multiuser", "k_users": 5}),
@@ -230,16 +235,16 @@ class TestCommonRandomNumbers:
         # identical draws under both policies: the OMA measures match bitwise
         cfg_inf = _cfg(a_policy="inf", trials=50_000)
         cfg_sup = _cfg(a_policy="sup", trials=50_000)
-        res_inf = run_ergodic_pair(cfg_inf)[0].measures
-        res_sup = run_ergodic_pair(cfg_sup)[0].measures
+        res_inf = run_pairing(cfg_inf)[0].measures
+        res_sup = run_pairing(cfg_sup)[0].measures
         assert res_inf["c1_oma"] == res_sup["c1_oma"]
         assert res_inf["s_oma"] == res_sup["s_oma"]
         assert res_inf["s_noma_ainf"].mean != res_sup["s_noma_asup"].mean
 
     def test_every_policy_from_one_draw_set(self):
         # a numeric policy adds 'fixed' measures without moving the others
-        plain = run_ergodic_pair(_cfg(trials=50_000))[0].measures
-        fixed = run_ergodic_pair(_cfg(trials=50_000, a_policy=0.3))[0].measures
+        plain = run_pairing(_cfg(trials=50_000))[0].measures
+        fixed = run_pairing(_cfg(trials=50_000, a_policy=0.3))[0].measures
         assert set(fixed) - set(plain) == {"c1_noma_fixed", "c2_noma_fixed",
                                            "s_noma_fixed", "ds_fixed"}
         for name in plain:
@@ -284,7 +289,7 @@ class TestCommonRandomNumbers:
                 assert np.array_equal(got, whole)
 
     def test_paired_difference_cuts_variance(self):
-        m = run_ergodic_pair(_cfg(trials=200_000, xi_grid=(1e4,)))[0].measures
+        m = run_pairing(_cfg(trials=200_000, xi_grid=(1e4,)))[0].measures
         direct = m["ds_asup"].mean
         indirect = m["s_noma_asup"].mean - m["s_oma"].mean
         assert abs(direct - indirect) <= 1e-10
@@ -296,16 +301,16 @@ class TestCommonRandomNumbers:
 
 class TestStatisticalHonesty:
     def test_se_scales_like_inverse_root_n(self):
-        small = run_ergodic_pair(_cfg(trials=10_000, seed=3))[0]
-        big = run_ergodic_pair(_cfg(trials=1_000_000, seed=3))[0]
+        small = run_pairing(_cfg(trials=10_000, seed=3))[0]
+        big = run_pairing(_cfg(trials=1_000_000, seed=3))[0]
         ratio = (small.measures["s_noma_asup"].std_error
                  / big.measures["s_noma_asup"].std_error)
         assert 8.0 <= ratio <= 12.0
 
     def test_means_match_closed_forms(self):
         params = twouser.SystemParams(xi=1e3)
-        m = run_ergodic_pair(_cfg(trials=400_000, seed=9, xi_grid=(1e3,),
-                                  a_policy="inf"))[0].measures
+        m = run_pairing(_cfg(trials=400_000, seed=9, xi_grid=(1e3,),
+                              a_policy="inf"))[0].measures
         e_c1, e_c2, e_s = ergodic.ergodic_oma(params)
         targets = {"c1_oma": e_c1, "c2_oma": e_c2, "s_oma": e_s,
                    "c1_noma_ainf": ergodic.ergodic_noma_weak_ainf(params)}
@@ -324,13 +329,13 @@ class TestStatisticalHonesty:
 
 class TestBoundaryIdentities:
     def test_sup_weak_equals_oma_weak_per_draw(self):
-        m = run_ergodic_pair(_cfg(trials=100_000, a_policy="sup",
-                                  xi_grid=(1e4,)))[0].measures
+        m = run_pairing(_cfg(trials=100_000, a_policy="sup",
+                              xi_grid=(1e4,)))[0].measures
         assert abs(m["c1_noma_asup"].mean - m["c1_oma"].mean) <= 1e-12
 
     def test_inf_strong_equals_oma_strong_per_draw(self):
-        m = run_ergodic_pair(_cfg(trials=100_000, a_policy="inf",
-                                  xi_grid=(1e4,)))[0].measures
+        m = run_pairing(_cfg(trials=100_000, a_policy="inf",
+                              xi_grid=(1e4,)))[0].measures
         assert abs(m["c2_noma_ainf"].mean - m["c2_oma"].mean) <= 1e-12
 
     def test_outage_identity_counts_are_exact(self):
@@ -369,15 +374,15 @@ class TestPairingScenario:
         assert gains[0] < gains[1] < gains[2]
         for p in points:
             m = p.measures
-            assert m["c_max_asup"].mean > m["c_min_asup"].mean
+            assert m["c2_noma_asup"].mean > m["c1_noma_asup"].mean
             # fairness: both endpoints beat orthogonal access on average
             assert m["ds_asup"].mean > 0.0
             assert m["ds_ainf"].mean > 0.0
 
     def test_pool_of_two_matches_plain_pair(self):
         # different substreams, so agreement is statistical, not bitwise
-        pair = run_ergodic_pair(_cfg(trials=400_000, seed=21,
-                                     xi_grid=(1e3,)))[0].measures
+        pair = run_pairing(_cfg(trials=400_000, seed=21,
+                                xi_grid=(1e3,)))[0].measures
         pool = run_pairing(_cfg(trials=400_000, seed=21, xi_grid=(1e3,),
                                 scenario="pair_minmax", k_users=2))[0].measures
         joint_se = math.hypot(pair["s_oma"].std_error, pool["s_oma"].std_error)
@@ -386,7 +391,8 @@ class TestPairingScenario:
     def test_fixed_share_measures_present(self):
         m = run_pairing(_cfg(trials=50_000, scenario="pair_minmax",
                              a_policy=0.2, k_users=4))[0].measures
-        assert {"s_fixed", "ds_fixed", "c_min_fixed", "c_max_fixed"} <= set(m)
+        assert {"s_noma_fixed", "ds_fixed", "c1_noma_fixed",
+                "c2_noma_fixed"} <= set(m)
 
 
 class TestMultiuserScenario:
@@ -449,8 +455,8 @@ class TestScalarApiIsTheEngine:
         seen = self._record(monkeypatch)
         # a full chunk and a partial one per grid point, run serially so the
         # recordings come in chunk order
-        run_ergodic_pair(_cfg(trials=CHUNK_TRIALS + 37, beta=beta,
-                              xi_grid=self.XI_GRID))
+        run_pairing(_cfg(trials=CHUNK_TRIALS + 37, beta=beta,
+                          xi_grid=self.XI_GRID))
         checked = []
         for chunk, xi in enumerate(np.repeat(self.XI_GRID, 2).tolist()):
             weak, strong = seen["gains"][2 * chunk:2 * chunk + 2]

@@ -59,8 +59,6 @@ class TestChannelSet:
             ChannelSet(gains=(0.0, 1.0))
         with pytest.raises(DomainError):
             ChannelSet(gains=())
-        with pytest.raises(DomainError):
-            ChannelSet(gains=(1.0,), beta=0.0)
 
     def test_ties_permitted(self):
         ch = ChannelSet(gains=(1.0, 1.0, 2.0))
