@@ -4,8 +4,6 @@ from __future__ import annotations
 
 from typing import Callable
 
-from scipy import integrate
-
 from .errors import QuadratureError
 
 
@@ -42,6 +40,8 @@ def _integrate(f: Callable[[float], float], a: float, b: float,
     misses the target by more than a factor of 10. The public helpers call
     this rather than each other, so a wrapper around one of them (as
     perfbench's tracer installs) sees each integral once."""
+    # here, not at the top: scipy is most of the CLI's start-up time
+    from scipy import integrate
     out = integrate.quad(f, a, b, epsabs=abs_tol, epsrel=rel_tol,
                          limit=limit, full_output=1)
     value, err = out[0], out[1]

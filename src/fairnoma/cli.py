@@ -28,7 +28,8 @@ import numpy as np
 from . import __version__
 from .errors import DomainError, QuadratureError
 from .ergodic import ergodic_curve_point, high_snr_ergodic_approx
-from .mcsim import SimConfig, run_multiuser_power, run_outage, run_pairing
+from .mcsim import (STREAM_VERSION, SimConfig, run_multiuser_power,
+                    run_outage, run_pairing)
 from .multiuser import (
     ChannelSet,
     full_alloc_a,
@@ -127,8 +128,7 @@ def cmd_region(args: argparse.Namespace) -> int:
         print("warning: g1 > g2, swapping so g1 is the weaker user",
               file=sys.stderr)
         g1, g2 = g2, g1
-    params = SystemParams(xi=xi, beta=args.beta)
-    region = fair_region(params, ChannelPair(g1=g1, g2=g2))
+    region = fair_region(SystemParams(xi=xi), ChannelPair(g1=g1, g2=g2))
 
     lines = [
         f"xi = {_txt(xi)} ({_txt(_linear_to_db(xi))} dB)",
@@ -385,6 +385,7 @@ def cmd_figure(args: argparse.Namespace) -> int:
         "config": {k: list(v) if isinstance(v, tuple) else v
                    for k, v in sorted(p.items())},
         "tool_version": __version__,
+        "stream_version": STREAM_VERSION,
         "timestamp": datetime.datetime.now(
             datetime.timezone.utc).isoformat(timespec="seconds"),
         "output_paths": outputs,
@@ -403,25 +404,30 @@ def cmd_figure(args: argparse.Namespace) -> int:
 def cmd_multiuser(args: argparse.Namespace) -> int:
     xi = _db_to_linear(args.xi_db) if args.xi is None else args.xi
     k = args.k
-    _require_positive("beta", args.beta)
+    head = f"k = {k}, xi = {_txt(xi)} ({_txt(_linear_to_db(xi))} dB)"
     if args.gains is not None:
+        if args.seed is not None or args.beta is not None:
+            raise _Usage("--seed and --beta shape the --random draw only,"
+                         " not given --gains")
         if len(args.gains) != k:
             raise _Usage(f"--gains lists {len(args.gains)} values but --k is {k}")
         gains = tuple(sorted(args.gains))
     else:
+        seed = 12345 if args.seed is None else args.seed
+        beta = 1.0 if args.beta is None else args.beta
+        _require_positive("beta", beta)
         # checked here, as numpy's own ValueError would escape main
         if k < 1:
             raise DomainError(f"need at least one user, got --k {k}")
-        rng = np.random.default_rng(args.seed)
-        gains = tuple(np.sort(rng.exponential(args.beta, k)))
+        gains = tuple(np.sort(np.random.default_rng(seed).exponential(beta, k)))
+        head += f", beta = {_txt(beta)}"
     channels = ChannelSet(gains=gains)
 
     b = min_alloc_b(xi, channels)
     a = full_alloc_a(xi, channels)
     sum_a = math.fsum(a.coeffs)
     lines = [
-        f"k = {k}, xi = {_txt(xi)} ({_txt(_linear_to_db(xi))} dB), "
-        f"beta = {_txt(args.beta)}",
+        head,
         "gains (ascending) = " + ",".join(_txt(g) for g in gains),
         "b = " + ",".join(_txt(c) for c in b.coeffs),
         f"sum_b = {_txt(math.fsum(b.coeffs))}  residual_b = {_txt(b.residual)}",
@@ -430,7 +436,7 @@ def cmd_multiuser(args: argparse.Namespace) -> int:
         f"sum_a <= 1: {'OK' if sum_a <= 1.0 + 1e-12 else 'VIOLATED'}",
     ]
     if k == 2:
-        region = fair_region(SystemParams(xi=xi, beta=args.beta),
+        region = fair_region(SystemParams(xi=xi),
                              ChannelPair(g1=gains[0], g2=gains[1]))
         lines.append(f"pair check: 1 - a_1 = {_txt(1.0 - a.coeffs[0])} "
                      f"(two-user a_sup = {_txt(region.a_sup)})")
@@ -477,7 +483,6 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="weaker channel SNR gain")
     region.add_argument("--g2", type=float, required=True,
                         help="stronger channel SNR gain")
-    region.add_argument("--beta", type=float, default=1.0)
     region.set_defaults(func=cmd_region)
 
     figure = sub.add_parser(
@@ -516,8 +521,8 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="comma list of K channel gains")
     gains.add_argument("--random", action="store_true",
                        help="draw K exponential gains")
-    multi.add_argument("--seed", type=int, default=12345)
-    multi.add_argument("--beta", type=float, default=1.0)
+    multi.add_argument("--seed", type=int, help="--random only; default 12345")
+    multi.add_argument("--beta", type=float, help="--random only; default 1")
     multi.set_defaults(func=cmd_multiuser)
 
     return parser

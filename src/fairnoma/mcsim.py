@@ -7,16 +7,24 @@ two i.i.d. users, 'pair_minmax' the weakest and strongest of K, 'multiuser'
 all K users in gain order. A runner only names the scenarios its kernel
 serves. For each grid point (xi, and K from ``k_grid`` or ``k_users``) the
 driver splits the trials into fixed 65536-draw chunks. Chunk ``ci`` draws its
-uniforms from ``Philox(SeedSequence((seed, scenario_id, grid_index, k, ci)))``
-(``k`` is 0 for 'pair_iid'), so each trial's channel realization is a pure
-function of the configuration and its own index.
+uniforms from ``Philox(SeedSequence((seed, scenario_id, xi_bits, k, ci)))``,
+``xi_bits`` being the 64-bit pattern of ``float(xi)`` (``k`` is 2 for
+'pair_iid'). So each trial's channel realization is a pure function of the
+configuration, its grid point and its own index, and re-running a subset of
+the grid reproduces that subset's rows. This is stream version 2
+(``STREAM_VERSION``), which the CLI records in its manifest.
 
-The scenario's kernel receives the chunk's uniforms and turns them into
-exponential gains with the inverse CDF ``-beta*log1p(-u)`` (``_gains``).
-That map is non-decreasing in ``u``, so the pair kernels take the row
-minimum and maximum of the uniforms first and transform only those two
-columns; the result is bit-identical to reducing the gains. The K-user
-kernel transforms every column, then sorts.
+A kernel never draws the K gains of a pool; it draws the order statistics
+it needs directly, by Renyi's representation of exponential order
+statistics: the minimum of K i.i.d. Exp(beta) gains is Exp(beta/K), and
+the gaps between successive ones are independent, the i-th (from 0)
+Exp(beta/(K-i)). The pair kernels take two uniforms per trial, whatever K
+is: the minimum ``-(beta/K)*log1p(-u1)``, and the maximum as the minimum
+plus the largest of K-1 i.i.d. Exp(beta) gaps, by its inverse CDF
+``-beta*log(-expm1(log(u2)/(K-1)))``, which stays exact for ``u2`` near 1
+at any K. The K-user kernel draws the K gaps of each trial into a K-major
+(K, n) array and adds the rows up in place, so its gains come out
+ascending.
 
 Each kernel returns partial sums, and the driver combines them in chunk
 order with ``math.fsum``, which is exactly rounded: results are
@@ -25,26 +33,21 @@ not BLAS dot products, so standard errors do not depend on the machine's
 BLAS thread pool either, and no BLAS threads compete with the workers.
 Workers are threads, clamped to the chunk count and the CPU count.
 
-A chunk allocates no large arrays. Each sweep gives every worker a workspace
-(``_Workspace``): a buffer for 8192 rows of uniforms, as wide as the widest
-K of the sweep, plus a few chunk-length scratch vectors. The chunk's
-uniforms are drawn into that buffer one row block at a time by
-``Generator.random(out=...)``, and the kernel reduces each block (row
-minimum and maximum, or sort and power recursion) while it is still in
-cache. Workspaces wait in a queue between chunks, so any thread may run any
-chunk with any free workspace, and all of them are dropped when the sweep
-returns. Fresh half-megabyte temporaries would each be mapped, zero-filled
-by the kernel and unmapped again.
+A chunk allocates no large arrays. Each sweep gives every worker a
+workspace of chunk-length vectors, which the kernel draws into with
+``Generator.random(out=...)`` and overwrites. Workspaces wait in a queue
+between chunks, so any thread may run any chunk with any free workspace,
+and all are dropped when the sweep returns. Fresh half-megabyte temporaries
+would each be mapped, zero-filled by the kernel and unmapped again.
 
-No bit depends on where a value sits. Successive ``random(out=...)`` calls
-continue one Philox stream, so the blocks hold exactly ``random((n, K))``,
-and an elementwise ufunc rounds each element alike in a chunk, a block of
-rows or a one-element array. So the per-draw physics (the fair share
-bound, the OMA and NOMA rates, the minimum-power recursion) is the array
-code of ``twouser`` and ``multiuser`` that the scalar API runs too, and
-each draw's values equal the scalar API's at its gains bit for bit. Every
-measure is reduced by one ``np.sum`` and one ``einsum`` over its full
-chunk, and a buffer is overwritten only after its moments are taken.
+No bit depends on where a value sits: an elementwise ufunc rounds each
+element alike in a chunk, a row or a one-element array. The gains are
+multiplied by xi once, as the scalar API does, so the per-draw physics (the
+fair share bound, the OMA and NOMA rates, the minimum-power recursion) is
+the array code of ``twouser`` and ``multiuser`` that the scalar API runs
+too, and each draw's values equal the scalar API's at its gains bit for
+bit. Every measure is reduced by one ``np.sum`` and one ``einsum`` over its
+full chunk, and a buffer is overwritten only after its moments are taken.
 
 The a-policy is deliberately absent from the stream key, and each pair
 kernel evaluates every allocation policy it reports on the same draws
@@ -62,7 +65,7 @@ import os
 import queue
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Callable
 
 import numpy as np
 
@@ -75,9 +78,9 @@ from .twouser import (SystemParams, _oma_rate, _pair_rates, _rate_threshold,
 #: draws between substreams
 CHUNK_TRIALS = 1 << 16
 
-#: rows of uniforms drawn at a time; a block of a K = 30 pool is 1.9 MB, so
-#: it is still in cache when the kernel reads it
-_ROW_BLOCK = 1 << 13
+#: version of the map from a configuration to its draws: the substream key
+#: and the samplers; any change to either moves figure bytes and bumps it
+STREAM_VERSION = 2
 
 _SCENARIO_IDS = {"pair_iid": 1, "pair_minmax": 2, "multiuser": 3}
 
@@ -225,44 +228,17 @@ def _reduce(parts: list, trials: int, seed: int) -> dict:
     return measures
 
 
-class _Workspace:
-    """One worker's chunk buffers: a block of ``_ROW_BLOCK`` rows of
-    uniforms up to ``width`` users wide, and ``n_scratch`` chunk-length
-    scratch vectors."""
-
-    def __init__(self, width: int, n_scratch: int):
-        # one allocation: from 4 MB on, numpy advises huge pages for it, so
-        # its first touch takes far fewer page faults
-        buf = np.empty(_ROW_BLOCK * width + CHUNK_TRIALS * n_scratch)
-        self._draw = buf[:_ROW_BLOCK * width]
-        self._scratch = buf[_ROW_BLOCK * width:].reshape(n_scratch, -1)
-
-    def blocks(self, rng: np.random.Generator, n: int, k: int):
-        """The chunk's (n, k) uniforms as consecutive row blocks, yielded as
-        ``(rows, u)`` with ``u`` drawn into the one block buffer: together
-        they are exactly ``rng.random((n, k))``, and each block overwrites
-        the one before."""
-        for start in range(0, n, _ROW_BLOCK):
-            u = self._draw[:min(_ROW_BLOCK, n - start) * k].reshape(-1, k)
-            rng.random(out=u)
-            yield slice(start, start + len(u)), u
-
-    def scratch(self, n: int) -> list:
-        """The scratch vectors, each cut to length n."""
-        return list(self._scratch[:, :n])
-
-
 def _sweep(config: SimConfig, accepted: tuple,
-           kernel: Callable[[Iterator, float, list], dict],
+           kernel: Callable[[np.random.Generator, float, int, np.ndarray],
+                            dict],
            workers: int | None, n_scratch: int) -> list:
     """One GridPoint per (xi, K) point of ``config``, xi-major, for a kernel
-    that serves the scenarios in ``accepted``:
-    ``kernel(blocks, xi, scratch)`` maps each chunk's (n, K) uniforms on
-    [0, 1), given as row blocks by ``_Workspace.blocks``, to partial sums
-    (``_moment`` pairs or integer counts), which are reduced in chunk order.
-    ``scratch`` holds ``n_scratch`` vectors of length n that the kernel may
-    overwrite; they and the blocks belong to a workspace reused by later
-    chunks."""
+    that serves the scenarios in ``accepted``: ``kernel(rng, xi, k,
+    scratch)`` draws each chunk's trials from ``rng`` and maps them to
+    partial sums (``_moment`` pairs or integer counts), which are reduced in
+    chunk order. ``scratch`` is an (n_scratch, n) array, one row per vector
+    of the chunk's n trials, that the kernel may overwrite; it belongs to a
+    workspace reused by later chunks."""
     scenario = config.scenario
     if scenario not in accepted:
         raise DomainError(
@@ -276,23 +252,26 @@ def _sweep(config: SimConfig, accepted: tuple,
     # more workspaces than threads
     free = queue.SimpleQueue()
     points = []
-    for gi, xi in enumerate(config.xi_grid):
+    for xi in config.xi_grid:
+        # keyed by the point itself, not its grid index, so a point's draws
+        # do not depend on which other points the grid holds
+        xi_bits = int(np.float64(xi).view(np.uint64))
         for k in k_grid:
-            # the plain pair's width is fixed, so its substreams key K as 0
-            key = (config.seed, _SCENARIO_IDS[scenario], gi,
-                   0 if scenario == "pair_iid" else k)
+            key = (config.seed, _SCENARIO_IDS[scenario], xi_bits, k)
 
             def chunk(ci: int, xi: float = xi, k: int = k,
                       key: tuple = key) -> dict:
                 try:
                     ws = free.get_nowait()
                 except queue.Empty:
-                    ws = _Workspace(max(k_grid), n_scratch)
+                    # one allocation: from 4 MB on, numpy advises huge pages
+                    # for it, so its first touch takes far fewer page faults
+                    ws = np.empty((n_scratch, CHUNK_TRIALS))
                 try:
                     rng = np.random.Generator(
                         np.random.Philox(np.random.SeedSequence(key + (ci,))))
                     n = min(CHUNK_TRIALS, config.trials - ci * CHUNK_TRIALS)
-                    return kernel(ws.blocks(rng, n, k), xi, ws.scratch(n))
+                    return kernel(rng, xi, k, ws[:, :n])
                 finally:
                     free.put(ws)
 
@@ -307,44 +286,62 @@ def _sweep(config: SimConfig, accepted: tuple,
 # draws, order statistics and policies; the per-draw physics is twouser's and
 # multiuser's
 
-def _gains(u: np.ndarray, beta: float, out: np.ndarray | None = None) -> np.ndarray:
-    """Exp(beta) channel gains ``-beta * log1p(-u)`` from uniforms on [0, 1)
-    by the inverse CDF. Non-decreasing in ``u``, so it commutes with row
-    minima, maxima and sorts bit for bit."""
+def _gains(u: np.ndarray, scale: float,
+           out: np.ndarray | None = None) -> np.ndarray:
+    """Exp(scale) gains ``-scale * log1p(-u)`` from uniforms on [0, 1) by the
+    inverse CDF."""
     g = np.negative(u, out=out)
     np.log1p(g, out=g)
-    return np.multiply(-beta, g, out=g)
+    return np.multiply(-scale, g, out=g)
 
 
-def _row_min_max(x: np.ndarray, out) -> tuple[np.ndarray, np.ndarray]:
-    """Row minimum and maximum of an (n, K) array, exactly ``x.min(axis=1)``
-    and ``x.max(axis=1)``, into the vector pair ``out``. On a block that
-    stays in cache, a column loop runs several times faster than numpy's
-    row reduction at these widths."""
+def _minmax_gains(rng: np.random.Generator, k: int, beta: float,
+                  out) -> tuple[np.ndarray, np.ndarray]:
+    """(min, max) of k >= 2 i.i.d. Exp(beta) gains per trial, drawn from two
+    uniforms per trial into the vector pair ``out``: the minimum is
+    Exp(beta/k), and the maximum is the minimum plus the largest of k-1
+    i.i.d. Exp(beta) gaps, whose CDF ``(1 - exp(-x/beta))**(k-1)`` is
+    inverted through expm1 so that uniforms near 1 keep their tail."""
     lo, hi = out
-    np.copyto(lo, x[:, 0])
-    np.copyto(hi, lo)
-    for j in range(1, x.shape[1]):
-        np.minimum(lo, x[:, j], out=lo)
-        np.maximum(hi, x[:, j], out=hi)
+    rng.random(out=lo)
+    rng.random(out=hi)
+    _gains(lo, beta / k, out=lo)
+    # a uniform of 0 is the bottom of the inverse CDF: log(0) = -inf, then
+    # expm1 gives -1 and the gap is exactly 0
+    with np.errstate(divide="ignore"):
+        np.log(hi, out=hi)
+    np.divide(hi, k - 1, out=hi)
+    np.expm1(hi, out=hi)
+    np.negative(hi, out=hi)
+    np.log(hi, out=hi)
+    np.multiply(beta, hi, out=hi)
+    np.subtract(lo, hi, out=hi)
     return lo, hi
 
 
-def _pair_snrs(blocks: Iterator, xi: float, beta: float,
+def _ordered_gains(rng: np.random.Generator, beta: float,
+                   g: np.ndarray) -> np.ndarray:
+    """Ascending gains of K i.i.d. Exp(beta) users per trial, drawn into the
+    K-major (K, n) array ``g``: row i first holds the i-th gap,
+    Exp(beta/(K-i)), then the running sum of rows 0..i."""
+    k = len(g)
+    for i, row in enumerate(g):
+        rng.random(out=row)
+        _gains(row, beta / (k - i), out=row)
+    # row by row: np.cumsum(axis=0) takes about 15 times as long here
+    for prev, row in zip(g, g[1:]):
+        np.add(prev, row, out=row)
+    return g
+
+
+def _pair_snrs(rng: np.random.Generator, k: int, xi: float, beta: float,
                out) -> tuple[np.ndarray, np.ndarray]:
-    """(weak, strong) instantaneous SNRs ``xi * _gains(.)`` of the weakest
-    and strongest user in each row of an (n, K) uniform draw, given as
-    ``(rows, u)`` row blocks, into the vector pair ``out``. The order
-    statistic is taken on the uniforms and only those 2n values are mapped
-    to gains, which equals taking it on the nK gains bit for bit because
-    ``_gains`` is monotone."""
-    lo, hi = out
-    for rows, u in blocks:
-        _row_min_max(u, (lo[rows], hi[rows]))
-    for w in out:
-        _gains(w, beta, out=w)
+    """(weak, strong) instantaneous SNRs ``xi * g`` of the weakest and
+    strongest of k i.i.d. Exp(beta) users per trial, into the vector pair
+    ``out``."""
+    for w in _minmax_gains(rng, k, beta, out):
         np.multiply(xi, w, out=w)
-    return lo, hi
+    return out
 
 
 def _shares(w1: np.ndarray, w2: np.ndarray, extra, bufs: list) -> dict:
@@ -371,7 +368,7 @@ _PAIR_SCRATCH = 9
 
 
 def _rate_moments(w1: np.ndarray, w2: np.ndarray, policy,
-                  scratch: list) -> dict:
+                  scratch: np.ndarray) -> dict:
     """Moments of the pair's OMA capacities (``c1_oma`` of the weak user,
     ``c2_oma`` of the strong one, ``s_oma``) and, per policy tag of both fair
     endpoints and ``policy``, its NOMA capacities (``c1_noma_<tag>``,
@@ -407,9 +404,9 @@ def run_outage(config: SimConfig, workers: int | None = None) -> list:
     # outage iff xi*g < threshold, per user in OMA
     o_thresh = _rate_threshold(r0)
 
-    def kernel(blocks: Iterator, xi: float, scratch: list) -> dict:
+    def kernel(rng, xi: float, k: int, scratch: np.ndarray) -> dict:
         w1, w2, c1, c2, *share_bufs = scratch
-        _pair_snrs(blocks, xi, config.beta, (w1, w2))
+        _pair_snrs(rng, k, xi, config.beta, (w1, w2))
         out = {
             "p_oma_weak": int(np.count_nonzero(w1 < o_thresh)),
             "p_oma_strong": int(np.count_nonzero(w2 < o_thresh)),
@@ -449,8 +446,8 @@ def run_pairing(config: SimConfig, workers: int | None = None) -> list:
     ``s_noma_<tag>`` and the paired per-draw sum-rate gain ``ds_<tag>``, for
     both fair endpoints and ``a_policy``."""
 
-    def kernel(blocks: Iterator, xi: float, scratch: list) -> dict:
-        w1, w2 = _pair_snrs(blocks, xi, config.beta, scratch[:2])
+    def kernel(rng, xi: float, k: int, scratch: np.ndarray) -> dict:
+        w1, w2 = _pair_snrs(rng, k, xi, config.beta, scratch[:2])
         return _rate_moments(w1, w2, config.a_policy, scratch[2:])
 
     return _sweep(config, ("pair_iid", "pair_minmax"), kernel, workers,
@@ -460,16 +457,13 @@ def run_pairing(config: SimConfig, workers: int | None = None) -> list:
 def run_multiuser_power(config: SimConfig, workers: int | None = None) -> list:
     """Per-xi mean of the minimum total NOMA power share that matches OMA
     for every one of K users (measure ``sum_b``)."""
-    k = config.k_users
 
-    def kernel(blocks: Iterator, xi: float, scratch: list) -> dict:
-        for rows, u in blocks:
-            g = _gains(u, config.beta, out=u)
-            g.sort(axis=1)
-            np.multiply(xi, g, out=g)
-            _min_power_total(g, k, [v[rows] for v in scratch])
-        return {"sum_b": _moment(scratch[0])}
+    def kernel(rng, xi: float, k: int, scratch: np.ndarray) -> dict:
+        w = _ordered_gains(rng, config.beta, scratch[:k])
+        np.multiply(xi, w, out=w)
+        # the transpose's columns are the contiguous rows of w
+        return {"sum_b": _moment(_min_power_total(w.T, k, scratch[k:]))}
 
-    # the three vectors of _min_power_total
-    return _sweep(config, ("multiuser",), kernel, workers, 3)
+    # the K gains, then the three vectors of _min_power_total
+    return _sweep(config, ("multiuser",), kernel, workers, config.k_users + 3)
 

@@ -38,13 +38,8 @@ def erfc_oracle(z: float) -> float:
 def engine_minmax(k: int, beta: float, rng: np.random.Generator,
                   n: int) -> tuple[np.ndarray, np.ndarray]:
     """(min, max) gains of n pools of k i.i.d. Exp(beta) users, drawn the way
-    the Monte Carlo engine draws them: its row blocks of uniforms and its
-    pair order statistic, at xi = 1."""
-    out = (np.empty(n), np.empty(n))
-    # one scratch vector, the fewest a workspace takes; only its block buffer
-    # is used
-    blocks = mcsim._Workspace(k, 1).blocks(rng, n, k)
-    return mcsim._pair_snrs(blocks, 1.0, beta, out)
+    the Monte Carlo engine draws them: its pair sampler, at xi = 1."""
+    return mcsim._pair_snrs(rng, k, 1.0, beta, (np.empty(n), np.empty(n)))
 
 
 def harmonic_number(k: int) -> float:

@@ -2,12 +2,13 @@
 
 import json
 import math
+import os
 import subprocess
 import sys
 
 import pytest
 
-from fairnoma import specfun
+from fairnoma import mcsim, specfun
 from fairnoma.cli import main
 from fairnoma.outage import oma_outage_weak
 from fairnoma.twouser import SystemParams
@@ -83,6 +84,9 @@ class TestRegion:
         assert run_cli(capsys, ["region", "--g1", "1", "--g2", "2"])[0] == 2
         assert run_cli(capsys, ["region", "--xi", "1", "--xi-db", "0",
                                 "--g1", "1", "--g2", "2"])[0] == 2
+        # the instantaneous region has no fading mean to take
+        assert run_cli(capsys, ["region", "--xi", "1", "--g1", "1",
+                                "--g2", "2", "--beta", "7"])[0] == 2
 
 
 class TestFigureOutputs:
@@ -213,12 +217,32 @@ class TestFigureReproducibility:
         assert manifest["output_paths"] == ["figure5.csv"]
         assert manifest["tool_version"]
         assert manifest["timestamp"]
+        assert manifest["stream_version"] == mcsim.STREAM_VERSION == 2
         code, _, _ = run_cli(capsys, [
             "figure", "--config", str(first / "figure5_manifest.json"),
             "--out-dir", str(rerun)])
         assert code == 0
         assert ((first / "figure5.csv").read_bytes()
                 == (rerun / "figure5.csv").read_bytes())
+
+    @pytest.mark.parametrize("figure,subset", [(1, "30"), (6, "0,30")])
+    def test_grid_subset_reproduces_its_rows(self, capsys, tmp_path, figure,
+                                             subset):
+        # substreams are keyed by the SNR, not by its place in the grid;
+        # two chunks per point, so the chunk index is in the key too
+        lines = {}
+        for name, extra in (("full", []), ("subset", ["--xi-db", subset])):
+            code, _, _ = run_cli(capsys, [
+                "figure", str(figure), "--trials", "70000",
+                "--out-dir", str(tmp_path / name)] + extra)
+            assert code == 0
+            lines[name] = (tmp_path / name / f"figure{figure}.csv").read_text(
+                encoding="utf-8").splitlines()
+        full_rows = {line.split(",")[0]: line for line in lines["full"][1:]}
+        assert len(full_rows) == 31
+        assert lines["subset"][0] == lines["full"][0]
+        assert lines["subset"][1:] == [full_rows[db]
+                                       for db in subset.split(",")]
 
     def test_flags_override_config_file(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -373,12 +397,44 @@ class TestMultiuserCommand:
                                 "--gains", "0.5,2.0"])[0] == 2
         # rejected before the draw, with one line and no traceback
         for argv in (["--k", "3", "--xi", "10", "--random", "--beta", "-1"],
-                     ["--k", "-1", "--xi", "10", "--random"],
-                     ["--k", "2", "--xi", "10", "--gains", "1,2",
-                      "--beta", "-1"]):
+                     ["--k", "-1", "--xi", "10", "--random"]):
             code, _, err = run_cli(capsys, ["multiuser"] + argv)
             assert code == 1
             assert err.startswith("error: ") and err.count("\n") == 1, err
+
+    @pytest.mark.parametrize("extra", [["--seed", "5"], ["--beta", "2"],
+                                       ["--beta", "-1"],
+                                       ["--seed", "12345", "--beta", "1"]])
+    def test_draw_flags_with_given_gains_exit_2(self, capsys, extra):
+        # --gains fixes the channels, so a seed or a mean gain would be
+        # silently ignored
+        code, out, err = run_cli(capsys, ["multiuser", "--k", "2", "--xi",
+                                          "10", "--gains", "1,2"] + extra)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("usage error: ") and err.count("\n") == 1, err
+
+    def test_random_draw_defaults(self, capsys):
+        argv = ["multiuser", "--k", "4", "--xi-db", "20", "--random"]
+        code, out, _ = run_cli(capsys, argv)
+        assert code == 0
+        assert run_cli(capsys, argv + ["--seed", "12345", "--beta", "1"]
+                       )[1] == out
+        assert run_cli(capsys, argv + ["--seed", "5"])[1] != out
+        assert run_cli(capsys, argv + ["--beta", "2"])[1] != out
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    # scipy is most of the start-up time; only quadrature imports it
+    src = os.path.dirname(os.path.dirname(mcsim.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, fairnoma.cli; print('scipy' in sys.modules)"],
+        env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_console_entry_point_runs():

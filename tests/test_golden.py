@@ -20,32 +20,33 @@ from fairnoma.cli import main
 RECORDED_NUMPY = "2.4.6"
 RECORDED_SCIPY = "1.17.1"
 
-# (figure, trials, extra flags) -> SHA-256 of figureN.csv on its default grid
+# (figure, trials, extra flags) -> SHA-256 of figureN.csv on its default grid,
+# recorded for stream version 2 (mcsim.STREAM_VERSION)
 GOLDEN = [
-    (1, 3000, [], "7f22a219bc265d029a93cce6680636cfa056044304a244bdaa4d3f3012000084"),
-    (2, 3000, [], "34c5ac151109f9b0234db9ebb0b8cc73ea2614f3bc832edbb9c1ab57ee8a373d"),
-    (3, 3000, [], "d9ef40e8af8482db6ebdac76015a8f7194a393a2f1394795f704488bab9789dc"),
-    (4, 3000, [], "dbc75ce22221a1b74fe882763397a3ff40283522c713dcaf33d9b55c2661943f"),
-    (5, 3000, [], "90165400664177299f411ac0d2bcab301113e0b72c4976d3acc9b815b15a1dd0"),
+    (1, 3000, [], "026151c50a843e95d749b6d0dfd485f87c5811de3f0c7228d693ea63f8369ca1"),
+    (2, 3000, [], "c377a6b6eb369ee11da33ec0dadfbda846d514feee328bae136938ba4f018ff3"),
+    (3, 3000, [], "54cf51444a46e4903c127f45f0432b62f07293d61fbdcccdcf5acd0d94586147"),
+    (4, 3000, [], "1f03c61be6eeb27f170e4b23346520ae39c40e9103376dbf77a27eeb2611de9a"),
+    (5, 3000, [], "9aa28464808771bfdcb7566588251b6bed7be3d11503abc6e16ef7e32f91b54b"),
     (6, 3000, ["--workers", "2"],
-     "830540314a093a774b2f525d33a44bbd218bad94feb48fe77705fe8f98f28437"),
+     "de8b84fe22bf7e566ffc015dc4b5aacf8377bd66ddaa7da5be9c833329e244fb"),
     # two chunks per grid point, so the parallel path really splits work
     (1, 70000, ["--workers", "2"],
-     "5ac4fb1445bb141fe02d1135cd9769564f95ec8dc20311d767bdde5545b33bcb"),
+     "fc389dafd3a1d87e8d519b2c70f050d4d11cf207643c87683dcad85be6fa97b4"),
 ]
 
 # three full chunks and a partial fourth per grid point, at one and two
 # workers, so buffers reused across chunks, grid points and threads are
-# covered (recorded before the kernels wrote into reused buffers)
+# covered
 _MULTI_CHUNK = [
     (1, ["--xi-db", "0,30,60"],
-     "67f2338b5131ae2f12ba16d75ca7a4399cfbae09b694e9a872fd05b2f830cdde"),
+     "d83db81966103df2e1a097c913cea0c8a7fefe445765918027c3b004e1fa5f99"),
     (2, ["--xi-db", "0,30,60"],
-     "d4f80d88107124f6b1311a934cc03335614f9f03dd02a11692b87650b17b5a6e"),
+     "7c31115dda2f551352f1ee8b303532ea53419cbdbc906191b41bca7d6b59d8c9"),
     (3, ["--k-grid", "2,7,30"],
-     "0b84c07da70636f3bd3fe711362659a064390042888c253a0bfc44c4f5c930d3"),
+     "6074832fb89b212543416e36b56953294201d94be2bfcdc0c1174291a796d956"),
     (6, ["--xi-db", "0,30,60"],
-     "4d369754761d82c3b57d51953db19762f17cdade7672d12c79c39117e5518201"),
+     "1d5223aac1e1386131f11960957f82982e76087dc32babfafe5d0f729832cfd9"),
 ]
 GOLDEN += [(figure, 200000, grid + ["--workers", workers], digest)
            for figure, grid, digest in _MULTI_CHUNK for workers in ("1", "2")]

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import warnings
 
 import numpy as np
 import pytest
@@ -255,39 +256,6 @@ class TestCommonRandomNumbers:
         assert p_weak == table["p_noma_weak_fixed"]
         assert p_strong == table["p_noma_strong_fixed"]
 
-    def test_pair_order_statistic_matches_row_reduction(self):
-        # the order statistic of the uniforms, mapped to gains, is the row
-        # reduction of the gains bit for bit: on a full chunk, on a partial
-        # one that ends inside a row block, and with ties
-        rng = np.random.default_rng(0)
-        step = mcsim._ROW_BLOCK
-        for n in (CHUNK_TRIALS, 3 * step // 2 + 7, 1):
-            for k in range(2, 31):
-                u = rng.random((n, k))
-                u[:10, 1] = u[:10, 0]
-                for beta in (0.5, 1.0, 2.0):
-                    g = mcsim._gains(u, beta)
-                    blocks = ((slice(s, s + step), u[s:s + step])
-                              for s in range(0, n, step))
-                    w1, w2 = mcsim._pair_snrs(blocks, 123.0, beta,
-                                              (np.empty(n), np.empty(n)))
-                    assert np.array_equal(w1, 123.0 * g.min(axis=1))
-                    assert np.array_equal(w2, 123.0 * g.max(axis=1))
-
-    def test_row_blocks_are_the_chunk_draw(self):
-        # the chunk drawn a row block at a time into one reused buffer is
-        # the one-shot draw of the whole chunk, value for value
-        ws = mcsim._Workspace(30, 1)
-        for n in (CHUNK_TRIALS, 3 * mcsim._ROW_BLOCK // 2 + 7, 1):
-            for k in (2, 7, 30):
-                key = np.random.SeedSequence((1, 2, 0, k, 3))
-                whole = np.random.Generator(np.random.Philox(key)).random((n, k))
-                rng = np.random.Generator(np.random.Philox(key))
-                got = np.full((n, k), np.nan)
-                for rows, u in ws.blocks(rng, n, k):
-                    got[rows] = u
-                assert np.array_equal(got, whole)
-
     def test_paired_difference_cuts_variance(self):
         m = run_pairing(_cfg(trials=200_000, xi_grid=(1e4,)))[0].measures
         direct = m["ds_asup"].mean
@@ -297,6 +265,62 @@ class TestCommonRandomNumbers:
         independent = math.hypot(m["s_noma_asup"].std_error,
                                  m["s_oma"].std_error)
         assert m["ds_asup"].std_error < 0.75 * independent
+
+
+class _EdgeUniforms:
+    """Stands in for a Generator: every draw alternates the extreme
+    uniforms on [0, 1), 0 and the largest double below 1."""
+
+    def random(self, out):
+        out[0::2] = 0.0
+        out[1::2] = np.nextafter(1.0, 0.0)
+        return out
+
+
+class TestSamplers:
+    def test_ordered_gains_are_ascending_with_renyi_means(self):
+        rng = np.random.default_rng(17)
+        n = CHUNK_TRIALS
+        for k, beta in ((2, 1.0), (5, 2.0), (30, 0.5)):
+            g = mcsim._ordered_gains(rng, beta, np.empty((k, n)))
+            assert np.all(np.diff(g, axis=0) >= 0.0)
+            for i in range(k):
+                expected = beta * math.fsum(1.0 / (k - m) for m in range(i + 1))
+                se = float(np.std(g[i], ddof=1)) / math.sqrt(n)
+                assert abs(float(np.mean(g[i])) - expected) < 4.0 * se, (k, i)
+
+    def test_ordered_gain_rows_are_the_chunk_draw(self):
+        # drawn row by row into a workspace view, whose rows are a full
+        # chunk apart when the chunk is partial, the gains are the running
+        # sums of the gaps of one (k, n) draw
+        ws = np.empty((33, CHUNK_TRIALS))
+        for n in (CHUNK_TRIALS, 12295, 1):
+            for k in (2, 7, 30):
+                key = np.random.SeedSequence((1, 2, 0, k, 3))
+                u = np.random.Generator(np.random.Philox(key)).random((k, n))
+                gaps = np.array([-(1.5 / (k - i)) * np.log1p(-u[i])
+                                 for i in range(k)])
+                rng = np.random.Generator(np.random.Philox(key))
+                got = mcsim._ordered_gains(rng, 1.5, ws[:k, :n])
+                assert np.array_equal(got, np.cumsum(gaps, axis=0))
+
+    def test_extreme_uniforms_give_finite_gains_silently(self):
+        # a uniform of exactly 0 is the bottom of each inverse CDF; it must
+        # give a gain or gap of 0, not log(0) and a warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with np.errstate(all="raise"):
+                for k in (2, 5, 30):
+                    lo, hi = mcsim._minmax_gains(_EdgeUniforms(), k, 2.0,
+                                                 (np.empty(6), np.empty(6)))
+                    g = mcsim._ordered_gains(_EdgeUniforms(), 2.0,
+                                             np.empty((k, 6)))
+                    for v in (lo, hi, g):
+                        assert np.all(np.isfinite(v)), (k, v)
+                    assert np.all(lo[0::2] == 0.0) and np.all(hi[0::2] == 0.0)
+                    assert np.all(hi[1::2] > lo[1::2])
+                    assert np.all(g[:, 0::2] == 0.0)
+                    assert np.all(np.diff(g[:, 1::2], axis=0) > 0.0)
 
 
 class TestStatisticalHonesty:
@@ -416,17 +440,24 @@ class TestScalarApiIsTheEngine:
     """The scalar API and the Monte Carlo kernels share one implementation
     of the per-draw physics, so the API reproduces every value a kernel
     reduces, bit for bit. The kernels' intermediate vectors are recorded by
-    wrapping the engine's ``_gains``, ``_shares`` and ``_moment``."""
+    wrapping the engine's samplers (``_minmax_gains`` and
+    ``_ordered_gains``), ``_shares`` and ``_moment``."""
 
     XI_GRID = (0.1, 3.7, 1e2, 1e4, 1e6, 1e9)
 
     @staticmethod
     def _record(monkeypatch) -> dict:
         seen = {"gains": [], "shares": [], "moments": []}
-        gains, shares, moment = mcsim._gains, mcsim._shares, mcsim._moment
+        minmax, ordered = mcsim._minmax_gains, mcsim._ordered_gains
+        shares, moment = mcsim._shares, mcsim._moment
 
-        def record_gains(*args, **kwargs):
-            g = gains(*args, **kwargs)
+        def record_minmax(*args):
+            out = minmax(*args)
+            seen["gains"].append(tuple(g.copy() for g in out))
+            return out
+
+        def record_ordered(*args):
+            g = ordered(*args)
             seen["gains"].append(g.copy())
             return g
 
@@ -439,7 +470,8 @@ class TestScalarApiIsTheEngine:
             seen["moments"].append(v.copy())
             return moment(v)
 
-        monkeypatch.setattr(mcsim, "_gains", record_gains)
+        monkeypatch.setattr(mcsim, "_minmax_gains", record_minmax)
+        monkeypatch.setattr(mcsim, "_ordered_gains", record_ordered)
         monkeypatch.setattr(mcsim, "_shares", record_shares)
         monkeypatch.setattr(mcsim, "_moment", record_moment)
         return seen
@@ -459,7 +491,7 @@ class TestScalarApiIsTheEngine:
                           xi_grid=self.XI_GRID))
         checked = []
         for chunk, xi in enumerate(np.repeat(self.XI_GRID, 2).tolist()):
-            weak, strong = seen["gains"][2 * chunk:2 * chunk + 2]
+            weak, strong = seen["gains"][chunk]
             shares = seen["shares"][chunk]
             assert list(shares) == ["ainf", "asup"]
             # c1_oma, c2_oma, s_oma, then c1, c2, s, ds per share
@@ -516,8 +548,9 @@ class TestScalarApiIsTheEngine:
             assert len(seen["gains"]) == len(self.XI_GRID)
             for xi, g, total in zip(self.XI_GRID, seen["gains"],
                                     seen["moments"]):
-                for i in range(len(g)):
-                    channels = multiuser.ChannelSet(tuple(np.sort(g[i])))
+                # the sampler's K-major rows, ascending as ChannelSet demands
+                for i, gains in enumerate(g.T):
+                    channels = multiuser.ChannelSet(tuple(gains))
                     running = 0.0
                     # the API's b-vector summed strongest first, the
                     # recursion's own order
