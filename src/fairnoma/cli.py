@@ -540,7 +540,7 @@ def main(argv=None) -> int:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
     except (DomainError, QuadratureError) as exc:
-        # scipy's quadrature diagnostics span several lines; print one
+        # keep the error to one line whatever the message holds
         print("error: " + " ".join(str(exc).split()), file=sys.stderr)
         return 1
     except OSError as exc:

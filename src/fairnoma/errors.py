@@ -11,12 +11,13 @@ class QuadratureError(RuntimeError):
     iterations.
 
     Carries the best available value (for a continued fraction, its last
-    iterate) and the achieved absolute-error estimate so callers can decide
-    whether the result is still usable.
+    iterate; for a multi-component integral, a list with one per component)
+    and the achieved absolute-error estimate in the same form, so callers
+    can decide whether the result is still usable.
     """
 
-    def __init__(self, message: str, value: float | None = None,
-                 estimate: float | None = None):
+    def __init__(self, message: str, value: float | list | None = None,
+                 estimate: float | list | None = None):
         super().__init__(message)
         self.value = value
         self.estimate = estimate

@@ -15,6 +15,8 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
+import numpy as np
+
 from ._quad import integrate_interval
 from .errors import DomainError
 from .specfun import _LN4, erfcx
@@ -87,14 +89,18 @@ def alpha_pair(params: SystemParams) -> AlphaPair:
 
     def alpha1_fn(x: float) -> float:
         _require_positive("x", x)
-        s = math.sqrt(1.0 + xi * x)
-        margin = s + 1.0 - q
-        if margin <= 0.0:
+        if math.sqrt(1.0 + xi * x) + 1.0 - q <= 0.0:
             raise DomainError(
                 f"alpha1 undefined at x={x!r}: strong gain below the rate threshold")
-        return (q - 1.0) * (1.0 + s) / (xi * x * margin)
+        return float(_alpha1(x, xi, q))
 
     return AlphaPair(alpha1_fn=alpha1_fn, alpha2=alpha2)
+
+
+def _alpha1(x, xi: float, q: float):
+    """alpha1 at strong-user gain x (a float or an array), unchecked."""
+    s = np.sqrt(1.0 + xi * x)
+    return (q - 1.0) * (1.0 + s) / (xi * x * (s + 1.0 - q))
 
 
 def noma_outage_weak_ainf(params: SystemParams) -> float:
@@ -108,20 +114,21 @@ def noma_outage_weak_ainf(params: SystemParams) -> float:
     if params.r0 == 0.0:
         return 0.0
     pair = alpha_pair(params)
-    beta = params.beta
+    beta, xi = params.beta, params.xi
+    q = 2.0 ** params.r0
     y_lo = pair.alpha2 / beta
     y_hi = y_lo + _TAIL_WIDTH
 
-    def integrand(y: float) -> float:
-        if y <= y_lo:
-            # alpha1(alpha2) = 1 exactly; guards roundoff just below the edge
-            return math.exp(-2.0 * y)
-        return math.exp(-y * (pair.alpha1_fn(beta * y) + 1.0))
+    def integrand(y: np.ndarray) -> np.ndarray:
+        # alpha1(alpha2) = 1 exactly; guards roundoff just below the edge
+        with np.errstate(divide="ignore", invalid="ignore"):
+            a1 = np.where(y > y_lo, _alpha1(beta * y, xi, q), 1.0)
+        return np.exp(-y * (a1 + 1.0))
 
     value, _ = integrate_interval(integrand, y_lo, y_hi)
     a1_tail = pair.alpha1_fn(beta * y_hi)
     tail = math.exp(-y_hi * (a1_tail + 1.0)) / (1.0 + a1_tail)
-    p = 1.0 + math.exp(-2.0 * y_lo) - 2.0 * (value + tail)
+    p = 1.0 + math.exp(-2.0 * y_lo) - 2.0 * (float(value) + tail)
     return min(max(p, 0.0), 1.0)
 
 

@@ -13,6 +13,8 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 from ._quad import integrate_semi_infinite
 from .errors import DomainError
 from .specfun import _LN2, _LN4, EULER_GAMMA, digamma, exp_integral_e1_scaled
@@ -60,14 +62,12 @@ def expected_gain_asup(k: int) -> float:
     if k == 1:
         return 0.0
 
-    def integrand(y: float) -> float:
-        if y <= 0.0:
-            return 0.0
-        return (math.log(y) * k * math.exp(-y + (k - 1) * math.log1p(-math.exp(-y))))
+    def integrand(y: np.ndarray) -> np.ndarray:
+        return np.log(y) * k * np.exp(-y + (k - 1) * np.log1p(-np.exp(-y)))
 
     e_ln_max, _ = integrate_semi_infinite(integrand, scale=max(1.0, math.log(k)))
     e_ln_min = -EULER_GAMMA - math.log(k)
-    return (e_ln_max - e_ln_min) / _LN4
+    return (float(e_ln_max) - e_ln_min) / _LN4
 
 
 def expected_gain_ainf_approx(k: int, params: SystemParams) -> float:

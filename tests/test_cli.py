@@ -6,15 +6,24 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
-from fairnoma import mcsim, specfun
+from fairnoma import _quad, mcsim, specfun
 from fairnoma.cli import main
 from fairnoma.outage import oma_outage_weak
 from fairnoma.twouser import SystemParams
 
 FIG1_HEADER = ("xi_db,e_c1_oma,e_c2_oma,e_c1_noma_ainf_cf,e_c2_noma_asup_cf,"
                "e_c1_noma_ainf_mc,e_c2_noma_asup_mc,approx_c1,approx_c2")
+
+
+# argv whose closed forms once raised QuadratureError (QUADPACK roundoff
+# exits in scipy's quad)
+QUAD_ARGV = [
+    ["figure", "2", "--trials", "10", "--xi-db", "66", "--r0", "4"],
+    ["figure", "1", "--trials", "10", "--xi-db", "76", "--beta", "2"],
+]
 
 
 def run_cli(capsys, argv):
@@ -329,15 +338,26 @@ class TestFigureReproducibility:
                                 "--xi-db", "0,20",
                                 "--out-dir", str(blocker)])[0] == 3
 
-    @pytest.mark.parametrize("argv", [
-        ["figure", "2", "--trials", "10", "--xi-db", "66", "--r0", "4"],
-        ["figure", "1", "--trials", "10", "--xi-db", "76", "--beta", "2"],
-    ])
-    def test_quadrature_failure_exits_one(self, capsys, tmp_path, argv):
+    @pytest.mark.parametrize("argv", QUAD_ARGV)
+    def test_quadrature_failure_exits_one(self, capsys, tmp_path, monkeypatch,
+                                          argv):
+        # one starting panel and no bisection round cannot meet the target
+        monkeypatch.setattr(_quad, "_START", np.array([0.0, 1.0]))
+        monkeypatch.setattr(_quad, "_MAX_ROUNDS", 0)
         code, _, err = run_cli(capsys, argv + ["--out-dir", str(tmp_path)])
         assert code == 1
         assert err.startswith("error: ") and err.count("\n") == 1
+        assert "quadrature did not converge" in err
         assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("argv", QUAD_ARGV)
+    def test_former_quadrature_failures_converge(self, capsys, tmp_path, argv):
+        code, _, err = run_cli(capsys, argv + ["--out-dir", str(tmp_path)])
+        assert code == 0, err
+        _, header, rows = read_csv(tmp_path / f"figure{argv[1]}.csv")
+        cf = [row[i] for row in rows for i, name in enumerate(header)
+              if name.endswith("_cf")]
+        assert cf and all(math.isfinite(v) for v in cf)
 
     def test_continued_fraction_failure_exits_one(self, capsys, tmp_path,
                                                   monkeypatch):
@@ -425,16 +445,24 @@ class TestMultiuserCommand:
 
 
 def test_cli_import_leaves_scipy_unloaded():
-    # scipy is most of the start-up time; only quadrature imports it
+    # scipy is a test-only dependency: neither importing the CLI nor
+    # evaluating every quadrature-backed closed form may load it
     src = os.path.dirname(os.path.dirname(mcsim.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, (src, os.environ.get("PYTHONPATH")))))
-    proc = subprocess.run(
-        [sys.executable, "-c",
-         "import sys, fairnoma.cli; print('scipy' in sys.modules)"],
-        env=env, capture_output=True, text=True, timeout=60)
+    script = (
+        "import sys, fairnoma.cli\n"
+        "print('scipy' in sys.modules)\n"
+        "from fairnoma import SystemParams, ergodic_curve_point, outage_point,"
+        " expected_gain_asup\n"
+        "ergodic_curve_point(SystemParams(xi=1e3))\n"
+        "outage_point(SystemParams(xi=1e3, r0=2.0))\n"
+        "expected_gain_asup(30)\n"
+        "print('scipy' in sys.modules)\n")
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.split() == ["False", "False"]
 
 
 def test_console_entry_point_runs():

@@ -105,6 +105,42 @@ class TestNomaEndpoints:
                 assert abs(coarse - fine) <= est + 1e-13
 
 
+# (xi in dB, beta, E[C1_N(a_inf)], E[C2_N(a_sup)]) in b/s/Hz, computed once
+# with mpmath at 30 digits. Each comes from a 1-D integral that differs from
+# the package's: the other gain of the ordered pair is integrated out in
+# closed form (for C2 the strong gain x2 > x1, for C1 the weak gain
+# x1 < x2), and mpmath.quad runs on [0, inf) split at 10^k/xi.
+ENDPOINT_REFERENCE = [
+    (-10, 0.5, 0.017804516985506978269, 0.052191537084231589458),
+    (-10, 1, 0.035146103946573112058, 0.10097279842555109052),
+    (-10, 2, 0.068477382847183235272, 0.19017250252546602278),
+    (20, 0.5, 2.4295129643737189292, 3.6039911752963148882),
+    (20, 1, 2.9793655204642243738, 4.1759513370756514006),
+    (20, 2, 3.5394723363685473409, 4.7346253006169635895),
+    (50, 0.5, 7.832804591114218135, 8.8763491341245458475),
+    (50, 1, 8.3462705508597932285, 9.3798741679814468502),
+    (50, 2, 8.8566265492646854328, 9.8823759376234507036),
+    (80, 0.5, 12.868325738660553894, 13.87095399790471701),
+    (80, 1, 13.369119714648301642, 14.371066829211387973),
+    (80, 2, 13.869707121566436295, 14.871146622194512363),
+    (100, 0.5, 16.192882738794237236, 17.193228848500928844),
+    (100, 1, 16.692986536382735462, 17.693240135630000798),
+    (100, 2, 17.193062528370336306, 18.193248116927518864),
+    (120, 0.5, 19.515148688852620056, 20.515191626876027099),
+    (120, 1, 20.015161507628520944, 21.01519275562891853),
+    (120, 2, 20.51517083144553545, 21.515193553778662458),
+]
+
+
+@pytest.mark.parametrize("xi_db,beta,c1_ainf,c2_asup", ENDPOINT_REFERENCE,
+                         ids=[f"{d}dB-beta{b}" for d, b, _, _ in ENDPOINT_REFERENCE])
+def test_endpoints_match_mpmath_reference(xi_db, beta, c1_ainf, c2_asup):
+    pt = erg.ergodic_curve_point(SystemParams(xi=10.0 ** (xi_db / 10.0),
+                                              beta=beta))
+    assert pt.e_c1_noma_ainf == pytest.approx(c1_ainf, rel=1e-9)
+    assert pt.e_c2_noma_asup == pytest.approx(c2_asup, rel=1e-9)
+
+
 class TestExpectedGain:
     def test_theorem_two_both_endpoints(self):
         params = SystemParams(xi=1e5, beta=1.0)

@@ -39,6 +39,20 @@ class TestExpIntegralE1:
                 sf.exp_integral_e1(bad)
             with pytest.raises(DomainError):
                 sf.exp_integral_e1_scaled(bad)
+            with pytest.raises(DomainError):
+                sf.exp_integral_e1_scaled_array(np.array([1.0, bad]))
+
+    def test_array_variant_matches_scalar(self):
+        # a log grid, plus both sides of every switch between the series,
+        # the four Chebyshev octaves and the continued fraction
+        edges = [np.nextafter(b, side) for b in (1.0, 2.0, 4.0, 8.0, 16.0)
+                 for side in (0.0, np.inf)]
+        x = np.concatenate((np.geomspace(1e-12, 1e12, 2401),
+                            [1.0, 2.0, 4.0, 8.0, 16.0], edges))
+        got = sf.exp_integral_e1_scaled_array(x)
+        want = np.array([sf.exp_integral_e1_scaled(float(v)) for v in x])
+        assert got.shape == x.shape
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
 
     def test_scaled_variant_matches_product(self):
         for x in np.geomspace(1e-6, 500.0, 40):
