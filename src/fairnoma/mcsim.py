@@ -31,7 +31,10 @@ order with ``math.fsum``, which is exactly rounded: results are
 bit-identical under any worker count. Second moments are ``einsum`` loops,
 not BLAS dot products, so standard errors do not depend on the machine's
 BLAS thread pool either, and no BLAS threads compete with the workers.
-Workers are threads, clamped to the chunk count and the CPU count.
+Workers are the threads of one pool per sweep, which runs every (point,
+chunk) task of the grid, xi-major; they are clamped to the sweep's task
+count (points times chunks) and the CPU count. A pool per grid point would
+start its threads and wait at a barrier once per point.
 
 A chunk allocates no large arrays. Each sweep gives every worker a
 workspace of chunk-length vectors, which the kernel draws into with
@@ -89,6 +92,16 @@ _POLICY_TAGS = {"inf": "ainf", "sup": "asup", "mid": "mid"}
 _POLICIES = tuple(_POLICY_TAGS)
 
 
+def _require_int(name: str, value, low: int = 1,
+                 high: int | None = None) -> None:
+    """Raise DomainError unless ``value`` is an int in [low, high); a bool
+    is not a count, though Python makes it an int."""
+    if (isinstance(value, bool) or not isinstance(value, int) or value < low
+            or (high is not None and value >= high)):
+        bounds = f">= {low}" if high is None else f"in [{low}, {high})"
+        raise DomainError(f"{name} must be an integer {bounds}, got {value!r}")
+
+
 def _validate_policy(policy) -> None:
     if isinstance(policy, str):
         if policy not in _POLICIES:
@@ -128,10 +141,8 @@ class SimConfig:
     k_grid: tuple | None = None
 
     def __post_init__(self):
-        if not isinstance(self.trials, int) or self.trials < 1:
-            raise DomainError(f"trials must be a positive integer, got {self.trials!r}")
-        if not isinstance(self.seed, int) or not 0 <= self.seed < 2 ** 64:
-            raise DomainError(f"seed must be a 64-bit unsigned integer, got {self.seed!r}")
+        _require_int("trials", self.trials)
+        _require_int("seed", self.seed, 0, 2 ** 64)
         xi_grid = tuple(float(x) for x in self.xi_grid)
         if not xi_grid:
             raise DomainError("xi_grid must be non-empty")
@@ -141,8 +152,7 @@ class SimConfig:
             raise DomainError("xi_grid must be strictly increasing")
         object.__setattr__(self, "xi_grid", xi_grid)
         _require_positive("beta", self.beta)
-        if not isinstance(self.k_users, int) or self.k_users < 1:
-            raise DomainError(f"k_users must be a positive integer, got {self.k_users!r}")
+        _require_int("k_users", self.k_users)
         if not (math.isfinite(self.r0) and self.r0 >= 0.0):
             raise DomainError(f"r0 must be >= 0, got {self.r0!r}")
         _validate_policy(self.a_policy)
@@ -156,8 +166,10 @@ class SimConfig:
                 raise DomainError(f"k_grid sweeps the pool of scenario"
                                   f" 'pair_minmax' only, not {self.scenario!r}")
             k_grid = tuple(self.k_grid)
-            if not k_grid or any(not isinstance(k, int) or k < 1 for k in k_grid):
-                raise DomainError(f"k_grid must hold positive integers, got {self.k_grid!r}")
+            if not k_grid:
+                raise DomainError("k_grid must be non-empty")
+            for k in k_grid:
+                _require_int("k_grid entries", k)
             if any(a >= b for a, b in zip(k_grid, k_grid[1:])):
                 raise DomainError("k_grid must be strictly increasing")
             object.__setattr__(self, "k_grid", k_grid)
@@ -188,15 +200,20 @@ class GridPoint:
 # ---------------------------------------------------------------------------
 # sweep driver
 
-def _map_chunks(fn: Callable[[int], dict], n_chunks: int,
+def _map_chunks(fn: Callable[[int], dict], n_tasks: int,
                 workers: int | None) -> list:
-    """``[fn(0), ..., fn(n_chunks - 1)]``, on at most ``workers`` threads but
-    never more threads than chunks or CPUs."""
-    workers = min(workers or 1, n_chunks, os.cpu_count() or 1)
+    """``[fn(0), ..., fn(n_tasks - 1)]``, on one pool of at most ``workers``
+    threads but never more threads than tasks or CPUs; a plain loop when
+    that leaves one thread. A task that raises, or an interrupt, cancels the
+    tasks not yet started instead of waiting for the rest of the sweep."""
+    workers = min(workers or 1, n_tasks, os.cpu_count() or 1)
     if workers <= 1:
-        return [fn(ci) for ci in range(n_chunks)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, range(n_chunks)))
+        return [fn(i) for i in range(n_tasks)]
+    pool = ThreadPoolExecutor(max_workers=workers)
+    try:
+        return list(pool.map(fn, range(n_tasks)))
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 def _moment(v: np.ndarray) -> tuple[float, float]:
@@ -238,48 +255,48 @@ def _sweep(config: SimConfig, accepted: tuple,
     partial sums (``_moment`` pairs or integer counts), which are reduced in
     chunk order. ``scratch`` is an (n_scratch, n) array, one row per vector
     of the chunk's n trials, that the kernel may overwrite; it belongs to a
-    workspace reused by later chunks."""
+    workspace reused by later chunks. Every (point, chunk) task of the sweep
+    runs on one pool of at most ``workers`` threads, clamped to the task
+    count and the CPU count."""
     scenario = config.scenario
     if scenario not in accepted:
         raise DomainError(
             f"this operation takes scenario {' or '.join(map(repr, accepted))},"
             f" got {scenario!r}")
-    if workers is not None and (not isinstance(workers, int) or workers < 1):
-        raise DomainError(f"workers must be a positive integer, got {workers!r}")
-    k_grid = config.k_grid or (config.k_users,)
+    if workers is not None:
+        _require_int("workers", workers)
     n_chunks = (config.trials + CHUNK_TRIALS - 1) // CHUNK_TRIALS
-    # idle workspaces; a chunk that finds none makes one, so there are never
+    # keyed by the point itself, not its grid index, so a point's draws do
+    # not depend on which other points the grid holds
+    grid = [(xi, k, (config.seed, _SCENARIO_IDS[scenario],
+                     int(np.float64(xi).view(np.uint64)), k))
+            for xi in config.xi_grid for k in config.k_grid or (config.k_users,)]
+    # idle workspaces; a task that finds none makes one, so there are never
     # more workspaces than threads
     free = queue.SimpleQueue()
-    points = []
-    for xi in config.xi_grid:
-        # keyed by the point itself, not its grid index, so a point's draws
-        # do not depend on which other points the grid holds
-        xi_bits = int(np.float64(xi).view(np.uint64))
-        for k in k_grid:
-            key = (config.seed, _SCENARIO_IDS[scenario], xi_bits, k)
 
-            def chunk(ci: int, xi: float = xi, k: int = k,
-                      key: tuple = key) -> dict:
-                try:
-                    ws = free.get_nowait()
-                except queue.Empty:
-                    # one allocation: from 4 MB on, numpy advises huge pages
-                    # for it, so its first touch takes far fewer page faults
-                    ws = np.empty((n_scratch, CHUNK_TRIALS))
-                try:
-                    rng = np.random.Generator(
-                        np.random.Philox(np.random.SeedSequence(key + (ci,))))
-                    n = min(CHUNK_TRIALS, config.trials - ci * CHUNK_TRIALS)
-                    return kernel(rng, xi, k, ws[:, :n])
-                finally:
-                    free.put(ws)
+    def task(i: int) -> dict:
+        point, ci = divmod(i, n_chunks)
+        xi, k, key = grid[point]
+        try:
+            ws = free.get_nowait()
+        except queue.Empty:
+            # one allocation: from 4 MB on, numpy advises huge pages for it,
+            # so its first touch takes far fewer page faults
+            ws = np.empty((n_scratch, CHUNK_TRIALS))
+        try:
+            rng = np.random.Generator(
+                np.random.Philox(np.random.SeedSequence(key + (ci,))))
+            n = min(CHUNK_TRIALS, config.trials - ci * CHUNK_TRIALS)
+            return kernel(rng, xi, k, ws[:, :n])
+        finally:
+            free.put(ws)
 
-            parts = _map_chunks(chunk, n_chunks, workers)
-            points.append(GridPoint(xi=xi, k=k,
-                                    measures=_reduce(parts, config.trials,
-                                                     config.seed)))
-    return points
+    parts = _map_chunks(task, len(grid) * n_chunks, workers)
+    return [GridPoint(xi=xi, k=k,
+                      measures=_reduce(parts[p * n_chunks:(p + 1) * n_chunks],
+                                       config.trials, config.seed))
+            for p, (xi, k, _) in enumerate(grid)]
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import time
 import warnings
 
 import numpy as np
@@ -76,6 +77,17 @@ class TestConfigValidation:
         with pytest.raises(DomainError):
             _cfg(scenario="pair_iid", k_users=3)
 
+    @pytest.mark.parametrize("field,options", [
+        ("trials", {"trials": True}),
+        ("seed", {"seed": False}),
+        ("k_users", {"scenario": "multiuser", "k_users": True}),
+        ("k_grid", {"scenario": "pair_minmax", "k_grid": (True, 3)}),
+    ])
+    def test_rejects_booleans_as_counts(self, field, options):
+        # a bool is an int to Python, but True is no trial count
+        with pytest.raises(DomainError, match=field):
+            _cfg(**options)
+
     def test_scenario_mismatch_raises(self):
         with pytest.raises(DomainError):
             run_pairing(_cfg(scenario="multiuser"))
@@ -140,42 +152,78 @@ class TestDeterminism:
         assert res.xi == 100.0 and res.k == 2
 
 
+@pytest.fixture
+def pool_sizes(monkeypatch) -> list:
+    """The size of every pool the engine builds, one entry per pool, in
+    order: ThreadPoolExecutor is replaced by a stand-in that records its
+    size, starts no thread, and maps serially."""
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+        def shutdown(self, cancel_futures=False):
+            pass
+
+    monkeypatch.setattr(mcsim, "ThreadPoolExecutor", RecordingPool)
+    return sizes
+
+
 class TestWorkers:
-    def test_pool_clamped_to_chunks_and_cpus(self, monkeypatch):
-        sizes = []
-
-        class RecordingPool:
-            """Stands in for ThreadPoolExecutor: records its size, starts no
-            thread, and maps serially."""
-
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, items):
-                return map(fn, items)
-
-        monkeypatch.setattr(mcsim, "ThreadPoolExecutor", RecordingPool)
+    def test_pool_clamped_to_chunks_and_cpus(self, pool_sizes, monkeypatch):
         monkeypatch.setattr(mcsim.os, "cpu_count", lambda: 8)
         assert mcsim._map_chunks(lambda ci: ci * ci, 3, 16) == [0, 1, 4]
         assert mcsim._map_chunks(lambda ci: ci, 20, 16) == list(range(20))
         assert mcsim._map_chunks(lambda ci: ci, 20, 5) == list(range(20))
-        assert sizes == [3, 8, 5]
+        assert pool_sizes == [3, 8, 5]
         monkeypatch.setattr(mcsim.os, "cpu_count", lambda: 1)
         assert mcsim._map_chunks(lambda ci: ci, 4, 4) == [0, 1, 2, 3]
         monkeypatch.setattr(mcsim.os, "cpu_count", lambda: 8)
         assert mcsim._map_chunks(lambda ci: ci, 1, 4) == [0]
         assert mcsim._map_chunks(lambda ci: ci, 4, None) == [0, 1, 2, 3]
-        assert sizes == [3, 8, 5]
+        assert pool_sizes == [3, 8, 5]
+
+    def test_one_pool_per_sweep(self, pool_sizes, monkeypatch):
+        # every (point, chunk) task of a sweep goes to one pool of
+        # min(workers, points * chunks, cpu_count) threads, or to none
+        pairs = _cfg(trials=3 * CHUNK_TRIALS + 5, xi_grid=(10.0, 100.0, 1e3))
+        multi = _cfg(trials=100, scenario="multiuser", k_users=3,
+                     xi_grid=(10.0, 1e3))
+        serial = run_pairing(pairs) + run_multiuser_power(multi)
+        assert pool_sizes == []
+        for workers, cpus, sizes in ((2, 8, [2, 2]), (16, 8, [8, 2]),
+                                     (16, 64, [12, 2]), (4, 1, []),
+                                     (1, 8, [])):
+            monkeypatch.setattr(mcsim.os, "cpu_count", lambda cpus=cpus: cpus)
+            pool_sizes.clear()
+            points = (run_pairing(pairs, workers)
+                      + run_multiuser_power(multi, workers))
+            assert pool_sizes == sizes, (workers, cpus)
+            assert [p.measures for p in points] == [p.measures for p in serial]
+
+    def test_failing_task_cancels_the_rest(self, monkeypatch):
+        # with one pool per sweep, the tasks still queued after a failure
+        # are the rest of the whole grid: they are cancelled, not run
+        monkeypatch.setattr(mcsim.os, "cpu_count", lambda: 2)
+        ran = []
+
+        def task(i):
+            if i == 0:
+                raise ValueError("task 0")
+            time.sleep(0.001)
+            ran.append(i)
+
+        with pytest.raises(ValueError, match="task 0"):
+            mcsim._map_chunks(task, 1000, 2)
+        assert len(ran) < 100, len(ran)
 
     def test_rejects_worker_counts_below_one(self):
-        for workers in (0, -3, 1.5):
-            with pytest.raises(DomainError):
+        for workers in (0, -3, 1.5, True):
+            with pytest.raises(DomainError, match="workers"):
                 run_outage(_cfg(trials=100, r0=1.0), workers=workers)
 
     def test_threads_never_share_a_workspace(self, monkeypatch):

@@ -124,6 +124,31 @@ class TestSampling:
             se = float(np.std(mn, ddof=1)) / 1000.0
             assert abs(float(np.mean(mn)) - beta / 10) < 3.0 * se
 
+    @pytest.mark.parametrize("k", (2, 7, 30))
+    @pytest.mark.parametrize("beta", (0.5, 2.0))
+    def test_distribution_matches_exact_cdfs(self, k, beta):
+        # Both checks share one critical value at alpha = 1e-6: by the
+        # Dvoretzky-Kiefer-Wolfowitz inequality with Massart's constant,
+        # P(sup |F_n - F| > eps) <= 2 exp(-2 n eps^2) for every n, and by
+        # Hoeffding's the same bound holds for one joint-CDF point.
+        n = 200_000
+        eps = math.sqrt(math.log(2.0 / 1e-6) / (2.0 * n))
+        mn, mx = engine_minmax(k, beta, np.random.default_rng(31), n)
+        marginals = ((mn, lambda x: -np.expm1(-k * x / beta)),
+                     (mx, lambda x: (-np.expm1(-x / beta)) ** k))
+        for sample, cdf in marginals:
+            f = cdf(np.sort(sample))
+            i = np.arange(1, n + 1)
+            ks = float(max(np.max(i / n - f), np.max(f - (i - 1) / n)))
+            assert ks < eps, (k, beta, ks, eps)
+        # min around beta/k, max around beta*H_k
+        for q in (0.1, 0.5, 1.5):
+            for r in (0.5, 1.0, 2.0):
+                x0, xm = q * beta / k, r * beta * harmonic_number(k)
+                emp = float(np.mean((mn <= x0) & (mx <= xm)))
+                cdf = pairing.minmax_joint_cdf(x0, xm, k, beta)
+                assert abs(emp - cdf) < eps, (k, beta, x0, xm, emp, cdf)
+
 
 class TestUpperEndpointGain:
     def test_small_pools_exact(self):
