@@ -27,7 +27,6 @@ from .twouser import (
     noma_capacity_weak,
     oma_capacity,
     sum_rate,
-    sum_rate_oma,
 )
 from .ergodic import (
     ErgodicCurvePoint,
@@ -57,9 +56,7 @@ from .pairing import (
 from .multiuser import (
     AllocationVector,
     ChannelSet,
-    InterferenceLadder,
     full_alloc_a,
-    interference_ladder,
     min_alloc_b,
     noma_capacity_k,
     oma_capacity_k,
@@ -70,7 +67,6 @@ from .mcsim import (
     GridPoint,
     SimConfig,
     SimResult,
-    noma_outage_empirical,
     run_multiuser_power,
     run_outage,
     run_pairing,
@@ -86,7 +82,6 @@ __all__ = [
     "EULER_GAMMA",
     "FairRegion",
     "GridPoint",
-    "InterferenceLadder",
     "OutagePoint",
     "QuadratureError",
     "SimConfig",
@@ -110,14 +105,12 @@ __all__ = [
     "full_alloc_a",
     "high_snr_capacities",
     "high_snr_ergodic_approx",
-    "interference_ladder",
     "min_alloc_b",
     "minmax_joint_cdf",
     "minmax_joint_pdf",
     "noma_capacity_k",
     "noma_capacity_strong",
     "noma_capacity_weak",
-    "noma_outage_empirical",
     "noma_outage_strong_asup",
     "noma_outage_weak_ainf",
     "oma_capacity",
@@ -129,7 +122,6 @@ __all__ = [
     "run_outage",
     "run_pairing",
     "sum_rate",
-    "sum_rate_oma",
     "verify_fairness",
     "with_residual_to_strongest",
     "__version__",

@@ -5,7 +5,8 @@ capacities at its endpoints for one channel pair, ``figure`` sweeps a grid
 and writes one CSV per canonical figure (closed forms next to Monte Carlo
 estimates) together with a JSON manifest that reproduces the run, and
 ``multiuser`` prints the K-user minimum and full power vectors with their
-fairness slacks.
+fairness slacks. A figure is defined in one place, the ``_FIGURES`` table:
+its defaults, its sweep, its closed forms, its columns and its plot style.
 
 Decibels exist only at this boundary: every flag named ``--xi-db`` is
 converted to linear SNR on entry and echoed in both forms. CSV cells carry
@@ -22,6 +23,7 @@ import json
 import math
 import os
 import sys
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -52,26 +54,6 @@ from .twouser import (
 
 OUT_DIR_ENV = "FAIRNOMA_OUT_DIR"
 
-_FIGURE_IDS = (1, 2, 3, 4, 5, 6)
-
-# grid/parameter defaults per figure; xi_db is a sweep except for the
-# K-sweep figures 3 and 5, which pin a single SNR
-_XI_SWEEP = tuple(float(d) for d in range(0, 61, 2))
-_K_SWEEP = tuple(range(2, 31))
-_FIG_DEFAULTS = {
-    1: {"xi_db": _XI_SWEEP},
-    2: {"xi_db": _XI_SWEEP, "r0": 2.0},
-    3: {"xi_db": (50.0,), "k_grid": _K_SWEEP},
-    4: {"xi_db": _XI_SWEEP, "k": 10, "fixed_share": 0.2},
-    5: {"xi_db": (50.0,), "k_grid": _K_SWEEP, "fixed_share": 0.2},
-    6: {"xi_db": _XI_SWEEP, "k": 5},
-}
-_COMMON_DEFAULTS = {"trials": 1_000_000, "seed": 12345, "beta": 1.0}
-
-_FIG1_HEADER = ("xi_db,e_c1_oma,e_c2_oma,e_c1_noma_ainf_cf,e_c2_noma_asup_cf,"
-                "e_c1_noma_ainf_mc,e_c2_noma_asup_mc,approx_c1,approx_c2")
-
-
 def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
@@ -81,7 +63,10 @@ def _txt(x: float) -> str:
 
 
 def _db_to_linear(db: float) -> float:
-    return 10.0 ** (db / 10.0)
+    try:
+        return 10.0 ** (db / 10.0)
+    except OverflowError:
+        raise DomainError(f"SNR of {db!r} dB overflows a double") from None
 
 
 def _linear_to_db(xi: float) -> float:
@@ -159,6 +144,82 @@ def cmd_region(args: argparse.Namespace) -> int:
 # figure
 
 
+# xi_db is a sweep except for the K-sweep figures 3 and 5, which pin a
+# single SNR
+_XI_SWEEP = tuple(float(d) for d in range(0, 61, 2))
+_K_SWEEP = tuple(range(2, 31))
+_COMMON_DEFAULTS = {"trials": 1_000_000, "seed": 12345, "beta": 1.0}
+
+
+def _system_params(pt, p: dict) -> SystemParams:
+    # r0 only for the figure that takes it; the others keep the default
+    return SystemParams(xi=pt.xi, **{key: p[key] for key in ("beta", "r0")
+                                     if key in p})
+
+
+def _ergodic(pt, p: dict) -> dict:
+    params = _system_params(pt, p)
+    cf = vars(ergodic_curve_point(params))
+    ap1, ap2 = high_snr_ergodic_approx(params)
+    return {**cf, "approx_c1": ap1, "approx_c2": ap2}
+
+
+class _Figure(NamedTuple):
+    """One figure: its parameters beyond ``_COMMON_DEFAULTS``, the runner
+    and scenario of its sweep, the closed forms of a grid point
+    (``closed_form(point, params)``, a dict) if it has any, and its CSV
+    columns after the x column as (name, source) pairs. A column named
+    ``*_mc`` is the Monte Carlo mean of the measure ``source``, any other
+    the closed form ``source``. The x column is ``k`` if the figure sweeps
+    ``k_grid``, else ``xi_db``."""
+
+    defaults: dict
+    runner: Callable
+    scenario: str
+    closed_form: Callable | None
+    columns: tuple
+    plot: tuple = ("plot", "b/s/Hz")   # pyplot function, y-axis label
+
+
+_FIGURES = {
+    1: _Figure({"xi_db": _XI_SWEEP}, run_pairing, "pair_iid", _ergodic, (
+        ("e_c1_oma", "e_c1_oma"), ("e_c2_oma", "e_c2_oma"),
+        ("e_c1_noma_ainf_cf", "e_c1_noma_ainf"),
+        ("e_c2_noma_asup_cf", "e_c2_noma_asup"),
+        ("e_c1_noma_ainf_mc", "c1_noma_ainf"),
+        ("e_c2_noma_asup_mc", "c2_noma_asup"),
+        ("approx_c1", "approx_c1"), ("approx_c2", "approx_c2"))),
+    2: _Figure({"xi_db": _XI_SWEEP, "r0": 2.0}, run_outage, "pair_iid",
+               lambda pt, p: vars(outage_point(_system_params(pt, p))), (
+        ("p_oma_weak_cf", "p_oma_weak"), ("p_oma_strong_cf", "p_oma_strong"),
+        ("p_noma_weak_ainf_cf", "p_noma_weak_ainf"),
+        ("p_noma_strong_asup_cf", "p_noma_strong_asup"),
+        ("p_oma_weak_mc", "p_oma_weak"), ("p_oma_strong_mc", "p_oma_strong"),
+        ("p_noma_weak_ainf_mc", "p_noma_weak_ainf"),
+        ("p_noma_strong_asup_mc", "p_noma_strong_asup"),
+        ("p_noma_weak_mid_mc", "p_noma_weak_mid"),
+        ("p_noma_strong_mid_mc", "p_noma_strong_mid")),
+        plot=("semilogy", "outage probability")),
+    3: _Figure({"xi_db": (50.0,), "k_grid": _K_SWEEP}, run_pairing,
+               "pair_minmax", None, (
+        ("c_min_oma_mc", "c1_oma"), ("c_max_oma_mc", "c2_oma"),
+        ("c_min_ainf_mc", "c1_noma_ainf"), ("c_max_ainf_mc", "c2_noma_ainf"),
+        ("c_min_asup_mc", "c1_noma_asup"), ("c_max_asup_mc", "c2_noma_asup"))),
+    4: _Figure({"xi_db": _XI_SWEEP, "k": 10, "fixed_share": 0.2},
+               run_pairing, "pair_minmax", None, (
+        ("s_oma_mc", "s_oma"), ("s_ainf_mc", "s_noma_ainf"),
+        ("s_asup_mc", "s_noma_asup"), ("s_fixed_mc", "s_noma_fixed"))),
+    5: _Figure({"xi_db": (50.0,), "k_grid": _K_SWEEP, "fixed_share": 0.2},
+               run_pairing, "pair_minmax",
+               lambda pt, p: {"gain_asup": expected_gain_asup(pt.k)}, (
+        ("ds_ainf_mc", "ds_ainf"), ("ds_asup_mc", "ds_asup"),
+        ("ds_fixed_mc", "ds_fixed"), ("gain_asup_cf", "gain_asup"))),
+    6: _Figure({"xi_db": _XI_SWEEP, "k": 5}, run_multiuser_power, "multiuser",
+               None, (("e_sum_b_mc", "sum_b"),),
+               plot=("plot", "mean total power fraction")),
+}
+
+
 def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
@@ -200,7 +261,13 @@ def _resolve_figure_params(args: argparse.Namespace) -> dict:
                 raise _Usage(f"config file {args.config} is not valid JSON:"
                              f" {exc}")
         if isinstance(data, dict) and "command" in data:
-            # a manifest: unwrap its config echo
+            # a manifest re-runs on its own stream only; one written before
+            # stream 2 records no version
+            found = data.get("stream_version", "1 (none recorded)")
+            if found != STREAM_VERSION:
+                raise _Usage(f"manifest {args.config} was drawn from random "
+                             f"stream version {found}, but this build draws "
+                             f"stream version {STREAM_VERSION}")
             data = data.get("config", {})
         if not isinstance(data, dict):
             raise _Usage(f"config file {args.config} must hold a JSON object,"
@@ -210,13 +277,13 @@ def _resolve_figure_params(args: argparse.Namespace) -> dict:
     figure = args.figure
     if figure is None:
         figure = cfg.get("figure")
-    if not _is_int(figure) or figure not in _FIGURE_IDS:
-        raise _Usage(f"figure must be one of {list(_FIGURE_IDS)}, "
+    if not _is_int(figure) or figure not in _FIGURES:
+        raise _Usage(f"figure must be one of {list(_FIGURES)}, "
                      f"got {figure!r}")
 
     resolved = dict(_COMMON_DEFAULTS)
     resolved["figure"] = figure
-    resolved.update(_FIG_DEFAULTS[figure])
+    resolved.update(_FIGURES[figure].defaults)
     # a null config value is a value, and fails its type check below; an
     # unset flag is None
     given = dict(cfg)
@@ -250,95 +317,26 @@ def _resolve_figure_params(args: argparse.Namespace) -> dict:
 _SIM_FIELDS = {"k": "k_users", "fixed_share": "a_policy"}
 
 
-def _run(runner, p: dict, scenario: str, workers) -> list:
-    """``runner``'s grid points for the figure parameters ``p``."""
+def _figure_rows(fig: _Figure, p: dict, workers) -> tuple:
+    """The CSV header and rows of ``fig`` for the figure parameters ``p``."""
     fields = {_SIM_FIELDS.get(key, key): value for key, value in p.items()
               if key not in ("figure", "xi_db")}
-    config = SimConfig(xi_grid=tuple(_db_to_linear(d) for d in p["xi_db"]),
-                       scenario=scenario, **fields)
-    return runner(config, workers)
-
-
-def _fig1_rows(p: dict, workers) -> tuple:
+    points = fig.runner(SimConfig(
+        xi_grid=tuple(_db_to_linear(d) for d in p["xi_db"]),
+        scenario=fig.scenario, **fields), workers)
+    x = "k" if "k_grid" in fig.defaults else "xi_db"
     rows = []
-    for db, pt in zip(p["xi_db"], _run(run_pairing, p, "pair_iid", workers)):
-        params = SystemParams(xi=pt.xi, beta=p["beta"])
-        cf = ergodic_curve_point(params)
-        ap1, ap2 = high_snr_ergodic_approx(params)
-        rows.append([db, cf.e_c1_oma, cf.e_c2_oma,
-                     cf.e_c1_noma_ainf, cf.e_c2_noma_asup,
-                     pt.measures["c1_noma_ainf"].mean,
-                     pt.measures["c2_noma_asup"].mean, ap1, ap2])
-    return _FIG1_HEADER, rows
-
-
-def _fig2_rows(p: dict, workers) -> tuple:
-    rows = []
-    for db, pt in zip(p["xi_db"], _run(run_outage, p, "pair_iid", workers)):
-        params = SystemParams(xi=pt.xi, beta=p["beta"], r0=p["r0"])
-        cf = outage_point(params)
-        m = pt.measures
-        rows.append([db, cf.p_oma_weak, cf.p_oma_strong,
-                     cf.p_noma_weak_ainf, cf.p_noma_strong_asup,
-                     m["p_oma_weak"].mean, m["p_oma_strong"].mean,
-                     m["p_noma_weak_ainf"].mean, m["p_noma_strong_asup"].mean,
-                     m["p_noma_weak_mid"].mean, m["p_noma_strong_mid"].mean])
-    header = ("xi_db,p_oma_weak_cf,p_oma_strong_cf,p_noma_weak_ainf_cf,"
-              "p_noma_strong_asup_cf,p_oma_weak_mc,p_oma_strong_mc,"
-              "p_noma_weak_ainf_mc,p_noma_strong_asup_mc,p_noma_weak_mid_mc,"
-              "p_noma_strong_mid_mc")
-    return header, rows
-
-
-def _fig3_rows(p: dict, workers) -> tuple:
-    rows = []
-    for pt in _run(run_pairing, p, "pair_minmax", workers):
-        m = pt.measures
-        rows.append([pt.k, m["c1_oma"].mean, m["c2_oma"].mean,
-                     m["c1_noma_ainf"].mean, m["c2_noma_ainf"].mean,
-                     m["c1_noma_asup"].mean, m["c2_noma_asup"].mean])
-    header = ("k,c_min_oma_mc,c_max_oma_mc,c_min_ainf_mc,c_max_ainf_mc,"
-              "c_min_asup_mc,c_max_asup_mc")
-    return header, rows
-
-
-def _fig4_rows(p: dict, workers) -> tuple:
-    rows = []
-    for db, pt in zip(p["xi_db"],
-                      _run(run_pairing, p, "pair_minmax", workers)):
-        m = pt.measures
-        rows.append([db, m["s_oma"].mean, m["s_noma_ainf"].mean,
-                     m["s_noma_asup"].mean, m["s_noma_fixed"].mean])
-    return "xi_db,s_oma_mc,s_ainf_mc,s_asup_mc,s_fixed_mc", rows
-
-
-def _fig5_rows(p: dict, workers) -> tuple:
-    rows = []
-    for pt in _run(run_pairing, p, "pair_minmax", workers):
-        m = pt.measures
-        rows.append([pt.k, m["ds_ainf"].mean, m["ds_asup"].mean,
-                     m["ds_fixed"].mean, expected_gain_asup(pt.k)])
-    return "k,ds_ainf_mc,ds_asup_mc,ds_fixed_mc,gain_asup_cf", rows
-
-
-def _fig6_rows(p: dict, workers) -> tuple:
-    mc = _run(run_multiuser_power, p, "multiuser", workers)
-    rows = [[db, pt.measures["sum_b"].mean] for db, pt in zip(p["xi_db"], mc)]
-    return "xi_db,e_sum_b_mc", rows
-
-
-_FIG_BUILDERS = {1: _fig1_rows, 2: _fig2_rows, 3: _fig3_rows,
-                 4: _fig4_rows, 5: _fig5_rows, 6: _fig6_rows}
-
-_PLOT_STYLE = {
-    2: ("semilogy", "outage probability"),
-    6: ("plot", "mean total power fraction"),
-}
+    for x_value, pt in zip([pt.k for pt in points] if x == "k"
+                           else p["xi_db"], points):
+        cf = fig.closed_form(pt, p) if fig.closed_form else {}
+        rows.append([x_value] + [pt.measures[src].mean if name.endswith("_mc")
+                                 else cf[src] for name, src in fig.columns])
+    return ",".join([x] + [name for name, _ in fig.columns]), rows
 
 
 def _plot_script(figure: int, csv_name: str, header: str) -> str:
     cols = header.split(",")
-    plot_fn, ylabel = _PLOT_STYLE.get(figure, ("plot", "b/s/Hz"))
+    plot_fn, ylabel = _FIGURES[figure].plot
     return f'''"""Plot {csv_name}."""
 
 import csv
@@ -367,7 +365,7 @@ def cmd_figure(args: argparse.Namespace) -> int:
     out_dir = args.out_dir or os.environ.get(OUT_DIR_ENV) or "."
     os.makedirs(out_dir, exist_ok=True)
 
-    header, rows = _FIG_BUILDERS[figure](p, args.workers)
+    header, rows = _figure_rows(_FIGURES[figure], p, args.workers)
 
     csv_name = f"figure{figure}.csv"
     csv_path = os.path.join(out_dir, csv_name)
@@ -487,7 +485,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     figure = sub.add_parser(
         "figure", help="write one canonical figure as CSV plus manifest")
-    figure.add_argument("figure", type=int, choices=_FIGURE_IDS, nargs="?",
+    figure.add_argument("figure", type=int, choices=_FIGURES, nargs="?",
                         help="figure id (may come from --config instead)")
     figure.add_argument("--trials", type=int)
     figure.add_argument("--seed", type=int)

@@ -74,7 +74,7 @@ import numpy as np
 
 from .errors import DomainError
 from .multiuser import _min_power_total
-from .twouser import (SystemParams, _oma_rate, _pair_rates, _rate_threshold,
+from .twouser import (_oma_rate, _pair_rates, _rate_threshold,
                       _require_positive, _share_bound)
 
 #: trials per substream chunk; fixed so parallel partitioning cannot move
@@ -87,9 +87,7 @@ STREAM_VERSION = 2
 
 _SCENARIO_IDS = {"pair_iid": 1, "pair_minmax": 2, "multiuser": 3}
 
-#: measure-name tag of each named a-policy; a numeric share is tagged 'fixed'
-_POLICY_TAGS = {"inf": "ainf", "sup": "asup", "mid": "mid"}
-_POLICIES = tuple(_POLICY_TAGS)
+_POLICIES = ("inf", "sup", "mid")
 
 
 def _require_int(name: str, value, low: int = 1,
@@ -437,22 +435,6 @@ def run_outage(config: SimConfig, workers: int | None = None) -> list:
 
     # SNRs, rates, and the shares of both endpoints, mid and a fixed policy
     return _sweep(config, ("pair_iid",), kernel, workers, 8)
-
-
-def noma_outage_empirical(params: SystemParams, a_policy, trials: int,
-                          seed: int, workers: int | None = None,
-                          ) -> tuple[SimResult, SimResult]:
-    """Monte Carlo outage frequencies (weak, strong) under any share policy.
-
-    Deterministic given (params, trials, seed); policies share draws, so
-    policy comparisons at one seed are paired.
-    """
-    config = SimConfig(trials=trials, seed=seed, xi_grid=(params.xi,),
-                       beta=params.beta, r0=params.r0, a_policy=a_policy,
-                       scenario="pair_iid")
-    m = run_outage(config, workers=workers)[0].measures
-    tag = _POLICY_TAGS.get(a_policy, "fixed")
-    return m[f"p_noma_weak_{tag}"], m[f"p_noma_strong_{tag}"]
 
 
 def run_pairing(config: SimConfig, workers: int | None = None) -> list:

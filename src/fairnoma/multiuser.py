@@ -68,23 +68,6 @@ class AllocationVector:
         object.__setattr__(self, "coeffs", coeffs)
 
 
-@dataclass(frozen=True)
-class InterferenceLadder:
-    """Remaining-power levels A_0 = 1 >= A_1 >= ... seen down the SIC chain."""
-
-    a_levels: tuple
-
-    def __post_init__(self):
-        levels = tuple(float(v) for v in self.a_levels)
-        if not levels or levels[0] != 1.0:
-            raise DomainError("ladder must start at 1")
-        if any(b >= a for a, b in zip(levels, levels[1:])):
-            raise DomainError("ladder must be strictly decreasing")
-        if levels[-1] < -1e-12:
-            raise DomainError("ladder must stay nonnegative")
-        object.__setattr__(self, "a_levels", levels)
-
-
 def _check_user_index(k: int, n_users: int) -> None:
     if not isinstance(k, int) or not 1 <= k <= n_users:
         raise IndexError(f"user index must be in 1..{n_users}, got {k!r}")
@@ -186,14 +169,6 @@ def full_alloc_a(xi: float, channels: ChannelSet) -> AllocationVector:
         coeffs.append(a)
         level -= a
     return AllocationVector(coeffs=tuple(coeffs), residual=level, kind="a_full")
-
-
-def interference_ladder(alloc: AllocationVector) -> InterferenceLadder:
-    """Remaining-power levels implied by an allocation, starting at 1."""
-    levels = [1.0]
-    for c in alloc.coeffs:
-        levels.append(levels[-1] - c)
-    return InterferenceLadder(a_levels=tuple(levels))
 
 
 def with_residual_to_strongest(alloc: AllocationVector) -> AllocationVector:

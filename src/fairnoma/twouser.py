@@ -209,11 +209,6 @@ def sum_rate(xi: float, ch: ChannelPair, a: float) -> float:
             + noma_capacity_strong(xi, ch.g2, a))
 
 
-def sum_rate_oma(xi: float, ch: ChannelPair) -> float:
-    """OMA sum rate S_O = C1_O + C2_O."""
-    return oma_capacity(xi, ch.g1) + oma_capacity(xi, ch.g2)
-
-
 class HighSnrCapacities(NamedTuple):
     c1_oma: float
     c2_oma: float

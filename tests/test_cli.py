@@ -1,5 +1,6 @@
 """Front-end behavior: output schemas, exit codes, and reproducibility."""
 
+import ast
 import json
 import math
 import os
@@ -14,8 +15,21 @@ from fairnoma.cli import main
 from fairnoma.outage import oma_outage_weak
 from fairnoma.twouser import SystemParams
 
-FIG1_HEADER = ("xi_db,e_c1_oma,e_c2_oma,e_c1_noma_ainf_cf,e_c2_noma_asup_cf,"
-               "e_c1_noma_ainf_mc,e_c2_noma_asup_mc,approx_c1,approx_c2")
+# every figure's CSV header; the golden hashes pin these too, but only under
+# the numpy they were recorded with
+FIGURE_HEADERS = {
+    1: "xi_db,e_c1_oma,e_c2_oma,e_c1_noma_ainf_cf,e_c2_noma_asup_cf,"
+       "e_c1_noma_ainf_mc,e_c2_noma_asup_mc,approx_c1,approx_c2",
+    2: "xi_db,p_oma_weak_cf,p_oma_strong_cf,p_noma_weak_ainf_cf,"
+       "p_noma_strong_asup_cf,p_oma_weak_mc,p_oma_strong_mc,"
+       "p_noma_weak_ainf_mc,p_noma_strong_asup_mc,p_noma_weak_mid_mc,"
+       "p_noma_strong_mid_mc",
+    3: "k,c_min_oma_mc,c_max_oma_mc,c_min_ainf_mc,c_max_ainf_mc,"
+       "c_min_asup_mc,c_max_asup_mc",
+    4: "xi_db,s_oma_mc,s_ainf_mc,s_asup_mc,s_fixed_mc",
+    5: "k,ds_ainf_mc,ds_asup_mc,ds_fixed_mc,gain_asup_cf",
+    6: "xi_db,e_sum_b_mc",
+}
 
 
 # argv whose closed forms once raised QuadratureError (QUADPACK roundoff
@@ -97,6 +111,13 @@ class TestRegion:
         assert run_cli(capsys, ["region", "--xi", "1", "--g1", "1",
                                 "--g2", "2", "--beta", "7"])[0] == 2
 
+    def test_overflowing_xi_db_exits_1(self, capsys):
+        # 10**400 is no double: one error line, not an OverflowError traceback
+        code, out, err = run_cli(capsys, ["region", "--xi-db", "4000",
+                                          "--g1", "1", "--g2", "2"])
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+
 
 class TestFigureOutputs:
     def test_figure1_schema_and_values(self, capsys, tmp_path):
@@ -105,7 +126,6 @@ class TestFigureOutputs:
             "--out-dir", str(tmp_path)])
         assert code == 0
         text, header, rows = read_csv(tmp_path / "figure1.csv")
-        assert text.split("\n")[0] == FIG1_HEADER
         assert "\r" not in text
         assert [r[0] for r in rows] == [0.0, 20.0, 40.0]
         cols = dict(zip(header, zip(*rows)))
@@ -163,6 +183,23 @@ class TestFigureOutputs:
                  for c in line.split(",")]
         assert all(format(float(c), ".17g") == c for c in cells)
 
+    @pytest.mark.parametrize("figure", sorted(FIGURE_HEADERS))
+    def test_header_and_plot_columns(self, capsys, tmp_path, figure):
+        grid = ["--k-grid", "2"] if figure in (3, 5) else ["--xi-db", "20"]
+        code, _, _ = run_cli(capsys, ["figure", str(figure), "--trials", "10",
+                                      "--plot", "--out-dir", str(tmp_path)]
+                             + grid)
+        assert code == 0
+        header = (tmp_path / f"figure{figure}.csv").read_text(
+            encoding="utf-8").split("\n")[0]
+        assert header == FIGURE_HEADERS[figure]
+        script = (tmp_path / f"figure{figure}_plot.py").read_text(
+            encoding="utf-8")
+        loop = next(line for line in script.splitlines()
+                    if line.startswith("for col in "))
+        assert (ast.literal_eval(loop[len("for col in "):-1])
+                == header.split(",")[1:])
+
     def test_plot_script_written_and_compiles(self, capsys, tmp_path):
         run_cli(capsys, ["figure", "6", "--trials", "2000", "--xi-db", "0,20",
                          "--out-dir", str(tmp_path), "--plot"])
@@ -176,7 +213,8 @@ _BAD_CONFIGS = {
     "malformed-json": '{"figure": 6, "trials": ',
     "array": '[6, 1000]',
     "string": '"figure 6"',
-    "manifest-array": '{"command": "figure", "config": [6]}',
+    "manifest-array": '{"command": "figure", "stream_version": 2,'
+                      ' "config": [6]}',
     "xi_db-string": '{"figure": 6, "trials": 200, "xi_db": "abc"}',
     "xi_db-list-string": '{"figure": 6, "trials": 200, "xi_db": [0, "20"]}',
     "beta-string": '{"figure": 6, "trials": 200, "beta": "x"}',
@@ -233,6 +271,29 @@ class TestFigureReproducibility:
         assert code == 0
         assert ((first / "figure5.csv").read_bytes()
                 == (rerun / "figure5.csv").read_bytes())
+
+    @pytest.mark.parametrize("stream", [1, None], ids=["v1", "unrecorded"])
+    def test_manifest_of_another_stream_exits_2(self, capsys, tmp_path,
+                                                stream):
+        # re-run on another stream, it would write other bytes without a word
+        code, _, _ = run_cli(capsys, ["figure", "6", "--trials", "10",
+                                      "--xi-db", "20",
+                                      "--out-dir", str(tmp_path / "first")])
+        assert code == 0
+        path = tmp_path / "first" / "figure6_manifest.json"
+        manifest = json.loads(path.read_text(encoding="utf-8"))
+        if stream is None:   # as manifests were written before stream 2
+            del manifest["stream_version"]
+        else:
+            manifest["stream_version"] = stream
+        path.write_text(json.dumps(manifest), encoding="utf-8")
+        code, out, err = run_cli(capsys, ["figure", "--config", str(path),
+                                          "--out-dir", str(tmp_path / "rerun")])
+        assert code == 2 and out == ""
+        assert err.startswith("usage error: ") and err.count("\n") == 1, err
+        assert "version 1" in err
+        assert f"version {mcsim.STREAM_VERSION}" in err
+        assert not (tmp_path / "rerun").exists()
 
     @pytest.mark.parametrize("figure,subset", [(1, "30"), (6, "0,30")])
     def test_grid_subset_reproduces_its_rows(self, capsys, tmp_path, figure,
@@ -338,6 +399,18 @@ class TestFigureReproducibility:
                                 "--xi-db", "0,20",
                                 "--out-dir", str(blocker)])[0] == 3
 
+    def test_overflowing_xi_db_exits_1(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"figure": 6, "trials": 10, "xi_db": 4000}',
+                       encoding="utf-8")
+        for argv in (["figure", "1", "--trials", "10", "--xi-db", "4000"],
+                     ["figure", "--config", str(cfg)]):
+            code, out, err = run_cli(capsys, argv + ["--out-dir",
+                                                     str(tmp_path)])
+            assert code == 1 and out == ""
+            assert err.startswith("error: ") and err.count("\n") == 1, err
+            assert not list(tmp_path.glob("figure*"))
+
     @pytest.mark.parametrize("argv", QUAD_ARGV)
     def test_quadrature_failure_exits_one(self, capsys, tmp_path, monkeypatch,
                                           argv):
@@ -421,6 +494,12 @@ class TestMultiuserCommand:
             code, _, err = run_cli(capsys, ["multiuser"] + argv)
             assert code == 1
             assert err.startswith("error: ") and err.count("\n") == 1, err
+
+    def test_overflowing_xi_db_exits_1(self, capsys):
+        code, out, err = run_cli(capsys, ["multiuser", "--k", "3", "--xi-db",
+                                          "4000", "--gains", "1,2,3"])
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1, err
 
     @pytest.mark.parametrize("extra", [["--seed", "5"], ["--beta", "2"],
                                        ["--beta", "-1"],

@@ -14,8 +14,7 @@ import pytest
 from fairnoma import ergodic, mcsim, multiuser, twouser
 from fairnoma.errors import DomainError
 from fairnoma.mcsim import (CHUNK_TRIALS, SimConfig, SimResult,
-                            noma_outage_empirical, run_multiuser_power,
-                            run_outage, run_pairing)
+                            run_multiuser_power, run_outage, run_pairing)
 
 
 def _cfg(**kw):
@@ -298,11 +297,12 @@ class TestCommonRandomNumbers:
                                            "s_noma_fixed", "ds_fixed"}
         for name in plain:
             assert fixed[name] == plain[name]
-        table = run_outage(_cfg(trials=50_000, r0=2.0, a_policy=0.3))[0].measures
-        p_weak, p_strong = noma_outage_empirical(
-            twouser.SystemParams(xi=100.0, r0=2.0), 0.3, 50_000, 5)
-        assert p_weak == table["p_noma_weak_fixed"]
-        assert p_strong == table["p_noma_strong_fixed"]
+        plain = run_outage(_cfg(trials=50_000, r0=2.0))[0].measures
+        fixed = run_outage(_cfg(trials=50_000, r0=2.0, a_policy=0.3))[0].measures
+        assert set(fixed) - set(plain) == {"p_noma_weak_fixed",
+                                           "p_noma_strong_fixed"}
+        for name in plain:
+            assert fixed[name] == plain[name]
 
     def test_paired_difference_cuts_variance(self):
         m = run_pairing(_cfg(trials=200_000, xi_grid=(1e4,)))[0].measures
@@ -425,12 +425,13 @@ class TestBoundaryIdentities:
                 <= m["p_noma_strong_ainf"].mean)
 
     def test_single_policy_op_matches_full_table(self):
-        cfg = _cfg(trials=150_000, r0=2.0, xi_grid=(1e3,), a_policy="inf")
+        # a named policy is already in the table, so it adds and moves nothing
+        cfg = _cfg(trials=150_000, r0=2.0, xi_grid=(1e3,))
         full = run_outage(cfg)[0].measures
-        p_weak, p_strong = noma_outage_empirical(
-            twouser.SystemParams(xi=1e3, r0=2.0), "inf", 150_000, 5)
-        assert p_weak.mean == full["p_noma_weak_ainf"].mean
-        assert p_strong.mean == full["p_noma_strong_ainf"].mean
+        for policy in ("inf", "mid"):
+            single = run_outage(_cfg(trials=150_000, r0=2.0, xi_grid=(1e3,),
+                                     a_policy=policy))[0].measures
+            assert single == full
 
 
 class TestPairingScenario:

@@ -13,9 +13,7 @@ from fairnoma.errors import DomainError
 from fairnoma.multiuser import (
     AllocationVector,
     ChannelSet,
-    InterferenceLadder,
     full_alloc_a,
-    interference_ladder,
     min_alloc_b,
     noma_capacity_k,
     oma_capacity_k,
@@ -249,26 +247,7 @@ class TestOrderingInvariants:
 
 
 class TestInterferenceLadder:
-    def test_ladder_from_full_vector(self):
-        rng = np.random.default_rng(59)
-        gains = tuple(np.sort(rng.exponential(1.0, 6)))
-        v = full_alloc_a(100.0, ChannelSet(gains=gains))
-        ladder = interference_ladder(v)
-        levels = ladder.a_levels
-        assert levels[0] == 1.0
-        assert all(x > y for x, y in zip(levels, levels[1:]))
-        assert all(0.0 <= x <= 1.0 for x in levels[1:])
-        assert levels[-1] == pytest.approx(v.residual, abs=1e-15)
-
     def test_top_level_strictly_interior(self):
         for xi, ch in random_channel_sets(300, 2, 9, seed=61):
             a1 = full_alloc_a(xi, ch).coeffs[0]
             assert 0.0 < 1.0 - a1 < 1.0
-
-    def test_ladder_validation(self):
-        with pytest.raises(DomainError):
-            InterferenceLadder(a_levels=(0.9, 0.5))
-        with pytest.raises(DomainError):
-            InterferenceLadder(a_levels=(1.0, 0.5, 0.5))
-        with pytest.raises(DomainError):
-            InterferenceLadder(a_levels=(1.0, -0.2))

@@ -9,12 +9,20 @@ from scipy import integrate
 
 from fairnoma import outage
 from fairnoma.errors import DomainError
-from fairnoma.mcsim import noma_outage_empirical
+from fairnoma.mcsim import SimConfig, run_outage
 from fairnoma.twouser import SystemParams
 
 
 def _params(xi, r0=2.0, beta=1.0):
     return SystemParams(xi=xi, beta=beta, r0=r0)
+
+
+def _mc(p, trials, seed):
+    """Monte Carlo outage measures at one operating point; every policy of
+    the table is evaluated on the same draws."""
+    config = SimConfig(trials=trials, seed=seed, xi_grid=(p.xi,), beta=p.beta,
+                       r0=p.r0)
+    return run_outage(config)[0].measures
 
 
 def strong_outage_region_oracle(params):
@@ -152,7 +160,7 @@ class TestWeakUserLowerEndpoint:
 
     def test_matches_monte_carlo(self):
         p = _params(1e3)
-        pw, _ = noma_outage_empirical(p, "inf", 1_000_000, 101)
+        pw = _mc(p, 1_000_000, 101)["p_noma_weak_ainf"]
         cf = outage.noma_outage_weak_ainf(p)
         assert abs(pw.mean - cf) < 3.0 * pw.std_error
 
@@ -187,7 +195,7 @@ class TestStrongUserUpperEndpoint:
 
     def test_matches_monte_carlo(self):
         p = _params(1e3)
-        _, ps = noma_outage_empirical(p, "sup", 1_000_000, 101)
+        ps = _mc(p, 1_000_000, 101)["p_noma_strong_asup"]
         cf = outage.noma_outage_strong_asup(p)
         assert abs(ps.mean - cf) < 3.0 * ps.std_error
 
@@ -218,14 +226,16 @@ class TestProbabilityRange:
 class TestEmpiricalPolicies:
     def test_boundary_identities_via_mc(self):
         p = _params(1e3)
-        pw, _ = noma_outage_empirical(p, "sup", 400_000, 13)
+        m = _mc(p, 400_000, 13)
+        pw = m["p_noma_weak_asup"]
         assert abs(pw.mean - outage.oma_outage_weak(p)) < 3.0 * pw.std_error
-        _, ps = noma_outage_empirical(p, "inf", 400_000, 13)
+        ps = m["p_noma_strong_ainf"]
         assert abs(ps.mean - outage.oma_outage_strong(p)) < 3.0 * ps.std_error
 
     def test_mid_policy_between_endpoints(self):
         p = _params(1e3)
-        pw_mid, ps_mid = noma_outage_empirical(p, "mid", 400_000, 17)
+        m = _mc(p, 400_000, 17)
+        pw_mid, ps_mid = m["p_noma_weak_mid"], m["p_noma_strong_mid"]
         assert (outage.noma_outage_weak_ainf(p) - 3.0 * pw_mid.std_error
                 < pw_mid.mean
                 < outage.oma_outage_weak(p) + 3.0 * pw_mid.std_error)
@@ -234,20 +244,18 @@ class TestEmpiricalPolicies:
                 < outage.oma_outage_strong(p) + 3.0 * ps_mid.std_error)
 
     def test_monotone_in_the_share_policy(self):
-        # same seed = same draws, so the sweep is paired per draw
-        p = _params(1e3)
-        weak, strong = [], []
-        for policy in ("inf", "mid", "sup"):
-            pw, ps = noma_outage_empirical(p, policy, 200_000, 29)
-            weak.append(pw.mean)
-            strong.append(ps.mean)
+        # one table, one set of draws, so the sweep is paired per draw
+        m = _mc(_params(1e3), 200_000, 29)
+        weak = [m[f"p_noma_weak_{tag}"].mean for tag in ("ainf", "mid", "asup")]
+        strong = [m[f"p_noma_strong_{tag}"].mean
+                  for tag in ("ainf", "mid", "asup")]
         assert weak[0] <= weak[1] <= weak[2]
         assert strong[0] >= strong[1] >= strong[2]
 
     def test_deterministic_given_seed(self):
         p = _params(500.0)
-        first = noma_outage_empirical(p, "mid", 100_000, 3)
-        second = noma_outage_empirical(p, "mid", 100_000, 3)
+        first = _mc(p, 100_000, 3)
+        second = _mc(p, 100_000, 3)
         assert first == second
 
 

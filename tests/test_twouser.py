@@ -182,7 +182,7 @@ class TestFairnessProperties:
             x = float(xi[i])
             pair = tu.ChannelPair(float(g1[i]), float(g2[i]))
             region = tu.fair_region(tu.SystemParams(xi=x), pair)
-            s_oma = tu.sum_rate_oma(x, pair)
+            s_oma = tu.oma_capacity(x, pair.g1) + tu.oma_capacity(x, pair.g2)
             for a in (region.a_inf, region.midpoint(), region.a_sup):
                 assert tu.sum_rate(x, pair, a) >= s_oma - 1e-9
 
