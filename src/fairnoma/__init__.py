@@ -8,14 +8,7 @@ against a deterministic Monte Carlo engine.
 __version__ = "0.1.0"
 
 from .errors import DomainError, QuadratureError
-from .specfun import (
-    EULER_GAMMA,
-    digamma,
-    erfc,
-    erfcx,
-    exp_integral_e1,
-    exp_integral_e1_scaled,
-)
+from .specfun import EULER_GAMMA, erfcx, exp_integral_e1_scaled
 from .twouser import (
     ChannelPair,
     FairRegion,
@@ -89,14 +82,11 @@ __all__ = [
     "SystemParams",
     "allocation_bound",
     "alpha_pair",
-    "digamma",
-    "erfc",
     "erfcx",
     "ergodic_curve_point",
     "ergodic_noma_strong_asup",
     "ergodic_noma_weak_ainf",
     "ergodic_oma",
-    "exp_integral_e1",
     "exp_integral_e1_scaled",
     "expected_gain",
     "expected_gain_ainf_approx",

@@ -26,6 +26,9 @@ from .specfun import (_LN2, _LN4, EULER_GAMMA, exp_integral_e1_scaled,
                       exp_integral_e1_scaled_array)
 from .twouser import SystemParams
 
+# relative tolerance of the endpoint quadrature
+_REL_TOL = 1e-8
+
 
 @dataclass(frozen=True)
 class ErgodicCurvePoint:
@@ -81,32 +84,17 @@ def _noma_endpoints(params: SystemParams, rel_tol: float) -> tuple:
     return values, (float(err[0]), float(err[1]))
 
 
-def ergodic_noma_weak_ainf(params: SystemParams, rel_tol: float = 1e-8) -> float:
+def ergodic_noma_weak_ainf(params: SystemParams) -> float:
     """Expected weak-user NOMA capacity at the lower region endpoint a_inf."""
-    return _noma_endpoints(params, rel_tol)[0][0]
+    return _noma_endpoints(params, _REL_TOL)[0][0]
 
 
-def ergodic_noma_weak_ainf_with_estimate(
-        params: SystemParams, rel_tol: float = 1e-8) -> tuple[float, float]:
-    """Same as :func:`ergodic_noma_weak_ainf` plus the quadrature error estimate."""
-    values, errs = _noma_endpoints(params, rel_tol)
-    return values[0], errs[0]
-
-
-def ergodic_noma_strong_asup(params: SystemParams, rel_tol: float = 1e-8) -> float:
+def ergodic_noma_strong_asup(params: SystemParams) -> float:
     """Expected strong-user NOMA capacity at the upper region endpoint a_sup."""
-    return _noma_endpoints(params, rel_tol)[0][1]
+    return _noma_endpoints(params, _REL_TOL)[0][1]
 
 
-def ergodic_noma_strong_asup_with_estimate(
-        params: SystemParams, rel_tol: float = 1e-8) -> tuple[float, float]:
-    """Same as :func:`ergodic_noma_strong_asup` plus the quadrature error estimate."""
-    values, errs = _noma_endpoints(params, rel_tol)
-    return values[1], errs[1]
-
-
-def expected_gain(params: SystemParams, a_choice: str,
-                  rel_tol: float = 1e-8) -> float:
+def expected_gain(params: SystemParams, a_choice: str) -> float:
     """Expected sum-rate gain E[S_N(a)] - E[S_O] at a region endpoint.
 
     At a_inf the strong user is indifferent and the gain is carried entirely
@@ -115,17 +103,16 @@ def expected_gain(params: SystemParams, a_choice: str,
     """
     e_c1, e_c2, _ = ergodic_oma(params)
     if a_choice == "inf":
-        return ergodic_noma_weak_ainf(params, rel_tol) - e_c1
+        return ergodic_noma_weak_ainf(params) - e_c1
     if a_choice == "sup":
-        return ergodic_noma_strong_asup(params, rel_tol) - e_c2
+        return ergodic_noma_strong_asup(params) - e_c2
     raise DomainError(f"a_choice must be 'inf' or 'sup', got {a_choice!r}")
 
 
-def ergodic_curve_point(params: SystemParams,
-                        rel_tol: float = 1e-8) -> ErgodicCurvePoint:
+def ergodic_curve_point(params: SystemParams) -> ErgodicCurvePoint:
     """All five closed-form expected capacities at one transmit SNR."""
     e_c1, e_c2, e_s = ergodic_oma(params)
-    (c1_ainf, c2_asup), _ = _noma_endpoints(params, rel_tol)
+    (c1_ainf, c2_asup), _ = _noma_endpoints(params, _REL_TOL)
     return ErgodicCurvePoint(
         xi=params.xi,
         e_c1_oma=e_c1,

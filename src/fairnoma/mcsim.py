@@ -201,10 +201,13 @@ class GridPoint:
 def _map_chunks(fn: Callable[[int], dict], n_tasks: int,
                 workers: int | None) -> list:
     """``[fn(0), ..., fn(n_tasks - 1)]``, on one pool of at most ``workers``
-    threads but never more threads than tasks or CPUs; a plain loop when
-    that leaves one thread. A task that raises, or an interrupt, cancels the
-    tasks not yet started instead of waiting for the rest of the sweep."""
-    workers = min(workers or 1, n_tasks, os.cpu_count() or 1)
+    threads but never more threads than tasks or than CPUs this process may
+    run on; a plain loop when that leaves one thread. A task that raises, or
+    an interrupt, cancels the tasks not yet started instead of waiting for
+    the rest of the sweep."""
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    workers = min(workers or 1, n_tasks, cpus)
     if workers <= 1:
         return [fn(i) for i in range(n_tasks)]
     pool = ThreadPoolExecutor(max_workers=workers)

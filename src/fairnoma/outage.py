@@ -19,7 +19,7 @@ import numpy as np
 
 from ._quad import integrate_interval
 from .errors import DomainError
-from .specfun import _LN4, erfcx
+from .specfun import erfcx
 from .twouser import SystemParams, _rate_threshold, _require_positive
 
 # y-units tail cut: exp(-29) ~ 2.5e-13 bounds the truncated mass below 1e-12
@@ -84,8 +84,8 @@ def alpha_pair(params: SystemParams) -> AlphaPair:
     if params.r0 <= 0.0:
         raise DomainError(f"alpha_pair requires r0 > 0, got {params.r0}")
     xi = params.xi
-    q = 2.0 ** params.r0
     alpha2 = _rate_threshold(params.r0) / xi
+    q = 2.0 ** params.r0
 
     def alpha1_fn(x: float) -> float:
         _require_positive("x", x)
@@ -142,10 +142,11 @@ def noma_outage_strong_asup(params: SystemParams) -> float:
     """
     if params.r0 == 0.0:
         return 0.0
+    theta = _rate_threshold(params.r0)
     q = 2.0 ** params.r0
     bx = params.beta * params.xi
     sigma = 2.0 * (q - 1.0) / bx
-    tau = 2.0 * _rate_threshold(params.r0) / bx
+    tau = 2.0 * theta / bx
     root = math.sqrt(bx)
     u1 = (q + 1.0) / (2.0 * root)
     u2 = (3.0 * q - 1.0) / (2.0 * root)

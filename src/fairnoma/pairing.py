@@ -17,7 +17,7 @@ import numpy as np
 
 from ._quad import integrate_semi_infinite
 from .errors import DomainError
-from .specfun import _LN2, _LN4, EULER_GAMMA, digamma, exp_integral_e1_scaled
+from .specfun import _LN2, _LN4, EULER_GAMMA, exp_integral_e1_scaled
 from .twouser import SystemParams, _require_positive
 
 
@@ -73,12 +73,12 @@ def expected_gain_asup(k: int) -> float:
 def expected_gain_ainf_approx(k: int, params: SystemParams) -> float:
     """Printed approximation of E[sum-rate gain] at the lower endpoint.
 
-    Uses H_k = digamma(k+1) + gamma; the log term is rewritten as
-    log1p(xi/(k*(1+sqrt(1+xi*H_k)))), identical to the surd quotient form
-    but exact near zero.
+    Uses the exactly rounded harmonic number H_k; the log term is
+    rewritten as log1p(xi/(k*(1+sqrt(1+xi*H_k)))), identical to the surd
+    quotient form but exact near zero.
     """
     _check_pool(k)
-    h_k = digamma(float(k + 1)) + EULER_GAMMA
+    h_k = math.fsum(1.0 / i for i in range(1, k + 1))
     bx = params.beta * params.xi
     e1_term = exp_integral_e1_scaled(k / bx) / _LN4
     log_term = math.log1p(params.xi / (k * (1.0 + math.sqrt(1.0 + params.xi * h_k)))) / _LN2

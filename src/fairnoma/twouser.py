@@ -61,14 +61,7 @@ class ChannelPair:
         if self.g1 > self.g2:
             raise DomainError(
                 f"ChannelPair requires g1 <= g2, got ({self.g1!r}, {self.g2!r});"
-                " use ChannelPair.ordered() to sort arbitrary inputs")
-
-    @classmethod
-    def ordered(cls, ga: float, gb: float) -> "ChannelPair":
-        """Build a pair from gains in either order (ties keep input order)."""
-        if gb < ga:
-            ga, gb = gb, ga
-        return cls(ga, gb)
+                " pass the weaker gain first")
 
 
 @dataclass(frozen=True)
@@ -87,12 +80,6 @@ class FairRegion:
     @property
     def width(self) -> float:
         return self.a_sup - self.a_inf
-
-    def contains(self, a: float) -> bool:
-        return self.a_inf <= a <= self.a_sup
-
-    def midpoint(self) -> float:
-        return 0.5 * (self.a_inf + self.a_sup)
 
 
 def _one(x: float) -> np.ndarray:
@@ -118,8 +105,14 @@ def _oma_rate(w: np.ndarray, k: int, out: np.ndarray | None = None) -> np.ndarra
 
 def _rate_threshold(r0: float) -> float:
     """4**r0 - 1, accurate for small r0: the SNR below which a half
-    orthogonal share (``_oma_rate`` at k = 2) falls short of rate r0."""
-    return math.expm1(r0 * _LN4)
+    orthogonal share (``_oma_rate`` at k = 2) falls short of rate r0. Every
+    outage computation calls it before any other power of r0, so an r0
+    whose threshold overflows a double (above about 512) is refused here."""
+    try:
+        return math.expm1(r0 * _LN4)
+    except OverflowError:
+        raise DomainError(f"target rate r0 = {r0!r} b/s/Hz needs an SNR"
+                          " threshold 4**r0 - 1 beyond a double") from None
 
 
 def _noma_rate(w: np.ndarray, own, rest, out: np.ndarray | None = None,

@@ -2,7 +2,7 @@
 
 The oracles here deliberately avoid the package's own special functions:
 E1 and erfc are integrated from their defining integrals with adaptive
-quadrature, digamma identities come from harmonic sums, and region
+quadrature, harmonic numbers are exactly rounded sums, and region
 probabilities come from 2-D quadrature. Keeping the oracles independent is
 what gives the closed-form comparisons teeth. ``engine_minmax`` is not an
 oracle: it is the engine's own pool sampler, which the order-statistic tests

@@ -411,6 +411,17 @@ class TestFigureReproducibility:
             assert err.startswith("error: ") and err.count("\n") == 1, err
             assert not list(tmp_path.glob("figure*"))
 
+    @pytest.mark.parametrize("r0", ["600", "2000"])
+    def test_overflowing_r0_exits_1(self, capsys, tmp_path, r0):
+        # 4**r0 - 1 is no double: one error line, not an OverflowError
+        # traceback, and no file written
+        code, out, err = run_cli(capsys, [
+            "figure", "2", "--r0", r0, "--trials", "100", "--xi-db", "10",
+            "--out-dir", str(tmp_path)])
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert not list(tmp_path.iterdir())
+
     @pytest.mark.parametrize("argv", QUAD_ARGV)
     def test_quadrature_failure_exits_one(self, capsys, tmp_path, monkeypatch,
                                           argv):

@@ -172,23 +172,48 @@ def pool_sizes(monkeypatch) -> list:
     return sizes
 
 
+def _set_cpus(monkeypatch, n: int) -> None:
+    """Give this process n CPUs, by affinity and by count alike."""
+    monkeypatch.setattr(mcsim.os, "sched_getaffinity",
+                        lambda pid: set(range(n)), raising=False)
+    monkeypatch.setattr(mcsim.os, "cpu_count", lambda: n)
+
+
 class TestWorkers:
     def test_pool_clamped_to_chunks_and_cpus(self, pool_sizes, monkeypatch):
-        monkeypatch.setattr(mcsim.os, "cpu_count", lambda: 8)
+        _set_cpus(monkeypatch, 8)
         assert mcsim._map_chunks(lambda ci: ci * ci, 3, 16) == [0, 1, 4]
         assert mcsim._map_chunks(lambda ci: ci, 20, 16) == list(range(20))
         assert mcsim._map_chunks(lambda ci: ci, 20, 5) == list(range(20))
         assert pool_sizes == [3, 8, 5]
-        monkeypatch.setattr(mcsim.os, "cpu_count", lambda: 1)
+        _set_cpus(monkeypatch, 1)
         assert mcsim._map_chunks(lambda ci: ci, 4, 4) == [0, 1, 2, 3]
-        monkeypatch.setattr(mcsim.os, "cpu_count", lambda: 8)
+        _set_cpus(monkeypatch, 8)
         assert mcsim._map_chunks(lambda ci: ci, 1, 4) == [0]
         assert mcsim._map_chunks(lambda ci: ci, 4, None) == [0, 1, 2, 3]
         assert pool_sizes == [3, 8, 5]
 
+    def test_pool_clamped_to_the_cpus_this_process_may_use(self, pool_sizes,
+                                                           monkeypatch):
+        # a machine of 8 CPUs, of which this process may run on 2
+        monkeypatch.setattr(mcsim.os, "cpu_count", lambda: 8)
+        monkeypatch.setattr(mcsim.os, "sched_getaffinity",
+                            lambda pid: {3, 5}, raising=False)
+        assert mcsim._map_chunks(lambda ci: ci, 20, 16) == list(range(20))
+        monkeypatch.setattr(mcsim.os, "sched_getaffinity",
+                            lambda pid: {0}, raising=False)
+        assert mcsim._map_chunks(lambda ci: ci, 20, 16) == list(range(20))
+        assert pool_sizes == [2]
+        # where the platform has no affinity call, the CPU count clamps
+        monkeypatch.delattr(mcsim.os, "sched_getaffinity", raising=False)
+        assert mcsim._map_chunks(lambda ci: ci, 20, 16) == list(range(20))
+        monkeypatch.setattr(mcsim.os, "cpu_count", lambda: None)
+        assert mcsim._map_chunks(lambda ci: ci, 20, 16) == list(range(20))
+        assert pool_sizes == [2, 8]
+
     def test_one_pool_per_sweep(self, pool_sizes, monkeypatch):
         # every (point, chunk) task of a sweep goes to one pool of
-        # min(workers, points * chunks, cpu_count) threads, or to none
+        # min(workers, points * chunks, CPUs) threads, or to none
         pairs = _cfg(trials=3 * CHUNK_TRIALS + 5, xi_grid=(10.0, 100.0, 1e3))
         multi = _cfg(trials=100, scenario="multiuser", k_users=3,
                      xi_grid=(10.0, 1e3))
@@ -197,7 +222,7 @@ class TestWorkers:
         for workers, cpus, sizes in ((2, 8, [2, 2]), (16, 8, [8, 2]),
                                      (16, 64, [12, 2]), (4, 1, []),
                                      (1, 8, [])):
-            monkeypatch.setattr(mcsim.os, "cpu_count", lambda cpus=cpus: cpus)
+            _set_cpus(monkeypatch, cpus)
             pool_sizes.clear()
             points = (run_pairing(pairs, workers)
                       + run_multiuser_power(multi, workers))
@@ -207,7 +232,7 @@ class TestWorkers:
     def test_failing_task_cancels_the_rest(self, monkeypatch):
         # with one pool per sweep, the tasks still queued after a failure
         # are the rest of the whole grid: they are cancelled, not run
-        monkeypatch.setattr(mcsim.os, "cpu_count", lambda: 2)
+        _set_cpus(monkeypatch, 2)
         ran = []
 
         def task(i):
@@ -229,7 +254,7 @@ class TestWorkers:
         # more threads than cores, switching as often as the interpreter
         # allows: two chunks writing one workspace at once would corrupt
         # their draws, and the results would differ from a serial run
-        monkeypatch.setattr(mcsim.os, "cpu_count", lambda: 8)
+        _set_cpus(monkeypatch, 8)
         pool = _cfg(trials=6 * CHUNK_TRIALS + 5, scenario="pair_minmax",
                     k_grid=(3, 7))
         multi = _cfg(trials=6 * CHUNK_TRIALS + 5, scenario="multiuser",

@@ -222,6 +222,18 @@ class TestProbabilityRange:
                           outage.noma_outage_strong_asup(p)):
                     assert 0.0 <= v <= 1.0
 
+    @pytest.mark.parametrize("r0", [600.0, 2000.0])
+    def test_overflowing_rate_threshold_is_a_domain_error(self, r0):
+        # 4**r0 - 1 is no double: refused before any power of r0 overflows
+        p = _params(10.0, r0=r0)
+        for op in (outage.oma_outage_weak, outage.oma_outage_strong,
+                   outage.alpha_pair, outage.noma_outage_weak_ainf,
+                   outage.noma_outage_strong_asup, outage.outage_point):
+            with pytest.raises(DomainError, match="r0"):
+                op(p)
+        with pytest.raises(DomainError, match="r0"):
+            run_outage(SimConfig(trials=10, seed=1, xi_grid=(10.0,), r0=r0))
+
 
 class TestEmpiricalPolicies:
     def test_boundary_identities_via_mc(self):

@@ -10,7 +10,7 @@ from scipy import integrate
 from fairnoma import pairing
 from fairnoma.errors import DomainError
 from fairnoma.mcsim import SimConfig, run_pairing
-from fairnoma.specfun import EULER_GAMMA, digamma
+from fairnoma.specfun import exp_integral_e1_scaled
 from fairnoma.twouser import SystemParams
 from helpers import engine_minmax, harmonic_number
 
@@ -206,10 +206,17 @@ class TestUpperShareLimit:
 
 
 class TestLowerEndpointApprox:
-    def test_digamma_matches_harmonic_numbers(self):
-        for k in range(1, 51):
-            h_k = digamma(float(k + 1)) + EULER_GAMMA
-            assert h_k == pytest.approx(harmonic_number(k), abs=1e-12)
+    def test_uses_exact_harmonic_numbers(self):
+        # H_k enters only under the log term: the approximation is the
+        # printed formula at the exactly rounded H_k, bit for bit
+        for k in range(2, 51):
+            for xi in (10.0, 1e3):
+                h_k = harmonic_number(k)
+                log_term = math.log1p(xi / (k * (1.0 + math.sqrt(1.0 + xi * h_k))))
+                want = (exp_integral_e1_scaled(k / xi) / math.log(4.0)
+                        - log_term / math.log(2.0))
+                got = pairing.expected_gain_ainf_approx(k, SystemParams(xi=xi))
+                assert got == want, (k, xi)
 
     def test_tracks_monte_carlo_in_its_regime(self):
         # plug-in-of-means approximation: valid once xi*beta/k is modest
@@ -232,7 +239,6 @@ class TestLowerEndpointApprox:
                 h_k = harmonic_number(k)
                 surd = math.log2(1.0 + (math.sqrt(1.0 + xi * h_k) - 1.0) / (k * h_k))
                 e1_term = pairing.expected_gain_ainf_approx(k, SystemParams(xi=xi))
-                from fairnoma.specfun import exp_integral_e1_scaled
                 direct = exp_integral_e1_scaled(k / xi) / math.log(4.0) - surd
                 assert e1_term == pytest.approx(direct, rel=1e-12)
 

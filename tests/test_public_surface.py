@@ -1,0 +1,95 @@
+"""The package's public surface: the names it exports, and no dead imports.
+
+A name joins or leaves ``fairnoma.__all__`` only by editing the list below,
+so every change of the public surface shows in a diff of this file.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import fairnoma
+
+SRC = Path(fairnoma.__file__).parent
+
+PUBLIC_NAMES = [
+    "AllocationVector",
+    "AlphaPair",
+    "ChannelPair",
+    "ChannelSet",
+    "DomainError",
+    "ErgodicCurvePoint",
+    "EULER_GAMMA",
+    "FairRegion",
+    "GridPoint",
+    "OutagePoint",
+    "QuadratureError",
+    "SimConfig",
+    "SimResult",
+    "SystemParams",
+    "allocation_bound",
+    "alpha_pair",
+    "erfcx",
+    "ergodic_curve_point",
+    "ergodic_noma_strong_asup",
+    "ergodic_noma_weak_ainf",
+    "ergodic_oma",
+    "exp_integral_e1_scaled",
+    "expected_gain",
+    "expected_gain_ainf_approx",
+    "expected_gain_asup",
+    "fair_region",
+    "full_alloc_a",
+    "high_snr_capacities",
+    "high_snr_ergodic_approx",
+    "min_alloc_b",
+    "minmax_joint_cdf",
+    "minmax_joint_pdf",
+    "noma_capacity_k",
+    "noma_capacity_strong",
+    "noma_capacity_weak",
+    "noma_outage_strong_asup",
+    "noma_outage_weak_ainf",
+    "oma_capacity",
+    "oma_capacity_k",
+    "oma_outage_strong",
+    "oma_outage_weak",
+    "outage_point",
+    "run_multiuser_power",
+    "run_outage",
+    "run_pairing",
+    "sum_rate",
+    "verify_fairness",
+    "with_residual_to_strongest",
+    "__version__",
+]
+
+
+def test_public_names_are_pinned_and_resolve():
+    assert fairnoma.__all__ == PUBLIC_NAMES
+    missing = [name for name in PUBLIC_NAMES if not hasattr(fairnoma, name)]
+    assert not missing, missing
+
+
+def _unused_imports(tree: ast.Module) -> list:
+    """Names a module imports but never reads, as (line, name)."""
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted((line, name) for name, line in imported.items()
+                  if name not in read)
+
+
+# __init__ imports to re-export, so it is the one module exempt
+@pytest.mark.parametrize("module", sorted(
+    path.name for path in SRC.glob("*.py") if path.name != "__init__.py"))
+def test_module_uses_every_import(module):
+    tree = ast.parse((SRC / module).read_text("utf-8"))
+    assert not _unused_imports(tree)
