@@ -323,7 +323,8 @@ def _figure_rows(fig: _Figure, p: dict, workers) -> tuple:
               if key not in ("figure", "xi_db")}
     points = fig.runner(SimConfig(
         xi_grid=tuple(_db_to_linear(d) for d in p["xi_db"]),
-        scenario=fig.scenario, **fields), workers)
+        scenario=fig.scenario, **fields), workers,
+        measures={src for name, src in fig.columns if name.endswith("_mc")})
     x = "k" if "k_grid" in fig.defaults else "xi_db"
     rows = []
     for x_value, pt in zip([pt.k for pt in points] if x == "k"

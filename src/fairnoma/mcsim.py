@@ -59,6 +59,12 @@ kernel evaluates every allocation policy it reports on the same draws
 ``fixed`` for a numeric share, as in ``c1_noma_ainf`` or ``ds_asup``.
 Paired differences between policies, or against OMA, therefore have far
 less variance than independent runs would give.
+
+A runner computes only the measures in its ``measures`` set (all if None),
+and a share or rate vector only if one of those needs it, by the same
+operations on the same draws whatever else is asked for. A boundary
+identity, such as ``c2_noma_ainf`` (``c2_oma`` in exact arithmetic), stays
+a computed value, never a copy of the OMA vector.
 """
 
 from __future__ import annotations
@@ -74,8 +80,8 @@ import numpy as np
 
 from .errors import DomainError
 from .multiuser import _min_power_total
-from .twouser import (_oma_rate, _pair_rates, _rate_threshold,
-                      _require_positive, _share_bound)
+from .twouser import (_oma_rate, _rate_threshold, _require_positive,
+                      _share_bound, _strong_rate, _weak_rate)
 
 #: trials per substream chunk; fixed so parallel partitioning cannot move
 #: draws between substreams
@@ -362,21 +368,37 @@ def _pair_snrs(rng: np.random.Generator, k: int, xi: float, beta: float,
     return out
 
 
-def _shares(w1: np.ndarray, w2: np.ndarray, extra, bufs: list) -> dict:
-    """Strong user's power share per draw, keyed by policy tag and written
-    into ``bufs``: the two fair endpoints, then each policy in ``extra``
-    ('mid', ``0.5 * (ainf + asup)``, or a fixed number broadcast to every
-    draw; 'inf' and 'sup' are already there)."""
-    shares = {"ainf": _share_bound(w2, bufs[0]),
-              "asup": _share_bound(w1, bufs[1])}
-    for policy in extra:
-        buf = bufs[len(shares)]
-        if policy == "mid":
-            np.add(shares["ainf"], shares["asup"], out=buf)
-            shares["mid"] = np.multiply(0.5, buf, out=buf)
-        elif not isinstance(policy, str):
-            buf.fill(policy)
-            shares["fixed"] = buf
+def _select(measures, common: tuple, extra: tuple, per_tag: tuple) -> tuple:
+    """(names, tags) a runner computes: ``measures``, or if it is None every
+    name it produces (``common``, then ``<m>_<tag>`` for each m in
+    ``per_tag`` per tag: both fair endpoints, then 'mid' if the policies in
+    ``extra`` hold it and 'fixed' for a number), and the tags they carry."""
+    tags = (("ainf", "asup") + ("mid",) * ("mid" in extra)
+            + tuple("fixed" for policy in extra if not isinstance(policy, str)))
+    produced = common + tuple(f"{m}_{tag}" for tag in tags for m in per_tag)
+    want = frozenset(produced if measures is None else measures)
+    if not want or not want <= set(produced):
+        raise DomainError(f"measures must be a non-empty set of names from"
+                          f" {list(produced)}, got {sorted(want, key=str)}")
+    return want, tuple(tag for tag in tags
+                       if any(f"{m}_{tag}" in want for m in per_tag))
+
+
+def _shares(w1: np.ndarray, w2: np.ndarray, tags, fixed, bufs: list) -> dict:
+    """Strong user's power share per draw for each policy tag in ``tags``,
+    each written into the next free vector of ``bufs``: the two fair
+    endpoints (both also for 'mid', their average ``0.5 * (ainf + asup)``),
+    and 'fixed', the number ``fixed`` broadcast to every draw."""
+    shares = {}
+    for tag, w in (("ainf", w2), ("asup", w1)):
+        if tag in tags or "mid" in tags:
+            shares[tag] = _share_bound(w, bufs[len(shares)])
+    if "mid" in tags:
+        np.add(shares["ainf"], shares["asup"], out=bufs[2])
+        shares["mid"] = np.multiply(0.5, bufs[2], out=bufs[2])
+    if "fixed" in tags:
+        shares["fixed"] = bufs[len(shares)]
+        shares["fixed"].fill(fixed)
     return shares
 
 
@@ -385,80 +407,113 @@ def _shares(w1: np.ndarray, w2: np.ndarray, extra, bufs: list) -> dict:
 _PAIR_SCRATCH = 9
 
 
-def _rate_moments(w1: np.ndarray, w2: np.ndarray, policy,
-                  scratch: np.ndarray) -> dict:
-    """Moments of the pair's OMA capacities (``c1_oma`` of the weak user,
-    ``c2_oma`` of the strong one, ``s_oma``) and, per policy tag of both fair
-    endpoints and ``policy``, its NOMA capacities (``c1_noma_<tag>``,
+def _rate_moments(w1: np.ndarray, w2: np.ndarray, tags: tuple, fixed,
+                  want: frozenset, scratch: np.ndarray) -> dict:
+    """Moments of the measures in ``want`` among the pair's OMA capacities
+    (``c1_oma`` of the weak user, ``c2_oma`` of the strong one, ``s_oma``)
+    and, per policy tag in ``tags``, its NOMA capacities (``c1_noma_<tag>``,
     ``c2_noma_<tag>``, ``s_noma_<tag>``) with the paired per-draw sum-rate
-    gain ``ds_<tag>``; ``scratch`` holds four vectors plus one per share."""
+    gain ``ds_<tag>``, each vector only if one of those needs it;
+    ``scratch`` holds four vectors plus one per share."""
     s_o, c1, c2, s, *share_bufs = scratch
-    out = {"c1_oma": _moment(_oma_rate(w1, 2, c1)),
-           "c2_oma": _moment(_oma_rate(w2, 2, c2)),
-           "s_oma": _moment(np.add(c1, c2, out=s_o))}
-    for tag, a in _shares(w1, w2, (policy,), share_bufs).items():
-        _pair_rates(w1, w2, a, c1, c2)
-        out[f"c1_noma_{tag}"] = _moment(c1)
-        out[f"c2_noma_{tag}"] = _moment(c2)
-        out[f"s_noma_{tag}"] = _moment(np.add(c1, c2, out=s))
-        out[f"ds_{tag}"] = _moment(np.subtract(s, s_o, out=c1))
+    out = {}
+
+    def keep(name: str, v: np.ndarray) -> None:
+        if name in want:
+            out[name] = _moment(v)
+
+    sums = want & {"s_oma", *(f"ds_{tag}" for tag in tags)}
+    for name, w, c in (("c1_oma", w1, c1), ("c2_oma", w2, c2)):
+        if sums or name in want:
+            keep(name, _oma_rate(w, 2, c))
+    if sums:
+        keep("s_oma", np.add(c1, c2, out=s_o))
+    shares = _shares(w1, w2, tags, fixed, share_bufs)
+    for tag in tags:
+        a = shares[tag]
+        sums = want & {f"s_noma_{tag}", f"ds_{tag}"}
+        if sums or f"c1_noma_{tag}" in want:
+            keep(f"c1_noma_{tag}", _weak_rate(w1, a, c1, c2))
+        if sums or f"c2_noma_{tag}" in want:
+            keep(f"c2_noma_{tag}", _strong_rate(w2, a, out=c2))
+        if sums:
+            keep(f"s_noma_{tag}", np.add(c1, c2, out=s))
+        if f"ds_{tag}" in want:
+            out[f"ds_{tag}"] = _moment(np.subtract(s, s_o, out=c1))
     return out
 
 
 # ---------------------------------------------------------------------------
 # scenario runners
 
-def run_outage(config: SimConfig, workers: int | None = None) -> list:
+def run_outage(config: SimConfig, workers: int | None = None,
+               measures=None) -> list:
     """Per-xi outage frequencies below r0.
 
     Reports OMA for both users (``p_oma_weak``, ``p_oma_strong``) and, per
     policy tag, ``p_noma_weak_<tag>`` and ``p_noma_strong_<tag>`` for both
     fair endpoints, the mid policy, and a numeric ``a_policy`` as ``fixed``,
-    all from the same draws. The region endpoints that matter are weak at
-    ``ainf`` and strong at ``asup``; weak at ``asup`` and strong at ``ainf``
-    are the boundary identities.
+    all from the same draws; ``measures``, a set of those names, limits the
+    result to them. The region endpoints that matter are weak at ``ainf``
+    and strong at ``asup``; weak at ``asup`` and strong at ``ainf`` are the
+    boundary identities.
     """
     r0 = config.r0
     # outage iff xi*g < threshold, per user in OMA
     o_thresh = _rate_threshold(r0)
+    want, tags = _select(measures, ("p_oma_weak", "p_oma_strong"),
+                         ("mid", config.a_policy),
+                         ("p_noma_weak", "p_noma_strong"))
 
     def kernel(rng, xi: float, k: int, scratch: np.ndarray) -> dict:
         w1, w2, c1, c2, *share_bufs = scratch
         _pair_snrs(rng, k, xi, config.beta, (w1, w2))
-        out = {
-            "p_oma_weak": int(np.count_nonzero(w1 < o_thresh)),
-            "p_oma_strong": int(np.count_nonzero(w2 < o_thresh)),
-        }
-        shares = _shares(w1, w2, ("mid", config.a_policy), share_bufs)
-        for tag, a in shares.items():
-            _pair_rates(w1, w2, a, c1, c2)
-            out[f"p_noma_weak_{tag}"] = int(np.count_nonzero(c1 < r0))
-            out[f"p_noma_strong_{tag}"] = int(np.count_nonzero(c2 < r0))
+        out = {}
+        for name, w in (("p_oma_weak", w1), ("p_oma_strong", w2)):
+            if name in want:
+                out[name] = int(np.count_nonzero(w < o_thresh))
+        shares = _shares(w1, w2, tags, config.a_policy, share_bufs)
+        for tag in tags:
+            a = shares[tag]
+            if f"p_noma_weak_{tag}" in want:
+                out[f"p_noma_weak_{tag}"] = int(np.count_nonzero(
+                    _weak_rate(w1, a, c1, c2) < r0))
+            if f"p_noma_strong_{tag}" in want:
+                out[f"p_noma_strong_{tag}"] = int(np.count_nonzero(
+                    _strong_rate(w2, a, out=c2) < r0))
         return out
 
     # SNRs, rates, and the shares of both endpoints, mid and a fixed policy
     return _sweep(config, ("pair_iid",), kernel, workers, 8)
 
 
-def run_pairing(config: SimConfig, workers: int | None = None) -> list:
+def run_pairing(config: SimConfig, workers: int | None = None,
+                measures=None) -> list:
     """Pair capacities over (xi, K), for a random pair of two i.i.d. users
     ('pair_iid') or the weakest and strongest of K ('pair_minmax'): OMA
     (``c1_oma`` of the weak user, ``c2_oma`` of the strong one, ``s_oma``)
     and, per policy tag, ``c1_noma_<tag>``, ``c2_noma_<tag>``,
     ``s_noma_<tag>`` and the paired per-draw sum-rate gain ``ds_<tag>``, for
-    both fair endpoints and ``a_policy``."""
+    both fair endpoints and ``a_policy``; ``measures``, a set of those
+    names, limits the result to them."""
+    want, tags = _select(measures, ("c1_oma", "c2_oma", "s_oma"),
+                         (config.a_policy,),
+                         ("c1_noma", "c2_noma", "s_noma", "ds"))
 
     def kernel(rng, xi: float, k: int, scratch: np.ndarray) -> dict:
         w1, w2 = _pair_snrs(rng, k, xi, config.beta, scratch[:2])
-        return _rate_moments(w1, w2, config.a_policy, scratch[2:])
+        return _rate_moments(w1, w2, tags, config.a_policy, want, scratch[2:])
 
     return _sweep(config, ("pair_iid", "pair_minmax"), kernel, workers,
                   _PAIR_SCRATCH)
 
 
-def run_multiuser_power(config: SimConfig, workers: int | None = None) -> list:
+def run_multiuser_power(config: SimConfig, workers: int | None = None,
+                        measures=None) -> list:
     """Per-xi mean of the minimum total NOMA power share that matches OMA
-    for every one of K users (measure ``sum_b``)."""
+    for every one of K users (measure ``sum_b``, the only name
+    ``measures`` may hold)."""
+    _select(measures, ("sum_b",), (), ())
 
     def kernel(rng, xi: float, k: int, scratch: np.ndarray) -> dict:
         w = _ordered_gains(rng, config.beta, scratch[:k])
@@ -468,4 +523,3 @@ def run_multiuser_power(config: SimConfig, workers: int | None = None) -> list:
 
     # the K gains, then the three vectors of _min_power_total
     return _sweep(config, ("multiuser",), kernel, workers, config.k_users + 3)
-

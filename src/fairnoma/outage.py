@@ -117,6 +117,9 @@ def noma_outage_weak_ainf(params: SystemParams) -> float:
     beta, xi = params.beta, params.xi
     q = 2.0 ** params.r0
     y_lo = pair.alpha2 / beta
+    if math.exp(-y_lo) == 0.0:
+        # every other term is below the least double (and y_hi may be y_lo)
+        return 1.0
     y_hi = y_lo + _TAIL_WIDTH
 
     def integrand(y: np.ndarray) -> np.ndarray:

@@ -134,13 +134,12 @@ def _strong_rate(w: np.ndarray, a, out: np.ndarray | None = None) -> np.ndarray:
     return np.divide(out, _LN2, out=out)
 
 
-def _pair_rates(w1: np.ndarray, w2: np.ndarray, a: np.ndarray,
-                c1: np.ndarray, c2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Both NOMA capacities of the pair under strong-user share ``a``,
-    written into ``c1`` (weak) and ``c2`` (strong)."""
-    np.subtract(1.0, a, out=c1)
-    _noma_rate(w1, c1, a, out=c1, tmp=c2)
-    return c1, _strong_rate(w2, a, out=c2)
+def _weak_rate(w: np.ndarray, a: np.ndarray, out: np.ndarray,
+               tmp: np.ndarray) -> np.ndarray:
+    """The weak user's NOMA capacity under strong-user share ``a``, written
+    into ``out``; ``tmp`` is overwritten."""
+    np.subtract(1.0, a, out=out)
+    return _noma_rate(w, out, a, out=out, tmp=tmp)
 
 
 def oma_capacity(xi: float, g: float) -> float:

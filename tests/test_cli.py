@@ -10,7 +10,7 @@ import sys
 import numpy as np
 import pytest
 
-from fairnoma import _quad, mcsim, specfun
+from fairnoma import _quad, cli, mcsim, specfun
 from fairnoma.cli import main
 from fairnoma.outage import oma_outage_weak
 from fairnoma.twouser import SystemParams
@@ -199,6 +199,28 @@ class TestFigureOutputs:
                     if line.startswith("for col in "))
         assert (ast.literal_eval(loop[len("for col in "):-1])
                 == header.split(",")[1:])
+
+    @pytest.mark.parametrize("figure", sorted(FIGURE_HEADERS))
+    def test_sweep_asks_for_the_measures_the_figure_writes(
+            self, capsys, tmp_path, monkeypatch, figure):
+        # a recording wrapper around the figure's own runner, which it calls
+        fig = cli._FIGURES[figure]
+        calls = []
+
+        def recording(*args, **kwargs):
+            points = fig.runner(*args, **kwargs)
+            calls.append((kwargs.get("measures"),
+                          [set(pt.measures) for pt in points]))
+            return points
+
+        monkeypatch.setitem(cli._FIGURES, figure,
+                            fig._replace(runner=recording))
+        grid = ["--k-grid", "2,3"] if figure in (3, 5) else ["--xi-db", "20,30"]
+        code, _, _ = run_cli(capsys, ["figure", str(figure), "--trials", "10",
+                                      "--out-dir", str(tmp_path)] + grid)
+        assert code == 0
+        sources = {src for name, src in fig.columns if name.endswith("_mc")}
+        assert calls == [(sources, [sources, sources])]
 
     def test_plot_script_written_and_compiles(self, capsys, tmp_path):
         run_cli(capsys, ["figure", "6", "--trials", "2000", "--xi-db", "0,20",
@@ -421,6 +443,16 @@ class TestFigureReproducibility:
         assert code == 1 and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1, err
         assert not list(tmp_path.iterdir())
+
+    def test_certain_outage_at_a_huge_rate_exits_0(self, capsys, tmp_path):
+        # every probability is 1, and alpha2 + 29 rounds back to alpha2 in
+        # the weak-user closed form
+        code, _, err = run_cli(capsys, [
+            "figure", "2", "--r0", "60", "--trials", "10", "--xi-db", "0",
+            "--out-dir", str(tmp_path)])
+        assert code == 0, err
+        _, _, rows = read_csv(tmp_path / "figure2.csv")
+        assert rows == [[0.0] + [1.0] * 10]
 
     @pytest.mark.parametrize("argv", QUAD_ARGV)
     def test_quadrature_failure_exits_one(self, capsys, tmp_path, monkeypatch,

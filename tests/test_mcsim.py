@@ -11,7 +11,7 @@ import warnings
 import numpy as np
 import pytest
 
-from fairnoma import ergodic, mcsim, multiuser, twouser
+from fairnoma import cli, ergodic, mcsim, multiuser, twouser
 from fairnoma.errors import DomainError
 from fairnoma.mcsim import (CHUNK_TRIALS, SimConfig, SimResult,
                             run_multiuser_power, run_outage, run_pairing)
@@ -633,3 +633,86 @@ class TestScalarApiIsTheEngine:
                     checked.append((f"sum_b K={k}", running, total[i]))
         bad = self._mismatches(checked)
         assert not bad, (len(bad), len(checked), bad[:5])
+
+
+def _figure_sets(runner) -> list:
+    """The Monte Carlo measures of each figure that ``runner`` sweeps."""
+    return [{src for name, src in fig.columns if name.endswith("_mc")}
+            for fig in cli._FIGURES.values() if fig.runner is runner]
+
+
+class TestMeasureSubsets:
+    """A runner asked for some of its measures computes each of them by the
+    same operations on the same draws as the full run, so each equals the
+    full run's bit for bit, and it returns exactly those measures."""
+
+    CASES = [
+        (run_pairing, {"a_policy": 0.3}),
+        (run_pairing, {"a_policy": "mid"}),
+        (run_pairing, {"scenario": "pair_minmax", "k_grid": (2, 7, 30),
+                       "a_policy": 0.3}),
+        (run_outage, {"r0": 2.0, "a_policy": "mid"}),
+        (run_outage, {"r0": 2.0, "a_policy": 0.3}),
+        (run_multiuser_power, {"scenario": "multiuser", "k_users": 5}),
+    ]
+
+    @pytest.mark.parametrize("runner,options", CASES)
+    def test_each_subset_equals_the_full_run(self, runner, options):
+        # a full chunk and a partial one per grid point
+        config = _cfg(trials=CHUNK_TRIALS + 123, xi_grid=(3.7, 1e4),
+                      **options)
+        full = runner(config)
+        names = set(full[0].measures)
+        subsets = [{name} for name in sorted(names)]
+        subsets += [s for s in _figure_sets(runner) if s <= names]
+        for subset in subsets:
+            for whole, part in zip(full, runner(config, measures=subset),
+                                   strict=True):
+                assert (part.xi, part.k) == (whole.xi, whole.k)
+                assert set(part.measures) == subset
+                for name in subset:
+                    got, want = part.measures[name], whole.measures[name]
+                    assert (float.hex(got.mean), float.hex(got.std_error)) == (
+                        float.hex(want.mean), float.hex(want.std_error)), name
+
+    def test_every_figure_set_is_covered(self):
+        # each figure's set is a subset of some case's full measure set
+        for runner in (run_pairing, run_outage, run_multiuser_power):
+            produced = [set(runner(_cfg(trials=10, **options))[0].measures)
+                        for r, options in self.CASES if r is runner]
+            for s in _figure_sets(runner):
+                assert any(s <= names for names in produced), s
+
+    def test_figure_one_computes_two_rate_vectors(self, monkeypatch):
+        calls = []
+
+        def recording(name, fn):
+            def call(*args, **kwargs):
+                calls.append(name)
+                return fn(*args, **kwargs)
+            return call
+
+        for name in ("_oma_rate", "_weak_rate", "_strong_rate"):
+            monkeypatch.setattr(mcsim, name, recording(name, getattr(mcsim, name)))
+        run_pairing(_cfg(trials=100), measures={"c1_noma_ainf",
+                                                "c2_noma_asup"})
+        assert calls == ["_weak_rate", "_strong_rate"]
+        calls.clear()
+        run_pairing(_cfg(trials=100))
+        assert calls == ["_oma_rate", "_oma_rate"] + [
+            "_weak_rate", "_strong_rate"] * 2
+
+    @pytest.mark.parametrize("runner,options,bad", [
+        (run_pairing, {}, {"c1_oma", "p_oma_weak"}),
+        (run_pairing, {}, {"ds_fixed"}),
+        (run_pairing, {}, "c1_oma"),
+        (run_pairing, {}, set()),
+        (run_outage, {"r0": 1.0}, {"p_noma_weak_fixed"}),
+        (run_outage, {"r0": 1.0}, {"c1_oma"}),
+        (run_multiuser_power, {"scenario": "multiuser"}, {"sum_a"}),
+    ])
+    def test_unknown_measure_names_the_valid_set(self, runner, options, bad):
+        valid = set(runner(_cfg(trials=10, **options))[0].measures)
+        with pytest.raises(DomainError) as info:
+            runner(_cfg(trials=10, **options), measures=bad)
+        assert all(repr(name) in str(info.value) for name in valid)

@@ -2,6 +2,7 @@
 Monte Carlo oracles."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -150,6 +151,14 @@ class TestWeakUserLowerEndpoint:
 
     def test_vanishing_rate_limit(self):
         assert outage.noma_outage_weak_ainf(_params(100.0, r0=1e-9)) < 1e-9
+
+    @pytest.mark.parametrize("r0", [60.0, 80.0, 150.0, 250.0, 300.0])
+    def test_certain_outage_at_a_huge_rate(self, r0):
+        # alpha2/beta + 29 rounds back to alpha2/beta, where alpha1 is
+        # undefined; every term but the 1 is below the least double
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert outage.noma_outage_weak_ainf(_params(1.0, r0=r0)) == 1.0
 
     def test_matches_independent_quadrature_route(self):
         for xi, r0 in ((100.0, 2.0), (1e3, 2.0), (1e5, 2.0), (50.0, 0.7)):
