@@ -30,8 +30,9 @@ import numpy as np
 from . import __version__
 from .errors import DomainError, QuadratureError
 from .ergodic import ergodic_curve_point, high_snr_ergodic_approx
-from .mcsim import (STREAM_VERSION, SimConfig, run_multiuser_power,
-                    run_outage, run_pairing)
+from .mcsim import (STREAM_VERSION, SimConfig, _ordered_gains, _point_key,
+                    _require_int, _substream, run_multiuser_power, run_outage,
+                    run_pairing)
 from .multiuser import (
     ChannelSet,
     full_alloc_a,
@@ -414,11 +415,14 @@ def cmd_multiuser(args: argparse.Namespace) -> int:
     else:
         seed = 12345 if args.seed is None else args.seed
         beta = 1.0 if args.beta is None else args.beta
-        _require_positive("beta", beta)
         # checked here, as numpy's own ValueError would escape main
+        _require_int("seed", seed, 0, 2 ** 64)
+        _require_positive("beta", beta)
         if k < 1:
             raise DomainError(f"need at least one user, got --k {k}")
-        gains = tuple(np.sort(np.random.default_rng(seed).exponential(beta, k)))
+        # the one trial of chunk 0 of figure 6's substream at this point
+        rng = _substream(_point_key(seed, "multiuser", xi, k) + (0,))
+        gains = tuple(_ordered_gains(rng, beta, np.empty((k, 1))).ravel())
         head += f", beta = {_txt(beta)}"
     channels = ChannelSet(gains=gains)
 

@@ -7,12 +7,17 @@ two i.i.d. users, 'pair_minmax' the weakest and strongest of K, 'multiuser'
 all K users in gain order. A runner only names the scenarios its kernel
 serves. For each grid point (xi, and K from ``k_grid`` or ``k_users``) the
 driver splits the trials into fixed 65536-draw chunks. Chunk ``ci`` draws its
-uniforms from ``Philox(SeedSequence((seed, scenario_id, xi_bits, k, ci)))``,
-``xi_bits`` being the 64-bit pattern of ``float(xi)`` (``k`` is 2 for
-'pair_iid'). So each trial's channel realization is a pure function of the
+uniforms from ``PCG64DXSM(SeedSequence((seed, scenario_id, xi_bits, k,
+ci)))``, ``xi_bits`` being the 64-bit pattern of ``float(xi)`` (``k`` is 2
+for 'pair_iid'); ``_substream`` is the one place that names the generator.
+So each trial's channel realization is a pure function of the
 configuration, its grid point and its own index, and re-running a subset of
-the grid reproduces that subset's rows. This is stream version 2
-(``STREAM_VERSION``), which the CLI records in its manifest.
+the grid reproduces that subset's rows. SeedSequence's hashing makes the
+substreams independent, so the generator need not be counter-based:
+PCG64DXSM draws a uniform in about half the time Philox takes. This is
+stream version 3 (``STREAM_VERSION``), which the CLI records in its
+manifest; ``multiuser --random`` draws its K gains as the single trial of
+chunk 0 of the 'multiuser' substream at its point.
 
 A kernel never draws the K gains of a pool; it draws the order statistics
 it needs directly, by Renyi's representation of exponential order
@@ -22,9 +27,10 @@ Exp(beta/(K-i)). The pair kernels take two uniforms per trial, whatever K
 is: the minimum ``-(beta/K)*log1p(-u1)``, and the maximum as the minimum
 plus the largest of K-1 i.i.d. Exp(beta) gaps, by its inverse CDF
 ``-beta*log(-expm1(log(u2)/(K-1)))``, which stays exact for ``u2`` near 1
-at any K. The K-user kernel draws the K gaps of each trial into a K-major
-(K, n) array and adds the rows up in place, so its gains come out
-ascending.
+at any K; at K = 2 that gap is a plain Exp(beta) gain, drawn by the same
+inverse CDF as the minimum. The K-user kernel draws the K gaps of each
+trial into a K-major (K, n) array and adds the rows up in place, so its
+gains come out ascending.
 
 Each kernel returns partial sums, and the driver combines them in chunk
 order with ``math.fsum``, which is exactly rounded: results are
@@ -89,7 +95,7 @@ CHUNK_TRIALS = 1 << 16
 
 #: version of the map from a configuration to its draws: the substream key
 #: and the samplers; any change to either moves figure bytes and bumps it
-STREAM_VERSION = 2
+STREAM_VERSION = 3
 
 _SCENARIO_IDS = {"pair_iid": 1, "pair_minmax": 2, "multiuser": 3}
 
@@ -223,6 +229,20 @@ def _map_chunks(fn: Callable[[int], dict], n_tasks: int,
         pool.shutdown(cancel_futures=True)
 
 
+def _point_key(seed: int, scenario: str, xi: float, k: int) -> tuple:
+    """Substream key of a grid point, without its chunk index: the seed, the
+    scenario, the 64-bit pattern of ``float(xi)`` and K."""
+    return (seed, _SCENARIO_IDS[scenario],
+            int(np.float64(xi).view(np.uint64)), k)
+
+
+def _substream(key: tuple) -> np.random.Generator:
+    """The generator of the substream ``key``, ``_point_key(...) + (ci,)``
+    for chunk ``ci``: the one place the stream names its bit generator."""
+    return np.random.Generator(
+        np.random.PCG64DXSM(np.random.SeedSequence(key)))
+
+
 def _moment(v: np.ndarray) -> tuple[float, float]:
     # einsum's own loop, not BLAS ddot: no thread pool, and the same
     # rounding whatever the machine's BLAS thread count
@@ -275,8 +295,7 @@ def _sweep(config: SimConfig, accepted: tuple,
     n_chunks = (config.trials + CHUNK_TRIALS - 1) // CHUNK_TRIALS
     # keyed by the point itself, not its grid index, so a point's draws do
     # not depend on which other points the grid holds
-    grid = [(xi, k, (config.seed, _SCENARIO_IDS[scenario],
-                     int(np.float64(xi).view(np.uint64)), k))
+    grid = [(xi, k, _point_key(config.seed, scenario, xi, k))
             for xi in config.xi_grid for k in config.k_grid or (config.k_users,)]
     # idle workspaces; a task that finds none makes one, so there are never
     # more workspaces than threads
@@ -292,8 +311,7 @@ def _sweep(config: SimConfig, accepted: tuple,
             # so its first touch takes far fewer page faults
             ws = np.empty((n_scratch, CHUNK_TRIALS))
         try:
-            rng = np.random.Generator(
-                np.random.Philox(np.random.SeedSequence(key + (ci,))))
+            rng = _substream(key + (ci,))
             n = min(CHUNK_TRIALS, config.trials - ci * CHUNK_TRIALS)
             return kernel(rng, xi, k, ws[:, :n])
         finally:
@@ -325,11 +343,16 @@ def _minmax_gains(rng: np.random.Generator, k: int, beta: float,
     uniforms per trial into the vector pair ``out``: the minimum is
     Exp(beta/k), and the maximum is the minimum plus the largest of k-1
     i.i.d. Exp(beta) gaps, whose CDF ``(1 - exp(-x/beta))**(k-1)`` is
-    inverted through expm1 so that uniforms near 1 keep their tail."""
+    inverted through expm1 so that uniforms near 1 keep their tail; at k = 2
+    the one gap is Exp(beta), drawn by ``_gains``."""
     lo, hi = out
     rng.random(out=lo)
     rng.random(out=hi)
     _gains(lo, beta / k, out=lo)
+    if k == 2:
+        _gains(hi, beta, out=hi)
+        np.add(lo, hi, out=hi)
+        return lo, hi
     # a uniform of 0 is the bottom of the inverse CDF: log(0) = -inf, then
     # expm1 gives -1 and the gap is exactly 0
     with np.errstate(divide="ignore"):

@@ -235,8 +235,8 @@ _BAD_CONFIGS = {
     "malformed-json": '{"figure": 6, "trials": ',
     "array": '[6, 1000]',
     "string": '"figure 6"',
-    "manifest-array": '{"command": "figure", "stream_version": 2,'
-                      ' "config": [6]}',
+    "manifest-array": '{"command": "figure", "stream_version": %d,'
+                      ' "config": [6]}' % mcsim.STREAM_VERSION,
     "xi_db-string": '{"figure": 6, "trials": 200, "xi_db": "abc"}',
     "xi_db-list-string": '{"figure": 6, "trials": 200, "xi_db": [0, "20"]}',
     "beta-string": '{"figure": 6, "trials": 200, "beta": "x"}',
@@ -286,7 +286,7 @@ class TestFigureReproducibility:
         assert manifest["output_paths"] == ["figure5.csv"]
         assert manifest["tool_version"]
         assert manifest["timestamp"]
-        assert manifest["stream_version"] == mcsim.STREAM_VERSION == 2
+        assert manifest["stream_version"] == mcsim.STREAM_VERSION == 3
         code, _, _ = run_cli(capsys, [
             "figure", "--config", str(first / "figure5_manifest.json"),
             "--out-dir", str(rerun)])
@@ -294,7 +294,8 @@ class TestFigureReproducibility:
         assert ((first / "figure5.csv").read_bytes()
                 == (rerun / "figure5.csv").read_bytes())
 
-    @pytest.mark.parametrize("stream", [1, None], ids=["v1", "unrecorded"])
+    @pytest.mark.parametrize("stream", [1, 2, None],
+                             ids=["v1", "v2", "unrecorded"])
     def test_manifest_of_another_stream_exits_2(self, capsys, tmp_path,
                                                 stream):
         # re-run on another stream, it would write other bytes without a word
@@ -313,7 +314,7 @@ class TestFigureReproducibility:
                                           "--out-dir", str(tmp_path / "rerun")])
         assert code == 2 and out == ""
         assert err.startswith("usage error: ") and err.count("\n") == 1, err
-        assert "version 1" in err
+        assert f"version {stream or 1}" in err
         assert f"version {mcsim.STREAM_VERSION}" in err
         assert not (tmp_path / "rerun").exists()
 
@@ -515,6 +516,36 @@ class TestMultiuserCommand:
         assert out1 == out2
         assert "sum_a <= 1: OK" in out1
         assert grab(out1, "sum_a") <= 1.0
+
+    @pytest.mark.parametrize("k,beta", [(1, 1.0), (5, 2.0), (30, 0.5)])
+    def test_random_draw_is_its_keyed_substream(self, capsys, k, beta):
+        # the gains are the engine's sampler on the 'multiuser' substream
+        # (scenario 3) of this point, chunk 0, under the stream version
+        xi = 10.0 ** 2.5
+        argv = ["multiuser", "--k", str(k), "--xi", repr(xi), "--random",
+                "--seed", "7", "--beta", repr(beta)]
+        code, out, _ = run_cli(capsys, argv)
+        assert code == 0
+        assert run_cli(capsys, argv)[1] == out
+        line = next(l for l in out.splitlines() if l.startswith("gains"))
+        printed = line.split(" = ")[1].split(",")
+        vals = [float(v) for v in printed]
+        assert len(vals) == k and vals == sorted(vals)
+        key = (7, 3, int(np.float64(xi).view(np.uint64)), k, 0)
+        want = mcsim._ordered_gains(mcsim._substream(key), beta,
+                                    np.empty((k, 1)))
+        assert printed == [cli._txt(g) for g in want.ravel()]
+
+    @pytest.mark.parametrize("seed", ["-1", str(2 ** 64)])
+    def test_out_of_range_seed_exits_1_as_figure_does(self, capsys, tmp_path,
+                                                      seed):
+        code, out, err = run_cli(capsys, ["multiuser", "--k", "3", "--xi-db",
+                                          "10", "--random", "--seed", seed])
+        assert code == 1 and out == ""
+        assert err.startswith("error: seed must be ") and err.count("\n") == 1
+        assert run_cli(capsys, ["figure", "6", "--trials", "10", "--xi-db",
+                                "10", "--seed", seed, "--out-dir",
+                                str(tmp_path)]) == (1, "", err)
 
     def test_unsorted_gains_sorted_on_entry(self, capsys):
         code, out, _ = run_cli(capsys, ["multiuser", "--k", "3", "--xi", "50",

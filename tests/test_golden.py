@@ -20,19 +20,19 @@ from fairnoma.cli import main
 RECORDED_NUMPY = "2.4.6"
 
 # (figure, trials, extra flags) -> SHA-256 of figureN.csv on its default grid,
-# recorded for stream version 2 (mcsim.STREAM_VERSION) and the array
+# recorded for stream version 3 (mcsim.STREAM_VERSION) and the array
 # Gauss-Kronrod quadrature of the closed forms (figures 1, 2 and 5)
 GOLDEN = [
-    (1, 3000, [], "f5dfce399ca358590bcc6724c2619fd63e77a71837c325cfb1ce41bf8fda0b05"),
-    (2, 3000, [], "8779f8e27f303931a0dbbe7131b34aea324afe609804358c605403813aafd684"),
-    (3, 3000, [], "54cf51444a46e4903c127f45f0432b62f07293d61fbdcccdcf5acd0d94586147"),
-    (4, 3000, [], "1f03c61be6eeb27f170e4b23346520ae39c40e9103376dbf77a27eeb2611de9a"),
-    (5, 3000, [], "dd8a3ced3d6c07576cbfb6e38bd4422432a0f1967b5786bc5c986f4b28407d97"),
+    (1, 3000, [], "dfc9a19bc79e00886db483fac8f17af1c88a6365745f4d5c0207722d7f7f4d34"),
+    (2, 3000, [], "b90db3e68163a6b52abc9452c8a21cc9bcfc1b07b2c7874638d0271f83acf43b"),
+    (3, 3000, [], "66256de0ec1ed9b96d91ea19d027ba49f0a70ce62f8b84cd18bb357b173e839f"),
+    (4, 3000, [], "946a560e954844cbcea41f09b5e5f3e3f099c109d92e4495a84859dcbe82673f"),
+    (5, 3000, [], "5808291d5c127519608cb40e42fb995774f4e7f7d399049c751fb5d4b3b90577"),
     (6, 3000, ["--workers", "2"],
-     "de8b84fe22bf7e566ffc015dc4b5aacf8377bd66ddaa7da5be9c833329e244fb"),
+     "4df2b034cf396b3c8faf7f76953c093efb6ef255b1ed28ba4afba105665f0ebf"),
     # two chunks per grid point, so the parallel path really splits work
     (1, 70000, ["--workers", "2"],
-     "e4497e317744d605fb4ba36582a4c140160f5558c7008dba93fec0a0fe1ea665"),
+     "bda722792a2c83e1e2bb4b868fe0cb32654b2741a053792c19d8188ec5b9283c"),
 ]
 
 # three full chunks and a partial fourth per grid point, at one and two
@@ -40,13 +40,13 @@ GOLDEN = [
 # covered
 _MULTI_CHUNK = [
     (1, ["--xi-db", "0,30,60"],
-     "39bd7d0753819ca6ad870554a259a51a1cfcebb171032823d63b19a6828c138c"),
+     "b06cbee2b6ee36ca31c5349b72903756163db999d31733b2243a9f12955133bb"),
     (2, ["--xi-db", "0,30,60"],
-     "d32aa2ecc31d129841b28dd03b5bb44fbd99fa5e438d45521b119a44b8b13f3d"),
+     "ee48260286b06dee19cd231e4f2077d7408e6e2a0be572f7eb4fc2189acd9ea1"),
     (3, ["--k-grid", "2,7,30"],
-     "6074832fb89b212543416e36b56953294201d94be2bfcdc0c1174291a796d956"),
+     "d05f5970dca7c5915134940a77249cf0b902d27266865fbba025d9ffd3430beb"),
     (6, ["--xi-db", "0,30,60"],
-     "1d5223aac1e1386131f11960957f82982e76087dc32babfafe5d0f729832cfd9"),
+     "80141a565d1c06c50f11aaf22d4eaad53b9f614b1ff077b0c63cf8b640fd54af"),
 ]
 GOLDEN += [(figure, 200000, grid + ["--workers", workers], digest)
            for figure, grid, digest in _MULTI_CHUNK for workers in ("1", "2")]

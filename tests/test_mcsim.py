@@ -369,11 +369,11 @@ class TestSamplers:
         ws = np.empty((33, CHUNK_TRIALS))
         for n in (CHUNK_TRIALS, 12295, 1):
             for k in (2, 7, 30):
-                key = np.random.SeedSequence((1, 2, 0, k, 3))
-                u = np.random.Generator(np.random.Philox(key)).random((k, n))
+                key = (1, 2, 0, k, 3)
+                u = mcsim._substream(key).random((k, n))
                 gaps = np.array([-(1.5 / (k - i)) * np.log1p(-u[i])
                                  for i in range(k)])
-                rng = np.random.Generator(np.random.Philox(key))
+                rng = mcsim._substream(key)
                 got = mcsim._ordered_gains(rng, 1.5, ws[:k, :n])
                 assert np.array_equal(got, np.cumsum(gaps, axis=0))
 
