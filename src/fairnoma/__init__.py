@@ -8,7 +8,7 @@ against a deterministic Monte Carlo engine.
 __version__ = "0.1.0"
 
 from .errors import DomainError, QuadratureError
-from .specfun import EULER_GAMMA, erfcx, exp_integral_e1_scaled
+from .specfun import EULER_GAMMA, exp_integral_e1_scaled
 from .twouser import (
     ChannelPair,
     FairRegion,
@@ -31,9 +31,7 @@ from .ergodic import (
     high_snr_ergodic_approx,
 )
 from .outage import (
-    AlphaPair,
     OutagePoint,
-    alpha_pair,
     noma_outage_strong_asup,
     noma_outage_weak_ainf,
     oma_outage_strong,
@@ -67,7 +65,6 @@ from .mcsim import (
 
 __all__ = [
     "AllocationVector",
-    "AlphaPair",
     "ChannelPair",
     "ChannelSet",
     "DomainError",
@@ -81,8 +78,6 @@ __all__ = [
     "SimResult",
     "SystemParams",
     "allocation_bound",
-    "alpha_pair",
-    "erfcx",
     "ergodic_curve_point",
     "ergodic_noma_strong_asup",
     "ergodic_noma_weak_ainf",

@@ -404,6 +404,7 @@ def cmd_figure(args: argparse.Namespace) -> int:
 def cmd_multiuser(args: argparse.Namespace) -> int:
     xi = _db_to_linear(args.xi_db) if args.xi is None else args.xi
     k = args.k
+    _require_positive("xi", xi)
     head = f"k = {k}, xi = {_txt(xi)} ({_txt(_linear_to_db(xi))} dB)"
     if args.gains is not None:
         if args.seed is not None or args.beta is not None:

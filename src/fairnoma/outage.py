@@ -1,42 +1,25 @@
 """Outage probabilities below a target rate r0 for the ordered two-user pair.
 
-Covers orthogonal access for both users and fair power-domain NOMA at the
-allocation-region endpoints: the weak user at the lower endpoint (its best
-case) and the strong user at the upper endpoint. The weak-user endpoint
-probability has no closed form and is evaluated by quadrature with an
-explicit tail correction; the strong-user endpoint uses a scaled-erfc closed
-form that stays finite where the textbook erfc/exp product over- and
-underflows.
+Covers orthogonal access for both users, in closed form, and fair
+power-domain NOMA at the allocation-region endpoints: the weak user at the
+lower endpoint (its best case) and the strong user at the upper endpoint.
+Neither NOMA endpoint has a closed form; both are one two-component
+Gauss-Kronrod integral over the outage region itself, whose terms are all
+positive, so the probabilities stay accurate relative to their size at
+every SNR instead of cancelling against 1.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
 from ._quad import integrate_interval
 from .errors import DomainError
-from .specfun import erfcx
-from .twouser import SystemParams, _rate_threshold, _require_positive
-
-# y-units tail cut: exp(-29) ~ 2.5e-13 bounds the truncated mass below 1e-12
-_TAIL_WIDTH = 29.0
-
-
-@dataclass(frozen=True)
-class AlphaPair:
-    """Threshold pair for the weak user's best-case outage region.
-
-    ``alpha2`` is the gain below which the strong user cannot reach r0 even
-    with the whole power budget; ``alpha1_fn(x)`` is the minimum weak-user
-    share factor at strong-user gain x >= alpha2.
-    """
-
-    alpha1_fn: Callable[[float], float]
-    alpha2: float
+from .specfun import _LN2
+from .twouser import SystemParams, _rate_threshold
 
 
 @dataclass(frozen=True)
@@ -55,8 +38,10 @@ class OutagePoint:
                  self.p_noma_weak_ainf, self.p_noma_strong_asup)
         if any(not (0.0 <= p <= 1.0) for p in probs):
             raise DomainError(f"outage probabilities must lie in [0, 1]: {probs}")
-        if (self.p_noma_weak_ainf > self.p_oma_weak + 1e-12
-                or self.p_noma_strong_asup > self.p_oma_strong + 1e-12):
+        # relative, so the bound holds however small the probabilities are
+        bound = 1.0 + 1e-9
+        if (self.p_noma_weak_ainf > self.p_oma_weak * bound
+                or self.p_noma_strong_asup > self.p_oma_strong * bound):
             raise DomainError("fair endpoints cannot be worse than orthogonal access")
 
 
@@ -72,100 +57,79 @@ def oma_outage_strong(params: SystemParams) -> float:
     return math.expm1(-theta / (params.beta * params.xi)) ** 2
 
 
-def alpha_pair(params: SystemParams) -> AlphaPair:
-    """Threshold constructions for the weak user's lower-endpoint outage.
+def _noma_endpoints(params: SystemParams) -> tuple[float, float]:
+    """(weak user at a_inf, strong user at a_sup), from one two-component
+    integral over u in [0, 1] of the outage regions themselves.
 
-    alpha2 reduces exactly to (4**r0 - 1)/xi: the discriminant of the
-    defining quadratic is (4**r0)^2/4, so the root collapses with no
-    subtractive cancellation. alpha1_fn uses the factored denominator
-    (s - 1)(s + 1 - 2**r0) with s = sqrt(1 + xi*x), equal to the direct
-    form xi*x + 2**r0*(1 - s) but stable near the domain edge.
+    With q = 2^r0, theta = q^2 - 1, bx = xi beta, and s = sqrt(1 + xi x)
+    at a gain x of the ordered pair (x1 < x2):
+
+    - weak: in outage unless x2 >= theta/xi and x1 >= x2 alpha1(x2), so
+      P = expm1(-y_lo)^2 + 2 int_{y_lo}^inf e^-y (-expm1(-y alpha1)) dy
+      with y = x2/beta and y_lo = theta/bx. At x = x2 and s = q + v,
+      y - y_lo = v (v + 2q)/bx and y alpha1 = (q - 1)(1 + q/(1 + v))/bx;
+      v = c u/(1 - u), c twice the v where y - y_lo = 1;
+    - strong: in outage when x2 - x1 < (1 + s)(q - s)/xi at x = x1 < theta/xi,
+      so P = int (2/beta) e^(-2 x1/beta) (-expm1(-(1 + s)(q - s)/bx)) dx1;
+      s = 1 + m u, m = min(q, sqrt(1 + 40 bx)) - 1 (the cap drops mass
+      below e^-80).
+
+    No term cancels, so both probabilities are accurate to the quadrature's
+    relative tolerance however small they are.
     """
-    if params.r0 <= 0.0:
-        raise DomainError(f"alpha_pair requires r0 > 0, got {params.r0}")
-    xi = params.xi
-    alpha2 = _rate_threshold(params.r0) / xi
-    q = 2.0 ** params.r0
+    if params.r0 == 0.0:
+        return 0.0, 0.0
+    theta = _rate_threshold(params.r0)
+    bx = params.beta * params.xi
+    qm1 = math.expm1(params.r0 * _LN2)
+    q = 1.0 + qm1
+    if math.exp(-2.0 * qm1 / bx) == 0.0:
+        # the strong user's gap stays above 700 mean gains up to the cap:
+        # both probabilities are 1 in double precision, and the quadrature
+        # would round them down
+        return 1.0, 1.0
+    y_lo = theta / bx
+    c = 2.0 * bx / (math.sqrt(1.0 + theta + bx) + q)
+    m = min(qm1, 40.0 * bx / (math.sqrt(1.0 + 40.0 * bx) + 1.0))
 
-    def alpha1_fn(x: float) -> float:
-        _require_positive("x", x)
-        if math.sqrt(1.0 + xi * x) + 1.0 - q <= 0.0:
-            raise DomainError(
-                f"alpha1 undefined at x={x!r}: strong gain below the rate threshold")
-        return float(_alpha1(x, xi, q))
+    def integrand(u: np.ndarray) -> np.ndarray:
+        # each component is e^-X * P * expm1(-G), the sign folded into the
+        # scale factors below, and written into one (2, n) array
+        out = np.empty((2, u.size))
+        r = 1.0 - u
+        v = c * u / r
+        s = v + q
+        np.multiply(np.exp(v * (s + q) / -bx) * s / (r * r),
+                    np.expm1((s + 1.0) / (v + 1.0) * (-qm1 / bx)), out=out[0])
+        d = m * u
+        np.multiply(np.exp(d * (2.0 + d) * (-2.0 / bx)) * (1.0 + d),
+                    np.expm1((2.0 + d) * ((m - qm1) / bx - m / bx * r)),
+                    out=out[1])
+        return out
 
-    return AlphaPair(alpha1_fn=alpha1_fn, alpha2=alpha2)
-
-
-def _alpha1(x, xi: float, q: float):
-    """alpha1 at strong-user gain x (a float or an array), unchecked."""
-    s = np.sqrt(1.0 + xi * x)
-    return (q - 1.0) * (1.0 + s) / (xi * x * (s + 1.0 - q))
+    (weak, strong), _ = integrate_interval(integrand, 0.0, 1.0, abs_tol=0.0)
+    p_weak = math.expm1(-y_lo) ** 2 - 4.0 * c / bx * math.exp(-y_lo) * weak
+    return min(float(p_weak), 1.0), min(float(-4.0 * m / bx * strong), 1.0)
 
 
 def noma_outage_weak_ainf(params: SystemParams) -> float:
-    """P(weak user's NOMA rate at the lower endpoint < r0).
-
-    No closed form exists; integrates 2*exp(-y*(alpha1(beta*y)+1)) over
-    y = x/beta on [alpha2/beta, alpha2/beta + 29] and adds the frozen-alpha1
-    analytic tail, which under-corrects by less than the 1e-12 truncation
-    bound exp(-29)*exp(-alpha2/beta).
-    """
-    if params.r0 == 0.0:
-        return 0.0
-    pair = alpha_pair(params)
-    beta, xi = params.beta, params.xi
-    q = 2.0 ** params.r0
-    y_lo = pair.alpha2 / beta
-    if math.exp(-y_lo) == 0.0:
-        # every other term is below the least double (and y_hi may be y_lo)
-        return 1.0
-    y_hi = y_lo + _TAIL_WIDTH
-
-    def integrand(y: np.ndarray) -> np.ndarray:
-        # alpha1(alpha2) = 1 exactly; guards roundoff just below the edge
-        with np.errstate(divide="ignore", invalid="ignore"):
-            a1 = np.where(y > y_lo, _alpha1(beta * y, xi, q), 1.0)
-        return np.exp(-y * (a1 + 1.0))
-
-    value, _ = integrate_interval(integrand, y_lo, y_hi)
-    a1_tail = pair.alpha1_fn(beta * y_hi)
-    tail = math.exp(-y_hi * (a1_tail + 1.0)) / (1.0 + a1_tail)
-    p = 1.0 + math.exp(-2.0 * y_lo) - 2.0 * (float(value) + tail)
-    return min(max(p, 0.0), 1.0)
+    """P(weak user's NOMA rate at the lower endpoint < r0)."""
+    return _noma_endpoints(params)[0]
 
 
 def noma_outage_strong_asup(params: SystemParams) -> float:
-    """P(strong user's NOMA rate at the upper endpoint < r0), closed form.
-
-    Written with expm1 and the scaled complement erfcx so the Gaussian
-    prefactor exp((2**r0-3)^2/(4*beta*xi)) never overflows: folding it into
-    each erfc term leaves exponents -2(2**r0-1)/(beta*xi) and
-    -2(4**r0-1)/(beta*xi) exactly.
-    """
-    if params.r0 == 0.0:
-        return 0.0
-    theta = _rate_threshold(params.r0)
-    q = 2.0 ** params.r0
-    bx = params.beta * params.xi
-    sigma = 2.0 * (q - 1.0) / bx
-    tau = 2.0 * theta / bx
-    root = math.sqrt(bx)
-    u1 = (q + 1.0) / (2.0 * root)
-    u2 = (3.0 * q - 1.0) / (2.0 * root)
-    bracket = math.exp(-sigma) * erfcx(u1) - math.exp(-tau) * erfcx(u2)
-    p = (math.expm1(-tau) - 2.0 * math.expm1(-sigma)
-         + (q - 1.0) * math.sqrt(math.pi / bx) * bracket)
-    return min(max(p, 0.0), 1.0)
+    """P(strong user's NOMA rate at the upper endpoint < r0)."""
+    return _noma_endpoints(params)[1]
 
 
 def outage_point(params: SystemParams) -> OutagePoint:
-    """Evaluate all four closed/quadrature forms at one operating point."""
+    """Evaluate all four outage probabilities at one operating point."""
+    p_weak, p_strong = _noma_endpoints(params)
     return OutagePoint(
         xi=params.xi,
         r0=params.r0,
         p_oma_weak=oma_outage_weak(params),
         p_oma_strong=oma_outage_strong(params),
-        p_noma_weak_ainf=noma_outage_weak_ainf(params),
-        p_noma_strong_asup=noma_outage_strong_asup(params),
+        p_noma_weak_ainf=p_weak,
+        p_noma_strong_asup=p_strong,
     )

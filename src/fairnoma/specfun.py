@@ -1,10 +1,10 @@
 """Special functions built from series and continued-fraction expansions.
 
-Self-contained scalar implementations of the scaled exponential integral
-e^x E1(x) and the scaled complement e^{z^2} erfc(z), which keep the
-ergodic/outage closed forms finite at extreme SNR, and an array e^x E1(x)
-for quadrature integrands. No special-function library is imported; the
-test suite pins accuracy against quadrature of the defining integrals.
+A self-contained scalar implementation of the scaled exponential integral
+e^x E1(x), which keeps the ergodic closed forms finite at extreme SNR, and
+an array e^x E1(x) for quadrature integrands. No special-function library
+is imported; the test suite pins accuracy against quadrature of the
+defining integral.
 """
 
 from __future__ import annotations
@@ -25,8 +25,6 @@ _LN4 = math.log(4.0)
 
 _EPS = 2.220446049250313e-16
 _MAX_ITER = 500
-_TWO_OVER_SQRT_PI = 2.0 / math.sqrt(math.pi)
-_SQRT_PI = math.sqrt(math.pi)
 
 # the array e^x E1(x): series terms below 1 (the 18th is below 1e-17 at
 # x = 1), Chebyshev interpolation at 32 points with the first 22
@@ -144,48 +142,3 @@ def _e1s_chebyshev() -> np.ndarray:
     coeffs = (2.0 / _CHEB_POINTS) * np.einsum("kj,pj->kp", basis, values)
     coeffs[0] *= 0.5
     return coeffs
-
-
-# ---------------------------------------------------------------------------
-# Scaled complementary error function e^(z^2) erfc(z)
-
-def _erf_series(z: float) -> float:
-    # erf(z) = (2/sqrt(pi)) sum_{k>=0} (-1)^k z^(2k+1) / (k! (2k+1)).
-    term = z
-    total = 0.0
-    for k in range(_MAX_ITER):
-        contrib = term / (2 * k + 1)
-        total += contrib
-        if abs(contrib) <= _EPS * abs(total):
-            break
-        term *= -z * z / (k + 1.0)
-    return _TWO_OVER_SQRT_PI * total
-
-
-def _erfcx_cf(z: float) -> float:
-    # sqrt(pi) e^(z^2) erfc(z) = 1/(z + (1/2)/(z + 1/(z + (3/2)/(z + ...)))).
-    c = z
-    d = 0.0
-    h = z
-    for i in range(1, _MAX_ITER):
-        a = 0.5 * i
-        d = 1.0 / (z + a * d)
-        c = z + a / c
-        delta = c * d
-        h *= delta
-        if abs(delta - 1.0) < _EPS:
-            return 1.0 / (_SQRT_PI * h)
-    value = 1.0 / (_SQRT_PI * h)
-    raise QuadratureError(
-        f"e^(z^2) erfc(z) continued fraction did not converge for z={z!r}",
-        value=value, estimate=abs(value) * abs(delta - 1.0))
-
-
-def erfcx(z: float) -> float:
-    """Scaled complement e^(z^2) erfc(z) for z >= 0; never overflows."""
-    _check_finite("erfcx", z)
-    if z < 0.0:
-        raise DomainError(f"erfcx requires z >= 0, got {z!r}")
-    if z < 1.5:
-        return math.exp(z * z) * (1.0 - _erf_series(z))
-    return _erfcx_cf(z)

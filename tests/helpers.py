@@ -1,10 +1,10 @@
 """Shared oracle helpers for the test suite.
 
 The oracles here deliberately avoid the package's own special functions:
-E1 and erfc are integrated from their defining integrals with adaptive
-quadrature, harmonic numbers are exactly rounded sums, and region
-probabilities come from 2-D quadrature. Keeping the oracles independent is
-what gives the closed-form comparisons teeth. ``engine_minmax`` is not an
+E1 is integrated from its defining integral with adaptive quadrature,
+harmonic numbers are exactly rounded sums, and region probabilities come
+from 2-D quadrature. Keeping the oracles independent is what gives the
+closed-form comparisons teeth. ``engine_minmax`` is not an
 oracle: it is the engine's own pool sampler, which the order-statistic tests
 check.
 """
@@ -22,17 +22,6 @@ def e1_oracle(x: float) -> float:
     val, _ = integrate.quad(lambda t: math.exp(-t) / t, x, np.inf,
                             epsabs=1e-300, epsrel=1e-13, limit=400)
     return val
-
-
-def erfc_oracle(z: float) -> float:
-    """erfc(z) by quadrature of the Gaussian integral on [z, inf).
-
-    Works for negative z directly, so the oracle does not share the
-    implementation's reflection trick.
-    """
-    val, _ = integrate.quad(lambda t: math.exp(-t * t), z, np.inf,
-                            epsabs=1e-300, epsrel=1e-13, limit=400)
-    return 2.0 / math.sqrt(math.pi) * val
 
 
 def engine_minmax(k: int, beta: float, rng: np.random.Generator,

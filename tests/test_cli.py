@@ -564,7 +564,9 @@ class TestMultiuserCommand:
                                 "--gains", "0.5,2.0"])[0] == 2
         # rejected before the draw, with one line and no traceback
         for argv in (["--k", "3", "--xi", "10", "--random", "--beta", "-1"],
-                     ["--k", "-1", "--xi", "10", "--random"]):
+                     ["--k", "-1", "--xi", "10", "--random"],
+                     ["--k", "2", "--xi", "-5", "--gains", "1,2"],
+                     ["--k", "2", "--xi", "0", "--random"]):
             code, _, err = run_cli(capsys, ["multiuser"] + argv)
             assert code == 1
             assert err.startswith("error: ") and err.count("\n") == 1, err

@@ -21,10 +21,11 @@ RECORDED_NUMPY = "2.4.6"
 
 # (figure, trials, extra flags) -> SHA-256 of figureN.csv on its default grid,
 # recorded for stream version 3 (mcsim.STREAM_VERSION) and the array
-# Gauss-Kronrod quadrature of the closed forms (figures 1, 2 and 5)
+# Gauss-Kronrod quadrature of the closed forms (figures 1, 2 and 5); figure
+# 2's hashes since its NOMA outage columns integrate the outage region
 GOLDEN = [
     (1, 3000, [], "dfc9a19bc79e00886db483fac8f17af1c88a6365745f4d5c0207722d7f7f4d34"),
-    (2, 3000, [], "b90db3e68163a6b52abc9452c8a21cc9bcfc1b07b2c7874638d0271f83acf43b"),
+    (2, 3000, [], "71508462e326ff14e125c8decced0f5d6855d82df8a6771fe658c07b09d31a39"),
     (3, 3000, [], "66256de0ec1ed9b96d91ea19d027ba49f0a70ce62f8b84cd18bb357b173e839f"),
     (4, 3000, [], "946a560e954844cbcea41f09b5e5f3e3f099c109d92e4495a84859dcbe82673f"),
     (5, 3000, [], "5808291d5c127519608cb40e42fb995774f4e7f7d399049c751fb5d4b3b90577"),
@@ -42,7 +43,7 @@ _MULTI_CHUNK = [
     (1, ["--xi-db", "0,30,60"],
      "b06cbee2b6ee36ca31c5349b72903756163db999d31733b2243a9f12955133bb"),
     (2, ["--xi-db", "0,30,60"],
-     "ee48260286b06dee19cd231e4f2077d7408e6e2a0be572f7eb4fc2189acd9ea1"),
+     "fe905e5ad3e8997a90a0d0fdfb55978c85d3703338b894cbf26b1d364823b0ad"),
     (3, ["--k-grid", "2,7,30"],
      "d05f5970dca7c5915134940a77249cf0b902d27266865fbba025d9ffd3430beb"),
     (6, ["--xi-db", "0,30,60"],

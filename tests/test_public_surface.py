@@ -15,7 +15,6 @@ SRC = Path(fairnoma.__file__).parent
 
 PUBLIC_NAMES = [
     "AllocationVector",
-    "AlphaPair",
     "ChannelPair",
     "ChannelSet",
     "DomainError",
@@ -29,8 +28,6 @@ PUBLIC_NAMES = [
     "SimResult",
     "SystemParams",
     "allocation_bound",
-    "alpha_pair",
-    "erfcx",
     "ergodic_curve_point",
     "ergodic_noma_strong_asup",
     "ergodic_noma_weak_ainf",

@@ -5,17 +5,12 @@ import pytest
 
 from fairnoma import specfun as sf
 from fairnoma.errors import DomainError, QuadratureError
-from helpers import e1_oracle, erfc_oracle
+from helpers import e1_oracle
 
 
 def _e1_scaled_oracle(x: float) -> float:
     """e^x E1(x) from the quadrature oracle."""
     return math.exp(x) * e1_oracle(x)
-
-
-def _erfc(z: float) -> float:
-    """erfc(z) = e^(-z^2) erfcx(z), for z >= 0."""
-    return sf.erfcx(z) * math.exp(-z * z)
 
 
 class TestExpIntegralE1:
@@ -82,44 +77,9 @@ class TestExpIntegralE1:
             assert v == pytest.approx(1.0 / x, rel=2.0 / x)
 
 
-class TestErfc:
-    def test_exact_and_frozen_points(self):
-        assert sf.erfcx(0.0) == 1.0
-        assert _erfc(1.0) == pytest.approx(0.1572992071, abs=1e-10)
-
-    def test_against_quadrature_oracle(self):
-        for z in np.linspace(0.0, 6.0, 49):
-            z = float(z)
-            assert _erfc(z) == pytest.approx(erfc_oracle(z), rel=1e-12)
-
-    def test_range_and_monotonicity(self):
-        # e^(z^2) erfc(z) falls from 1 at z = 0 towards 1/(z sqrt(pi))
-        grid = np.linspace(0.0, 6.0, 121)
-        values = [sf.erfcx(float(z)) for z in grid]
-        assert all(0.0 < v <= 1.0 for v in values)
-        assert all(a > b for a, b in zip(values, values[1:]))
-
-    def test_domain_errors(self):
-        for bad in (math.nan, math.inf, -math.inf):
-            with pytest.raises(DomainError):
-                sf.erfcx(bad)
-
-    def test_erfcx_consistency_and_range(self):
-        for z in np.linspace(0.0, 5.0, 26):
-            z = float(z)
-            expected = math.exp(z * z) * erfc_oracle(z)
-            assert sf.erfcx(z) == pytest.approx(expected, rel=1e-12)
-        # stays finite far beyond where erfc underflows
-        big = sf.erfcx(1e8)
-        assert big == pytest.approx(1.0 / (1e8 * math.sqrt(math.pi)), rel=1e-10)
-        with pytest.raises(DomainError):
-            sf.erfcx(-0.5)
-
-
 class TestContinuedFractionFailure:
     @pytest.mark.parametrize("fn, x, exact", [
         (sf.exp_integral_e1_scaled, 2.0, math.exp(2.0) * 0.04890051070806112),
-        (sf.erfcx, 2.0, math.exp(4.0) * 0.004677734981047266),
     ])
     def test_raises_quadrature_error_with_last_iterate(self, monkeypatch,
                                                        fn, x, exact):
