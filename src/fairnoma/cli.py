@@ -313,15 +313,15 @@ def _resolve_figure_params(args: argparse.Namespace) -> dict:
     return resolved
 
 
-# figure parameters that SimConfig names differently; xi_db becomes the
-# linear xi_grid, and every other parameter but the figure id keeps its name
-_SIM_FIELDS = {"k": "k_users", "fixed_share": "a_policy"}
-
-
 def _figure_rows(fig: _Figure, p: dict, workers) -> tuple:
     """The CSV header and rows of ``fig`` for the figure parameters ``p``."""
-    fields = {_SIM_FIELDS.get(key, key): value for key, value in p.items()
-              if key not in ("figure", "xi_db")}
+    # xi_db becomes the linear xi_grid and the single K of figures 4 and 6
+    # a one-point k_grid; every other parameter but the figure id is a
+    # SimConfig field of the same name
+    fields = {key: value for key, value in p.items()
+              if key not in ("figure", "xi_db", "k")}
+    if "k" in p:
+        fields["k_grid"] = (p["k"],)
     points = fig.runner(SimConfig(
         xi_grid=tuple(_db_to_linear(d) for d in p["xi_db"]),
         scenario=fig.scenario, **fields), workers,

@@ -5,11 +5,11 @@ One sweep driver serves every scenario, and ``SimConfig.scenario`` is the
 one statement of which users a trial draws: 'pair_iid' is a random pair of
 two i.i.d. users, 'pair_minmax' the weakest and strongest of K, 'multiuser'
 all K users in gain order. A runner only names the scenarios its kernel
-serves. For each grid point (xi, and K from ``k_grid`` or ``k_users``) the
-driver splits the trials into fixed 65536-draw chunks. Chunk ``ci`` draws its
-uniforms from ``PCG64DXSM(SeedSequence((seed, scenario_id, xi_bits, k,
-ci)))``, ``xi_bits`` being the 64-bit pattern of ``float(xi)`` (``k`` is 2
-for 'pair_iid'); ``_substream`` is the one place that names the generator.
+serves. For each grid point (xi, and K from ``k_grid``) the driver splits
+the trials into fixed 65536-draw chunks. Chunk ``ci`` draws its uniforms
+from ``PCG64DXSM(SeedSequence((seed, scenario_id, xi_bits, k, ci)))``,
+``xi_bits`` being the 64-bit pattern of ``float(xi)`` (``k`` is 2 for
+'pair_iid'); ``_substream`` is the one place that names the generator.
 So each trial's channel realization is a pure function of the
 configuration, its grid point and its own index, and re-running a subset of
 the grid reproduces that subset's rows. SeedSequence's hashing makes the
@@ -58,13 +58,14 @@ too, and each draw's values equal the scalar API's at its gains bit for
 bit. Every measure is reduced by one ``np.sum`` and one ``einsum`` over its
 full chunk, and a buffer is overwritten only after its moments are taken.
 
-The a-policy is deliberately absent from the stream key, and each pair
-kernel evaluates every allocation policy it reports on the same draws
-(common random numbers). Measures carry the policy as a tag: ``ainf`` and
-``asup`` for the two fair endpoints, ``mid`` for their average share and
-``fixed`` for a numeric share, as in ``c1_noma_ainf`` or ``ds_asup``.
-Paired differences between policies, or against OMA, therefore have far
-less variance than independent runs would give.
+The power share is deliberately absent from the stream key, and each pair
+kernel evaluates every share it reports on the same draws (common random
+numbers). Measures carry the share as a tag: ``ainf`` and ``asup`` for the
+two fair endpoints, which both runners always report; ``mid`` for their
+average, which ``run_outage`` always reports too; and ``fixed`` for
+``SimConfig.fixed_share`` when it is set, as in ``c1_noma_ainf`` or
+``ds_asup``. Paired differences between shares, or against OMA, therefore
+have far less variance than independent runs would give.
 
 A runner computes only the measures in its ``measures`` set (all if None),
 and a share or rate vector only if one of those needs it, by the same
@@ -99,8 +100,6 @@ STREAM_VERSION = 3
 
 _SCENARIO_IDS = {"pair_iid": 1, "pair_minmax": 2, "multiuser": 3}
 
-_POLICIES = ("inf", "sup", "mid")
-
 
 def _require_int(name: str, value, low: int = 1,
                  high: int | None = None) -> None:
@@ -112,43 +111,29 @@ def _require_int(name: str, value, low: int = 1,
         raise DomainError(f"{name} must be an integer {bounds}, got {value!r}")
 
 
-def _validate_policy(policy) -> None:
-    if isinstance(policy, str):
-        if policy not in _POLICIES:
-            raise DomainError(
-                f"a_policy must be one of {_POLICIES} or a fixed share in (0,1),"
-                f" got {policy!r}")
-        return
-    if isinstance(policy, (int, float)) and not isinstance(policy, bool):
-        if 0.0 < float(policy) < 1.0 and math.isfinite(policy):
-            return
-    raise DomainError(f"fixed a_policy requires a value in (0, 1), got {policy!r}")
-
-
 @dataclass(frozen=True)
 class SimConfig:
     """Experiment description; everything that can influence a result.
 
     ``scenario`` picks the users of a trial and the substreams they are
-    drawn from: 'pair_iid' (two i.i.d. users, so ``k_users`` is 2) and
-    'pair_minmax' (the weakest and strongest of ``k_users`` >= 2) for
-    ``run_pairing``, 'pair_iid' for ``run_outage``, and 'multiuser' for
-    ``run_multiuser_power``. ``k_grid`` sweeps the pool size instead of the
-    single ``k_users``, for 'pair_minmax' only. ``a_policy`` is 'inf',
-    'sup', 'mid', or a float in (0,1) meaning a fixed strong-user share. The
-    pair runners always report both fair endpoints (tags ``ainf`` and
-    ``asup``); 'mid' or a number adds the tag ``mid`` or ``fixed``.
+    drawn from: 'pair_iid' (two i.i.d. users, so ``k_grid`` is (2,)) and
+    'pair_minmax' (the weakest and strongest of K >= 2, for each K of
+    ``k_grid``) for ``run_pairing``, 'pair_iid' for ``run_outage``, and
+    'multiuser' (all K users, for the single K of ``k_grid``) for
+    ``run_multiuser_power``. ``k_grid`` holds strictly increasing pool
+    sizes. The pair runners always report both fair endpoints (tags
+    ``ainf`` and ``asup``); ``fixed_share``, a number in (0, 1) or None,
+    adds the tag ``fixed`` for that strong-user share.
     """
 
     trials: int
     seed: int
     xi_grid: tuple
     beta: float = 1.0
-    k_users: int = 2
     r0: float = 0.0
-    a_policy: object = "sup"
+    fixed_share: float | None = None
     scenario: str = "pair_iid"
-    k_grid: tuple | None = None
+    k_grid: tuple = (2,)
 
     def __post_init__(self):
         _require_int("trials", self.trials)
@@ -162,29 +147,33 @@ class SimConfig:
             raise DomainError("xi_grid must be strictly increasing")
         object.__setattr__(self, "xi_grid", xi_grid)
         _require_positive("beta", self.beta)
-        _require_int("k_users", self.k_users)
         if not (math.isfinite(self.r0) and self.r0 >= 0.0):
             raise DomainError(f"r0 must be >= 0, got {self.r0!r}")
-        _validate_policy(self.a_policy)
+        share = self.fixed_share
+        # NaN and the infinities fail the interval test too
+        if share is not None and (isinstance(share, bool)
+                                  or not isinstance(share, (int, float))
+                                  or not 0.0 < share < 1.0):
+            raise DomainError(
+                f"fixed_share must be a number in (0, 1), got {share!r}")
         if self.scenario not in _SCENARIO_IDS:
             raise DomainError(f"unknown scenario {self.scenario!r}")
-        if self.scenario == "pair_iid" and self.k_users != 2:
+        k_grid = tuple(self.k_grid)
+        if not k_grid:
+            raise DomainError("k_grid must be non-empty")
+        for k in k_grid:
+            _require_int("k_grid entries", k)
+        if any(a >= b for a, b in zip(k_grid, k_grid[1:])):
+            raise DomainError("k_grid must be strictly increasing")
+        object.__setattr__(self, "k_grid", k_grid)
+        # a K the scenario would ignore is an error, not a no-op
+        if self.scenario == "pair_iid" and k_grid != (2,):
             raise DomainError(
-                f"scenario 'pair_iid' has 2 users, got k_users={self.k_users}")
-        if self.k_grid is not None:
-            if self.scenario != "pair_minmax":
-                raise DomainError(f"k_grid sweeps the pool of scenario"
-                                  f" 'pair_minmax' only, not {self.scenario!r}")
-            k_grid = tuple(self.k_grid)
-            if not k_grid:
-                raise DomainError("k_grid must be non-empty")
-            for k in k_grid:
-                _require_int("k_grid entries", k)
-            if any(a >= b for a, b in zip(k_grid, k_grid[1:])):
-                raise DomainError("k_grid must be strictly increasing")
-            object.__setattr__(self, "k_grid", k_grid)
-        if (self.scenario == "pair_minmax"
-                and min(self.k_grid or (self.k_users,)) < 2):
+                f"scenario 'pair_iid' has 2 users, got k_grid={k_grid}")
+        if self.scenario == "multiuser" and len(k_grid) != 1:
+            raise DomainError(
+                f"scenario 'multiuser' takes a single K, got k_grid={k_grid}")
+        if self.scenario == "pair_minmax" and k_grid[0] < 2:
             raise DomainError("pair_minmax requires at least 2 users per point")
 
 
@@ -296,7 +285,7 @@ def _sweep(config: SimConfig, accepted: tuple,
     # keyed by the point itself, not its grid index, so a point's draws do
     # not depend on which other points the grid holds
     grid = [(xi, k, _point_key(config.seed, scenario, xi, k))
-            for xi in config.xi_grid for k in config.k_grid or (config.k_users,)]
+            for xi in config.xi_grid for k in config.k_grid]
     # idle workspaces; a task that finds none makes one, so there are never
     # more workspaces than threads
     free = queue.SimpleQueue()
@@ -325,7 +314,7 @@ def _sweep(config: SimConfig, accepted: tuple,
 
 
 # ---------------------------------------------------------------------------
-# draws, order statistics and policies; the per-draw physics is twouser's and
+# draws, order statistics and shares; the per-draw physics is twouser's and
 # multiuser's
 
 def _gains(u: np.ndarray, scale: float,
@@ -391,13 +380,11 @@ def _pair_snrs(rng: np.random.Generator, k: int, xi: float, beta: float,
     return out
 
 
-def _select(measures, common: tuple, extra: tuple, per_tag: tuple) -> tuple:
+def _select(measures, common: tuple, tags: tuple, per_tag: tuple) -> tuple:
     """(names, tags) a runner computes: ``measures``, or if it is None every
     name it produces (``common``, then ``<m>_<tag>`` for each m in
-    ``per_tag`` per tag: both fair endpoints, then 'mid' if the policies in
-    ``extra`` hold it and 'fixed' for a number), and the tags they carry."""
-    tags = (("ainf", "asup") + ("mid",) * ("mid" in extra)
-            + tuple("fixed" for policy in extra if not isinstance(policy, str)))
+    ``per_tag`` per tag of ``tags``, the share tags it reports), and the
+    tags they carry."""
     produced = common + tuple(f"{m}_{tag}" for tag in tags for m in per_tag)
     want = frozenset(produced if measures is None else measures)
     if not want or not want <= set(produced):
@@ -407,8 +394,13 @@ def _select(measures, common: tuple, extra: tuple, per_tag: tuple) -> tuple:
                        if any(f"{m}_{tag}" in want for m in per_tag))
 
 
+def _fixed_tag(config: SimConfig) -> tuple:
+    """The share tag a set ``fixed_share`` adds: ('fixed',), or ()."""
+    return () if config.fixed_share is None else ("fixed",)
+
+
 def _shares(w1: np.ndarray, w2: np.ndarray, tags, fixed, bufs: list) -> dict:
-    """Strong user's power share per draw for each policy tag in ``tags``,
+    """Strong user's power share per draw for each share tag in ``tags``,
     each written into the next free vector of ``bufs``: the two fair
     endpoints (both also for 'mid', their average ``0.5 * (ainf + asup)``),
     and 'fixed', the number ``fixed`` broadcast to every draw."""
@@ -426,7 +418,7 @@ def _shares(w1: np.ndarray, w2: np.ndarray, tags, fixed, bufs: list) -> dict:
 
 
 #: scratch vectors of a pair kernel: weak and strong SNR, OMA sum rate, the
-#: three NOMA rates, and the shares of both endpoints plus one more policy
+#: three NOMA rates, and the shares of both endpoints and the fixed share
 _PAIR_SCRATCH = 9
 
 
@@ -434,7 +426,7 @@ def _rate_moments(w1: np.ndarray, w2: np.ndarray, tags: tuple, fixed,
                   want: frozenset, scratch: np.ndarray) -> dict:
     """Moments of the measures in ``want`` among the pair's OMA capacities
     (``c1_oma`` of the weak user, ``c2_oma`` of the strong one, ``s_oma``)
-    and, per policy tag in ``tags``, its NOMA capacities (``c1_noma_<tag>``,
+    and, per share tag in ``tags``, its NOMA capacities (``c1_noma_<tag>``,
     ``c2_noma_<tag>``, ``s_noma_<tag>``) with the paired per-draw sum-rate
     gain ``ds_<tag>``, each vector only if one of those needs it;
     ``scratch`` holds four vectors plus one per share."""
@@ -474,9 +466,9 @@ def run_outage(config: SimConfig, workers: int | None = None,
     """Per-xi outage frequencies below r0.
 
     Reports OMA for both users (``p_oma_weak``, ``p_oma_strong``) and, per
-    policy tag, ``p_noma_weak_<tag>`` and ``p_noma_strong_<tag>`` for both
-    fair endpoints, the mid policy, and a numeric ``a_policy`` as ``fixed``,
-    all from the same draws; ``measures``, a set of those names, limits the
+    share tag, ``p_noma_weak_<tag>`` and ``p_noma_strong_<tag>`` for both
+    fair endpoints, their average share as ``mid``, and ``fixed_share`` as
+    ``fixed`` if it is set, all from the same draws; ``measures``, a set of those names, limits the
     result to them. The region endpoints that matter are weak at ``ainf``
     and strong at ``asup``; weak at ``asup`` and strong at ``ainf`` are the
     boundary identities.
@@ -485,7 +477,7 @@ def run_outage(config: SimConfig, workers: int | None = None,
     # outage iff xi*g < threshold, per user in OMA
     o_thresh = _rate_threshold(r0)
     want, tags = _select(measures, ("p_oma_weak", "p_oma_strong"),
-                         ("mid", config.a_policy),
+                         ("ainf", "asup", "mid") + _fixed_tag(config),
                          ("p_noma_weak", "p_noma_strong"))
 
     def kernel(rng, xi: float, k: int, scratch: np.ndarray) -> dict:
@@ -495,7 +487,7 @@ def run_outage(config: SimConfig, workers: int | None = None,
         for name, w in (("p_oma_weak", w1), ("p_oma_strong", w2)):
             if name in want:
                 out[name] = int(np.count_nonzero(w < o_thresh))
-        shares = _shares(w1, w2, tags, config.a_policy, share_bufs)
+        shares = _shares(w1, w2, tags, config.fixed_share, share_bufs)
         for tag in tags:
             a = shares[tag]
             if f"p_noma_weak_{tag}" in want:
@@ -506,7 +498,7 @@ def run_outage(config: SimConfig, workers: int | None = None,
                     _strong_rate(w2, a, out=c2) < r0))
         return out
 
-    # SNRs, rates, and the shares of both endpoints, mid and a fixed policy
+    # SNRs, rates, and the shares of both endpoints, mid and the fixed share
     return _sweep(config, ("pair_iid",), kernel, workers, 8)
 
 
@@ -515,17 +507,18 @@ def run_pairing(config: SimConfig, workers: int | None = None,
     """Pair capacities over (xi, K), for a random pair of two i.i.d. users
     ('pair_iid') or the weakest and strongest of K ('pair_minmax'): OMA
     (``c1_oma`` of the weak user, ``c2_oma`` of the strong one, ``s_oma``)
-    and, per policy tag, ``c1_noma_<tag>``, ``c2_noma_<tag>``,
+    and, per share tag, ``c1_noma_<tag>``, ``c2_noma_<tag>``,
     ``s_noma_<tag>`` and the paired per-draw sum-rate gain ``ds_<tag>``, for
-    both fair endpoints and ``a_policy``; ``measures``, a set of those
-    names, limits the result to them."""
+    both fair endpoints and ``fixed_share`` if it is set; ``measures``, a
+    set of those names, limits the result to them."""
     want, tags = _select(measures, ("c1_oma", "c2_oma", "s_oma"),
-                         (config.a_policy,),
+                         ("ainf", "asup") + _fixed_tag(config),
                          ("c1_noma", "c2_noma", "s_noma", "ds"))
 
     def kernel(rng, xi: float, k: int, scratch: np.ndarray) -> dict:
         w1, w2 = _pair_snrs(rng, k, xi, config.beta, scratch[:2])
-        return _rate_moments(w1, w2, tags, config.a_policy, want, scratch[2:])
+        return _rate_moments(w1, w2, tags, config.fixed_share, want,
+                             scratch[2:])
 
     return _sweep(config, ("pair_iid", "pair_minmax"), kernel, workers,
                   _PAIR_SCRATCH)
@@ -545,4 +538,5 @@ def run_multiuser_power(config: SimConfig, workers: int | None = None,
         return {"sum_b": _moment(_min_power_total(w.T, k, scratch[k:]))}
 
     # the K gains, then the three vectors of _min_power_total
-    return _sweep(config, ("multiuser",), kernel, workers, config.k_users + 3)
+    return _sweep(config, ("multiuser",), kernel, workers,
+                  config.k_grid[0] + 3)

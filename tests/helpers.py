@@ -31,6 +31,18 @@ def engine_minmax(k: int, beta: float, rng: np.random.Generator,
     return mcsim._pair_snrs(rng, k, 1.0, beta, (np.empty(n), np.empty(n)))
 
 
+def oma_max_oracle(k: int, xi: float, beta: float) -> float:
+    """Mean OMA capacity 0.5*log2(1 + xi*g) of the strongest of k i.i.d.
+    Exp(beta) users, by quadrature against the density of their maximum,
+    (k/beta) exp(-x/beta) (1 - exp(-x/beta))**(k-1), on [0, inf)."""
+    def f(x):
+        return (0.5 * math.log2(1.0 + xi * x) * (k / beta) * math.exp(-x / beta)
+                * (-math.expm1(-x / beta)) ** (k - 1))
+    val, _ = integrate.quad(f, 0.0, np.inf, epsabs=0.0, epsrel=1e-12,
+                            limit=400)
+    return val
+
+
 def harmonic_number(k: int) -> float:
     """H_k as an exactly-rounded sum of reciprocals."""
     return math.fsum(1.0 / i for i in range(1, k + 1))

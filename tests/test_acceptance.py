@@ -167,8 +167,7 @@ def test_criterion_06_pairing_gain_formula():
     assert expected_gain_asup(2) == pytest.approx(1.0, abs=1e-9)
     assert expected_gain_asup(3) == pytest.approx(1.5, abs=1e-9)
     config = SimConfig(trials=1_000_000, seed=SEED, xi_grid=(1e5,), beta=1.0,
-                       k_users=2, scenario="pair_minmax",
-                       k_grid=tuple(range(2, 11)))
+                       scenario="pair_minmax", k_grid=tuple(range(2, 11)))
     worst = 0.0
     for pt in run_pairing(config, workers=4):
         gap = abs(pt.measures["ds_asup"].mean - expected_gain_asup(pt.k))
@@ -193,7 +192,7 @@ def test_criterion_07_kuser_allocation_suite():
         assert min(verify_fairness(xi, ch, a)) >= -1e-9
         assert max(abs(s) for s in verify_fairness(xi, ch, b)) <= 1e-9
     config = SimConfig(trials=200_000, seed=SEED, xi_grid=XI_GRID, beta=1.0,
-                       k_users=5, scenario="multiuser")
+                       k_grid=(5,), scenario="multiuser")
     means = [pt.measures["sum_b"].mean
              for pt in run_multiuser_power(config, workers=4)]
     assert all(m < 1.0 for m in means)

@@ -318,13 +318,17 @@ class TestFigureReproducibility:
         assert f"version {mcsim.STREAM_VERSION}" in err
         assert not (tmp_path / "rerun").exists()
 
-    @pytest.mark.parametrize("figure,subset", [(1, "30"), (6, "0,30")])
+    @pytest.mark.parametrize("figure,flag,subset,rows", [
+        pytest.param(figure, flag, subset, rows, id=f"{figure}-{subset}")
+        for figure, flag, subset, rows in ((1, "--xi-db", "30", 31),
+                                           (6, "--xi-db", "0,30", 31),
+                                           (3, "--k-grid", "7,30", 29))])
     def test_grid_subset_reproduces_its_rows(self, capsys, tmp_path, figure,
-                                             subset):
-        # substreams are keyed by the SNR, not by its place in the grid;
-        # two chunks per point, so the chunk index is in the key too
+                                             flag, subset, rows):
+        # substreams are keyed by the SNR and K, not by their place in the
+        # grid; two chunks per point, so the chunk index is in the key too
         lines = {}
-        for name, extra in (("full", []), ("subset", ["--xi-db", subset])):
+        for name, extra in (("full", []), ("subset", [flag, subset])):
             code, _, _ = run_cli(capsys, [
                 "figure", str(figure), "--trials", "70000",
                 "--out-dir", str(tmp_path / name)] + extra)
@@ -332,10 +336,9 @@ class TestFigureReproducibility:
             lines[name] = (tmp_path / name / f"figure{figure}.csv").read_text(
                 encoding="utf-8").splitlines()
         full_rows = {line.split(",")[0]: line for line in lines["full"][1:]}
-        assert len(full_rows) == 31
+        assert len(full_rows) == rows
         assert lines["subset"][0] == lines["full"][0]
-        assert lines["subset"][1:] == [full_rows[db]
-                                       for db in subset.split(",")]
+        assert lines["subset"][1:] == [full_rows[x] for x in subset.split(",")]
 
     def test_flags_override_config_file(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -433,6 +436,18 @@ class TestFigureReproducibility:
             assert code == 1 and out == ""
             assert err.startswith("error: ") and err.count("\n") == 1, err
             assert not list(tmp_path.glob("figure*"))
+
+    @pytest.mark.parametrize("figure,share", [(4, "1.5"), (5, "0")])
+    def test_bad_fixed_share_exits_1_naming_it(self, capsys, tmp_path, figure,
+                                               share):
+        # the error names the parameter the user set
+        code, out, err = run_cli(capsys, [
+            "figure", str(figure), "--fixed-share", share, "--trials", "100",
+            "--out-dir", str(tmp_path)])
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert "fixed_share" in err
+        assert not list(tmp_path.iterdir())
 
     @pytest.mark.parametrize("r0", ["600", "2000"])
     def test_overflowing_r0_exits_1(self, capsys, tmp_path, r0):

@@ -53,15 +53,18 @@ class TestConfigValidation:
                 _cfg(xi_grid=grid)
 
     def test_rejects_bad_policy(self):
-        for policy in ("best", 0.0, 1.0, -0.2, True, math.nan):
-            with pytest.raises(DomainError):
-                _cfg(a_policy=policy)
+        # 'inf', 'sup' and 'mid' name shares every run reports, not a
+        # fixed one
+        for share in ("best", 0.0, 1.0, -0.2, True, math.nan, "inf", "sup",
+                      "mid"):
+            with pytest.raises(DomainError, match="fixed_share"):
+                _cfg(fixed_share=share)
 
     def test_rejects_bad_scenario_and_k(self):
         with pytest.raises(DomainError):
             _cfg(scenario="pair")
         with pytest.raises(DomainError):
-            _cfg(k_users=0)
+            _cfg(scenario="multiuser", k_grid=(0,))
         with pytest.raises(DomainError):
             _cfg(beta=0.0)
         with pytest.raises(DomainError):
@@ -70,16 +73,15 @@ class TestConfigValidation:
             with pytest.raises(DomainError):
                 _cfg(scenario="pair_minmax", k_grid=k_grid)
         # a K the scenario would ignore is an error, not a no-op
-        for scenario in ("pair_iid", "multiuser"):
+        for scenario, k_grid in (("pair_iid", (2, 3)), ("pair_iid", (3,)),
+                                 ("multiuser", (2, 3)), ("multiuser", (3, 5))):
             with pytest.raises(DomainError):
-                _cfg(scenario=scenario, k_grid=(2, 3))
-        with pytest.raises(DomainError):
-            _cfg(scenario="pair_iid", k_users=3)
+                _cfg(scenario=scenario, k_grid=k_grid)
 
     @pytest.mark.parametrize("field,options", [
         ("trials", {"trials": True}),
         ("seed", {"seed": False}),
-        ("k_users", {"scenario": "multiuser", "k_users": True}),
+        ("k_grid", {"scenario": "multiuser", "k_grid": (True,)}),
         ("k_grid", {"scenario": "pair_minmax", "k_grid": (True, 3)}),
     ])
     def test_rejects_booleans_as_counts(self, field, options):
@@ -126,9 +128,9 @@ class TestDeterminism:
                                         run_pairing)
             pool = SimConfig(trials=70_000, seed=9, xi_grid=(1e3,),
                              scenario="pair_minmax", k_grid=(2, 7, 30),
-                             a_policy=0.2)
+                             fixed_share=0.2)
             multi = SimConfig(trials=70_000, seed=9, xi_grid=(10.0, 1e4),
-                              scenario="multiuser", k_users=5)
+                              scenario="multiuser", k_grid=(5,))
             for p in run_pairing(pool) + run_multiuser_power(multi):
                 for name, r in sorted(p.measures.items()):
                     print(p.xi, p.k, name, r.mean.hex(), r.std_error.hex())
@@ -215,7 +217,7 @@ class TestWorkers:
         # every (point, chunk) task of a sweep goes to one pool of
         # min(workers, points * chunks, CPUs) threads, or to none
         pairs = _cfg(trials=3 * CHUNK_TRIALS + 5, xi_grid=(10.0, 100.0, 1e3))
-        multi = _cfg(trials=100, scenario="multiuser", k_users=3,
+        multi = _cfg(trials=100, scenario="multiuser", k_grid=(3,),
                      xi_grid=(10.0, 1e3))
         serial = run_pairing(pairs) + run_multiuser_power(multi)
         assert pool_sizes == []
@@ -258,7 +260,7 @@ class TestWorkers:
         pool = _cfg(trials=6 * CHUNK_TRIALS + 5, scenario="pair_minmax",
                     k_grid=(3, 7))
         multi = _cfg(trials=6 * CHUNK_TRIALS + 5, scenario="multiuser",
-                     k_users=4)
+                     k_grid=(4,))
         serial = run_pairing(pool) + run_multiuser_power(multi)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -275,9 +277,9 @@ class TestChunkMemory:
                         reason="counts Linux minor page faults")
     @pytest.mark.parametrize("runner,options", [
         ("run_pairing", {}),
-        ("run_outage", {"r0": 2.0, "a_policy": 0.3}),
+        ("run_outage", {"r0": 2.0, "fixed_share": 0.3}),
         ("run_pairing", {"scenario": "pair_minmax", "k_grid": (7,)}),
-        ("run_multiuser_power", {"scenario": "multiuser", "k_users": 5}),
+        ("run_multiuser_power", {"scenario": "multiuser", "k_grid": (5,)}),
     ])
     @pytest.mark.parametrize("workers", [1, 2])
     def test_chunks_do_not_page_fault(self, runner, options, workers):
@@ -304,26 +306,20 @@ class TestChunkMemory:
 
 
 class TestCommonRandomNumbers:
-    def test_policy_not_in_stream_key(self):
-        # identical draws under both policies: the OMA measures match bitwise
-        cfg_inf = _cfg(a_policy="inf", trials=50_000)
-        cfg_sup = _cfg(a_policy="sup", trials=50_000)
-        res_inf = run_pairing(cfg_inf)[0].measures
-        res_sup = run_pairing(cfg_sup)[0].measures
-        assert res_inf["c1_oma"] == res_sup["c1_oma"]
-        assert res_inf["s_oma"] == res_sup["s_oma"]
-        assert res_inf["s_noma_ainf"].mean != res_sup["s_noma_asup"].mean
-
     def test_every_policy_from_one_draw_set(self):
-        # a numeric policy adds 'fixed' measures without moving the others
+        # the share is not in the stream key: a fixed share adds 'fixed'
+        # measures without moving the others, and both fair endpoints come
+        # from the same draws yet differ
         plain = run_pairing(_cfg(trials=50_000))[0].measures
-        fixed = run_pairing(_cfg(trials=50_000, a_policy=0.3))[0].measures
+        fixed = run_pairing(_cfg(trials=50_000, fixed_share=0.3))[0].measures
         assert set(fixed) - set(plain) == {"c1_noma_fixed", "c2_noma_fixed",
                                            "s_noma_fixed", "ds_fixed"}
         for name in plain:
             assert fixed[name] == plain[name]
+        assert plain["s_noma_ainf"].mean != plain["s_noma_asup"].mean
         plain = run_outage(_cfg(trials=50_000, r0=2.0))[0].measures
-        fixed = run_outage(_cfg(trials=50_000, r0=2.0, a_policy=0.3))[0].measures
+        fixed = run_outage(_cfg(trials=50_000, r0=2.0,
+                                fixed_share=0.3))[0].measures
         assert set(fixed) - set(plain) == {"p_noma_weak_fixed",
                                            "p_noma_strong_fixed"}
         for name in plain:
@@ -406,8 +402,8 @@ class TestStatisticalHonesty:
 
     def test_means_match_closed_forms(self):
         params = twouser.SystemParams(xi=1e3)
-        m = run_pairing(_cfg(trials=400_000, seed=9, xi_grid=(1e3,),
-                              a_policy="inf"))[0].measures
+        m = run_pairing(_cfg(trials=400_000, seed=9,
+                             xi_grid=(1e3,)))[0].measures
         e_c1, e_c2, e_s = ergodic.ergodic_oma(params)
         targets = {"c1_oma": e_c1, "c2_oma": e_c2, "s_oma": e_s,
                    "c1_noma_ainf": ergodic.ergodic_noma_weak_ainf(params)}
@@ -426,13 +422,11 @@ class TestStatisticalHonesty:
 
 class TestBoundaryIdentities:
     def test_sup_weak_equals_oma_weak_per_draw(self):
-        m = run_pairing(_cfg(trials=100_000, a_policy="sup",
-                              xi_grid=(1e4,)))[0].measures
+        m = run_pairing(_cfg(trials=100_000, xi_grid=(1e4,)))[0].measures
         assert abs(m["c1_noma_asup"].mean - m["c1_oma"].mean) <= 1e-12
 
     def test_inf_strong_equals_oma_strong_per_draw(self):
-        m = run_pairing(_cfg(trials=100_000, a_policy="inf",
-                              xi_grid=(1e4,)))[0].measures
+        m = run_pairing(_cfg(trials=100_000, xi_grid=(1e4,)))[0].measures
         assert abs(m["c2_noma_ainf"].mean - m["c2_oma"].mean) <= 1e-12
 
     def test_outage_identity_counts_are_exact(self):
@@ -449,20 +443,11 @@ class TestBoundaryIdentities:
         assert (m["p_noma_strong_asup"].mean <= m["p_noma_strong_mid"].mean
                 <= m["p_noma_strong_ainf"].mean)
 
-    def test_single_policy_op_matches_full_table(self):
-        # a named policy is already in the table, so it adds and moves nothing
-        cfg = _cfg(trials=150_000, r0=2.0, xi_grid=(1e3,))
-        full = run_outage(cfg)[0].measures
-        for policy in ("inf", "mid"):
-            single = run_outage(_cfg(trials=150_000, r0=2.0, xi_grid=(1e3,),
-                                     a_policy=policy))[0].measures
-            assert single == full
-
 
 class TestPairingScenario:
     def test_requires_two_users(self):
         with pytest.raises(DomainError):
-            run_pairing(_cfg(scenario="pair_minmax", k_users=1))
+            run_pairing(_cfg(scenario="pair_minmax", k_grid=(1,)))
 
     def test_gain_grows_with_pool_size(self):
         cfg = _cfg(trials=200_000, scenario="pair_minmax", xi_grid=(1e5,),
@@ -482,13 +467,13 @@ class TestPairingScenario:
         pair = run_pairing(_cfg(trials=400_000, seed=21,
                                 xi_grid=(1e3,)))[0].measures
         pool = run_pairing(_cfg(trials=400_000, seed=21, xi_grid=(1e3,),
-                                scenario="pair_minmax", k_users=2))[0].measures
+                                scenario="pair_minmax"))[0].measures
         joint_se = math.hypot(pair["s_oma"].std_error, pool["s_oma"].std_error)
         assert abs(pair["s_oma"].mean - pool["s_oma"].mean) < 4.0 * joint_se
 
     def test_fixed_share_measures_present(self):
         m = run_pairing(_cfg(trials=50_000, scenario="pair_minmax",
-                             a_policy=0.2, k_users=4))[0].measures
+                             fixed_share=0.2, k_grid=(4,)))[0].measures
         assert {"s_noma_fixed", "ds_fixed", "c1_noma_fixed",
                 "c2_noma_fixed"} <= set(m)
 
@@ -496,14 +481,14 @@ class TestPairingScenario:
 class TestMultiuserScenario:
     def test_single_user_needs_exactly_full_power(self):
         points = run_multiuser_power(_cfg(trials=30_000, scenario="multiuser",
-                                          k_users=1, xi_grid=(10.0, 1e3)))
+                                          k_grid=(1,), xi_grid=(10.0, 1e3)))
         for p in points:
             assert p.measures["sum_b"].mean == 1.0
             assert p.measures["sum_b"].std_error == 0.0
 
     def test_total_below_one_and_decreasing_in_snr(self):
         points = run_multiuser_power(_cfg(trials=150_000, scenario="multiuser",
-                                          k_users=5,
+                                          k_grid=(5,),
                                           xi_grid=(10.0, 1e3, 1e5)))
         means = [p.measures["sum_b"].mean for p in points]
         assert all(m < 1.0 for m in means)
@@ -616,7 +601,7 @@ class TestScalarApiIsTheEngine:
             for records in seen.values():
                 records.clear()
             # one partial chunk per grid point
-            run_multiuser_power(_cfg(trials=23, beta=beta, k_users=k,
+            run_multiuser_power(_cfg(trials=23, beta=beta, k_grid=(k,),
                                      scenario="multiuser",
                                      xi_grid=self.XI_GRID))
             assert len(seen["gains"]) == len(self.XI_GRID)
@@ -647,13 +632,13 @@ class TestMeasureSubsets:
     full run's bit for bit, and it returns exactly those measures."""
 
     CASES = [
-        (run_pairing, {"a_policy": 0.3}),
-        (run_pairing, {"a_policy": "mid"}),
+        (run_pairing, {"fixed_share": 0.3}),
+        (run_pairing, {}),
         (run_pairing, {"scenario": "pair_minmax", "k_grid": (2, 7, 30),
-                       "a_policy": 0.3}),
-        (run_outage, {"r0": 2.0, "a_policy": "mid"}),
-        (run_outage, {"r0": 2.0, "a_policy": 0.3}),
-        (run_multiuser_power, {"scenario": "multiuser", "k_users": 5}),
+                       "fixed_share": 0.3}),
+        (run_outage, {"r0": 2.0}),
+        (run_outage, {"r0": 2.0, "fixed_share": 0.3}),
+        (run_multiuser_power, {"scenario": "multiuser", "k_grid": (5,)}),
     ]
 
     @pytest.mark.parametrize("runner,options", CASES)

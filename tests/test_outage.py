@@ -19,7 +19,7 @@ def _params(xi, r0=2.0, beta=1.0):
 
 
 def _mc(p, trials, seed):
-    """Monte Carlo outage measures at one operating point; every policy of
+    """Monte Carlo outage measures at one operating point; every share of
     the table is evaluated on the same draws."""
     config = SimConfig(trials=trials, seed=seed, xi_grid=(p.xi,), beta=p.beta,
                        r0=p.r0)

@@ -12,7 +12,7 @@ from fairnoma.errors import DomainError
 from fairnoma.mcsim import SimConfig, run_pairing
 from fairnoma.specfun import exp_integral_e1_scaled
 from fairnoma.twouser import SystemParams
-from helpers import engine_minmax, harmonic_number
+from helpers import engine_minmax, harmonic_number, oma_max_oracle
 
 # expected_gain_asup(k) from 50-digit mpmath, as the order-statistic integral
 # and as the alternating binomial sum at k*0.3 + 70 digits (they agree to
@@ -150,6 +150,27 @@ class TestSampling:
                 assert abs(emp - cdf) < eps, (k, beta, x0, xm, emp, cdf)
 
 
+class TestPoolOmaOracles:
+    def test_oma_columns_match_exact_means(self):
+        # the weakest of K is Exp(beta/K), so E[c1_oma] is e^x E1(x) / ln 4
+        # at x = K/(beta xi); the strongest is a 1-D integral against the
+        # maximum's density. Seed and bound were fixed before the first run.
+        points = run_pairing(SimConfig(trials=200_000, seed=101,
+                                       xi_grid=(1.0, 100.0, 1e5),
+                                       scenario="pair_minmax",
+                                       k_grid=(2, 3, 10, 30)),
+                             measures={"c1_oma", "c2_oma"})
+        assert len(points) == 12
+        for pt in points:
+            exact = {"c1_oma": exp_integral_e1_scaled(pt.k / pt.xi)
+                     / math.log(4.0),
+                     "c2_oma": oma_max_oracle(pt.k, pt.xi, 1.0)}
+            for name, want in exact.items():
+                r = pt.measures[name]
+                z = (r.mean - want) / r.std_error
+                assert abs(z) <= 4.5, (pt.k, pt.xi, name, z)
+
+
 class TestUpperEndpointGain:
     def test_small_pools_exact(self):
         assert pairing.expected_gain_asup(1) == 0.0
@@ -222,7 +243,7 @@ class TestLowerEndpointApprox:
         # plug-in-of-means approximation: valid once xi*beta/k is modest
         for xi, k in ((100.0, 50), (1e3, 200)):
             cfg = SimConfig(trials=200_000, seed=41, xi_grid=(xi,),
-                            scenario="pair_minmax", k_users=k)
+                            scenario="pair_minmax", k_grid=(k,))
             mc = run_pairing(cfg)[0].measures["ds_ainf"].mean
             approx = pairing.expected_gain_ainf_approx(k, SystemParams(xi=xi))
             assert abs(approx - mc) <= 0.1
