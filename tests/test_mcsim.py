@@ -306,17 +306,23 @@ class TestChunkMemory:
 
 
 class TestCommonRandomNumbers:
+    def test_policy_not_in_stream_key(self):
+        # identical draws with and without a fixed share: the OMA measures
+        # match bitwise, and both fair endpoints come from them yet differ
+        res_fair = run_pairing(_cfg(trials=50_000))[0].measures
+        res_fixed = run_pairing(_cfg(trials=50_000, fixed_share=0.3))[0].measures
+        assert res_fair["c1_oma"] == res_fixed["c1_oma"]
+        assert res_fair["s_oma"] == res_fixed["s_oma"]
+        assert res_fair["s_noma_ainf"].mean != res_fair["s_noma_asup"].mean
+
     def test_every_policy_from_one_draw_set(self):
-        # the share is not in the stream key: a fixed share adds 'fixed'
-        # measures without moving the others, and both fair endpoints come
-        # from the same draws yet differ
+        # a fixed share adds 'fixed' measures without moving the others
         plain = run_pairing(_cfg(trials=50_000))[0].measures
         fixed = run_pairing(_cfg(trials=50_000, fixed_share=0.3))[0].measures
         assert set(fixed) - set(plain) == {"c1_noma_fixed", "c2_noma_fixed",
                                            "s_noma_fixed", "ds_fixed"}
         for name in plain:
             assert fixed[name] == plain[name]
-        assert plain["s_noma_ainf"].mean != plain["s_noma_asup"].mean
         plain = run_outage(_cfg(trials=50_000, r0=2.0))[0].measures
         fixed = run_outage(_cfg(trials=50_000, r0=2.0,
                                 fixed_share=0.3))[0].measures
