@@ -14,7 +14,7 @@ import math
 import numpy as np
 from scipy import integrate
 
-from fairnoma import mcsim
+from fairnoma import mcsim, pairing
 
 
 def e1_oracle(x: float) -> float:
@@ -41,6 +41,32 @@ def oma_max_oracle(k: int, xi: float, beta: float) -> float:
     val, _ = integrate.quad(f, 0.0, np.inf, epsabs=0.0, epsrel=1e-12,
                             limit=400)
     return val
+
+
+def noma_endpoint_oracle(k: int, xi: float) -> tuple[float, float]:
+    """Mean NOMA capacities of the weakest (at a_inf) and the strongest (at
+    a_sup) of k i.i.d. Exp(1) users, by 2-D quadrature against their joint
+    density ``pairing.minmax_joint_pdf`` over the wedge g1 < g2. With
+    a(x) = (sqrt(1 + x) - 1)/x, the weak user's rate at a_inf = a(xi*g2) is
+    log2((1 + xi*g1)/(1 + a_inf*xi*g1)), and the strong user's at
+    a_sup = a(xi*g1) is log2(1 + a_sup*xi*g2). The minimum is cut at 40/k
+    and the maximum 60 above it, where the mass left is below 1e-17."""
+    def share(w):
+        return (math.sqrt(1.0 + w) - 1.0) / w
+
+    def weak(g2, g1):
+        w1 = xi * g1
+        return (math.log2((1.0 + w1) / (1.0 + share(xi * g2) * w1))
+                * pairing.minmax_joint_pdf(g1, g2, k))
+
+    def strong(g2, g1):
+        return (math.log2(1.0 + share(xi * g1) * xi * g2)
+                * pairing.minmax_joint_pdf(g1, g2, k))
+
+    return tuple(integrate.dblquad(f, 0.0, 40.0 / k, lambda g1: g1,
+                                   lambda g1: g1 + 60.0, epsabs=1e-10,
+                                   epsrel=1e-10)[0]
+                 for f in (weak, strong))
 
 
 def harmonic_number(k: int) -> float:

@@ -12,7 +12,8 @@ from fairnoma.errors import DomainError
 from fairnoma.mcsim import SimConfig, run_pairing
 from fairnoma.specfun import exp_integral_e1_scaled
 from fairnoma.twouser import SystemParams
-from helpers import engine_minmax, harmonic_number, oma_max_oracle
+from helpers import (engine_minmax, harmonic_number, noma_endpoint_oracle,
+                     oma_max_oracle)
 
 # expected_gain_asup(k) from 50-digit mpmath, as the order-statistic integral
 # and as the alternating binomial sum at k*0.3 + 70 digits (they agree to
@@ -165,6 +166,26 @@ class TestPoolOmaOracles:
             exact = {"c1_oma": exp_integral_e1_scaled(pt.k / pt.xi)
                      / math.log(4.0),
                      "c2_oma": oma_max_oracle(pt.k, pt.xi, 1.0)}
+            for name, want in exact.items():
+                r = pt.measures[name]
+                z = (r.mean - want) / r.std_error
+                assert abs(z) <= 4.5, (pt.k, pt.xi, name, z)
+
+
+class TestPoolNomaOracles:
+    def test_noma_endpoint_columns_match_quadrature(self):
+        # the two NOMA endpoint columns figures 3 and 4 draw on, against a
+        # 2-D integral over the (min, max) wedge. Seed, trials and bound were
+        # fixed before the first run.
+        points = run_pairing(SimConfig(trials=200_000, seed=102,
+                                       xi_grid=(1.0, 100.0, 1e5),
+                                       scenario="pair_minmax",
+                                       k_grid=(2, 3, 10, 30)),
+                             measures={"c1_noma_ainf", "c2_noma_asup"})
+        assert len(points) == 12
+        for pt in points:
+            exact = dict(zip(("c1_noma_ainf", "c2_noma_asup"),
+                             noma_endpoint_oracle(pt.k, pt.xi)))
             for name, want in exact.items():
                 r = pt.measures[name]
                 z = (r.mean - want) / r.std_error
