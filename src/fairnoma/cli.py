@@ -30,9 +30,9 @@ import numpy as np
 from . import __version__
 from .errors import DomainError, QuadratureError
 from .ergodic import ergodic_curve_point, high_snr_ergodic_approx
-from .mcsim import (STREAM_VERSION, SimConfig, _ordered_gains, _point_key,
-                    _require_int, _substream, run_multiuser_power, run_outage,
-                    run_pairing)
+from .mcsim import (_SCENARIO_IDS, STREAM_VERSION, SimConfig,
+                    _ordered_gains, _require_int, _substream,
+                    run_multiuser_power, run_outage, run_pairing)
 from .multiuser import (
     ChannelSet,
     full_alloc_a,
@@ -321,6 +321,8 @@ def _figure_rows(fig: _Figure, p: dict, workers) -> tuple:
     fields = {key: value for key, value in p.items()
               if key not in ("figure", "xi_db", "k")}
     if "k" in p:
+        # checked here, so the error names the parameter the user set
+        _require_int("k", p["k"], 2 if fig.scenario == "pair_minmax" else 1)
         fields["k_grid"] = (p["k"],)
     points = fig.runner(SimConfig(
         xi_grid=tuple(_db_to_linear(d) for d in p["xi_db"]),
@@ -421,8 +423,9 @@ def cmd_multiuser(args: argparse.Namespace) -> int:
         _require_positive("beta", beta)
         if k < 1:
             raise DomainError(f"need at least one user, got --k {k}")
-        # the one trial of chunk 0 of figure 6's substream at this point
-        rng = _substream(_point_key(seed, "multiuser", xi, k) + (0,))
+        # the one trial of chunk 0 of figure 6's substream; xi scales the
+        # gains only after the draw
+        rng = _substream((seed, _SCENARIO_IDS["multiuser"], 0))
         gains = tuple(_ordered_gains(rng, beta, np.empty((k, 1))).ravel())
         head += f", beta = {_txt(beta)}"
     channels = ChannelSet(gains=gains)
@@ -509,7 +512,7 @@ def _build_parser() -> argparse.ArgumentParser:
                         help=f"output directory (default ${OUT_DIR_ENV} or .)")
     figure.add_argument("--workers", type=int,
                         help="simulation threads, at most the CPU count "
-                             "and the chunks per grid point")
+                             "and the chunks of the sweep")
     figure.add_argument("--plot", action="store_true",
                         help="also write a matplotlib script")
     figure.set_defaults(func=cmd_figure)

@@ -5,19 +5,25 @@ One sweep driver serves every scenario, and ``SimConfig.scenario`` is the
 one statement of which users a trial draws: 'pair_iid' is a random pair of
 two i.i.d. users, 'pair_minmax' the weakest and strongest of K, 'multiuser'
 all K users in gain order. A runner only names the scenarios its kernel
-serves. For each grid point (xi, and K from ``k_grid``) the driver splits
-the trials into fixed 65536-draw chunks. Chunk ``ci`` draws its uniforms
-from ``PCG64DXSM(SeedSequence((seed, scenario_id, xi_bits, k, ci)))``,
-``xi_bits`` being the 64-bit pattern of ``float(xi)`` (``k`` is 2 for
-'pair_iid'); ``_substream`` is the one place that names the generator.
-So each trial's channel realization is a pure function of the
-configuration, its grid point and its own index, and re-running a subset of
-the grid reproduces that subset's rows. SeedSequence's hashing makes the
-substreams independent, so the generator need not be counter-based:
-PCG64DXSM draws a uniform in about half the time Philox takes. This is
-stream version 3 (``STREAM_VERSION``), which the CLI records in its
-manifest; ``multiuser --random`` draws its K gains as the single trial of
-chunk 0 of the 'multiuser' substream at its point.
+serves. A sweep splits the trials into fixed 65536-draw chunks, and
+chunk ``ci`` draws its uniforms once from
+``PCG64DXSM(SeedSequence((seed, scenario_id, ci)))``; ``_substream`` is the
+one place that names the generator. Neither xi nor K is in the key: the
+chunk's gains serve every grid point (xi, and K from ``k_grid``). So each
+trial's channel realization is a pure function of the configuration and
+its own index, and re-running a subset of the grid reproduces that subset's
+rows. SeedSequence's hashing makes the substreams independent, so the
+generator need not be counter-based: PCG64DXSM draws a uniform in about
+half the time Philox takes. This is stream version 4 (``STREAM_VERSION``),
+which the CLI records in its manifest; ``multiuser --random`` draws its K
+gains as the single trial of chunk 0 of the 'multiuser' substream, so they
+do not depend on its ``--xi``.
+
+The grid points of a sweep are common random numbers: every point is
+evaluated on the same draws. Each point's estimate and standard error are
+what independent draws would give, in law; but the errors of different
+points are correlated, so a curve is smooth and its points do not scatter
+independently around the truth.
 
 A kernel never draws the K gains of a pool; it draws the order statistics
 it needs directly, by Renyi's representation of exponential order
@@ -28,35 +34,41 @@ is: the minimum ``-(beta/K)*log1p(-u1)``, and the maximum as the minimum
 plus the largest of K-1 i.i.d. Exp(beta) gaps, by its inverse CDF
 ``-beta*log(-expm1(log(u2)/(K-1)))``, which stays exact for ``u2`` near 1
 at any K; at K = 2 that gap is a plain Exp(beta) gain, drawn by the same
-inverse CDF as the minimum. The K-user kernel draws the K gaps of each
-trial into a K-major (K, n) array and adds the rows up in place, so its
-gains come out ascending.
+inverse CDF as the minimum. A K grid shares the two uniforms: a chunk keeps
+``log1p(-u1)`` and ``log(u2)``, and each K applies its own scale and root.
+The K-user kernel draws the K gaps of each trial into a K-major (K, n)
+array and adds the rows up in place, so its gains come out ascending.
 
 Each kernel returns partial sums, and the driver combines them in chunk
 order with ``math.fsum``, which is exactly rounded: results are
 bit-identical under any worker count. Second moments are ``einsum`` loops,
 not BLAS dot products, so standard errors do not depend on the machine's
 BLAS thread pool either, and no BLAS threads compete with the workers.
-Workers are the threads of one pool per sweep, which runs every (point,
-chunk) task of the grid, xi-major; they are clamped to the sweep's task
-count (points times chunks) and the CPU count. A pool per grid point would
-start its threads and wait at a barrier once per point.
+The task is the chunk: it draws the chunk's gains once, then loops over the
+grid, K-major, and returns one partial per point. Workers are the threads
+of one pool per sweep, clamped to the chunk count and the CPU count, so a
+run of at most 65536 trials runs on one thread whatever its grid.
 
 A chunk allocates no large arrays. Each sweep gives every worker a
-workspace of chunk-length vectors, which the kernel draws into with
-``Generator.random(out=...)`` and overwrites. Workspaces wait in a queue
-between chunks, so any thread may run any chunk with any free workspace,
-and all are dropped when the sweep returns. Fresh half-megabyte temporaries
-would each be mapped, zero-filled by the kernel and unmapped again.
+workspace of chunk-length vectors, which the sampler draws into with
+``Generator.random(out=...)`` and the kernels overwrite; the rows holding
+the draws are kept while the chunk's grid points are evaluated. Workspaces
+wait in a queue between chunks, so any thread may run any chunk with any
+free workspace, and all are dropped when the sweep returns. Fresh
+half-megabyte temporaries would each be mapped, zero-filled by the kernel
+and unmapped again. The K-user recursion runs over column blocks of the
+chunk, so a workspace holds K + 3 vectors, as many as it would without the
+kept draws.
 
 No bit depends on where a value sits: an elementwise ufunc rounds each
-element alike in a chunk, a row or a one-element array. The gains are
-multiplied by xi once, as the scalar API does, so the per-draw physics (the
-fair share bound, the OMA and NOMA rates, the minimum-power recursion) is
-the array code of ``twouser`` and ``multiuser`` that the scalar API runs
-too, and each draw's values equal the scalar API's at its gains bit for
-bit. Every measure is reduced by one ``np.sum`` and one ``einsum`` over its
-full chunk, and a buffer is overwritten only after its moments are taken.
+element alike in a chunk, a row, a block or a one-element array. Each
+point writes ``xi * g`` into scratch, as the scalar API does, so the
+per-draw physics (the fair share bound, the OMA and NOMA rates, the
+minimum-power recursion) is the array code of ``twouser`` and ``multiuser``
+that the scalar API runs too, and each draw's values equal the scalar API's
+at its gains bit for bit. Every measure is reduced by one ``np.sum`` and
+one ``einsum`` over its full chunk, and a buffer is overwritten only after
+its moments are taken.
 
 The power share is deliberately absent from the stream key, and each pair
 kernel evaluates every share it reports on the same draws (common random
@@ -81,7 +93,7 @@ import os
 import queue
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -96,7 +108,7 @@ CHUNK_TRIALS = 1 << 16
 
 #: version of the map from a configuration to its draws: the substream key
 #: and the samplers; any change to either moves figure bytes and bumps it
-STREAM_VERSION = 3
+STREAM_VERSION = 4
 
 _SCENARIO_IDS = {"pair_iid": 1, "pair_minmax": 2, "multiuser": 3}
 
@@ -218,15 +230,8 @@ def _map_chunks(fn: Callable[[int], dict], n_tasks: int,
         pool.shutdown(cancel_futures=True)
 
 
-def _point_key(seed: int, scenario: str, xi: float, k: int) -> tuple:
-    """Substream key of a grid point, without its chunk index: the seed, the
-    scenario, the 64-bit pattern of ``float(xi)`` and K."""
-    return (seed, _SCENARIO_IDS[scenario],
-            int(np.float64(xi).view(np.uint64)), k)
-
-
 def _substream(key: tuple) -> np.random.Generator:
-    """The generator of the substream ``key``, ``_point_key(...) + (ci,)``
+    """The generator of the substream ``key``, ``(seed, scenario_id, ci)``
     for chunk ``ci``: the one place the stream names its bit generator."""
     return np.random.Generator(
         np.random.PCG64DXSM(np.random.SeedSequence(key)))
@@ -262,18 +267,19 @@ def _reduce(parts: list, trials: int, seed: int) -> dict:
 
 
 def _sweep(config: SimConfig, accepted: tuple,
-           kernel: Callable[[np.random.Generator, float, int, np.ndarray],
-                            dict],
+           draw: Callable[[np.random.Generator, np.ndarray, int], Iterator],
+           kernel: Callable[[np.ndarray, float, int, np.ndarray], dict],
            workers: int | None, n_scratch: int) -> list:
-    """One GridPoint per (xi, K) point of ``config``, xi-major, for a kernel
-    that serves the scenarios in ``accepted``: ``kernel(rng, xi, k,
-    scratch)`` draws each chunk's trials from ``rng`` and maps them to
-    partial sums (``_moment`` pairs or integer counts), which are reduced in
-    chunk order. ``scratch`` is an (n_scratch, n) array, one row per vector
-    of the chunk's n trials, that the kernel may overwrite; it belongs to a
-    workspace reused by later chunks. Every (point, chunk) task of the sweep
-    runs on one pool of at most ``workers`` threads, clamped to the task
-    count and the CPU count."""
+    """One GridPoint per (xi, K) point of ``config``, xi-major, for a
+    runner that serves the scenarios in ``accepted``. Each chunk is one
+    task: ``draw(rng, ws, n)`` draws the chunk's n trials from ``rng`` once
+    and yields ``(k, gains)`` for each K of ``config.k_grid`` in order, and
+    ``kernel(gains, xi, k, ws)`` maps those gains at one xi to partial sums
+    (``_moment`` pairs or integer counts), which are reduced per point in
+    chunk order. ``ws`` is an (n_scratch, CHUNK_TRIALS) workspace that both
+    may overwrite, reused by later chunks; n columns of each row are the
+    chunk's. The chunk tasks run on one pool of at most ``workers`` threads,
+    clamped to the chunk count and the CPU count."""
     scenario = config.scenario
     if scenario not in accepted:
         raise DomainError(
@@ -282,17 +288,16 @@ def _sweep(config: SimConfig, accepted: tuple,
     if workers is not None:
         _require_int("workers", workers)
     n_chunks = (config.trials + CHUNK_TRIALS - 1) // CHUNK_TRIALS
-    # keyed by the point itself, not its grid index, so a point's draws do
-    # not depend on which other points the grid holds
-    grid = [(xi, k, _point_key(config.seed, scenario, xi, k))
-            for xi in config.xi_grid for k in config.k_grid]
+    # no grid value in the key: every point sees the same draws, so a
+    # point's rows do not depend on which other points the grid holds
+    key = (config.seed, _SCENARIO_IDS[scenario])
+    grid = [(xi, k) for xi in config.xi_grid for k in config.k_grid]
+    n_k = len(config.k_grid)
     # idle workspaces; a task that finds none makes one, so there are never
     # more workspaces than threads
     free = queue.SimpleQueue()
 
-    def task(i: int) -> dict:
-        point, ci = divmod(i, n_chunks)
-        xi, k, key = grid[point]
+    def task(ci: int) -> list:
         try:
             ws = free.get_nowait()
         except queue.Empty:
@@ -300,17 +305,21 @@ def _sweep(config: SimConfig, accepted: tuple,
             # so its first touch takes far fewer page faults
             ws = np.empty((n_scratch, CHUNK_TRIALS))
         try:
-            rng = _substream(key + (ci,))
             n = min(CHUNK_TRIALS, config.trials - ci * CHUNK_TRIALS)
-            return kernel(rng, xi, k, ws[:, :n])
+            parts = [None] * len(grid)
+            rng = _substream(key + (ci,))
+            for j, (k, gains) in enumerate(draw(rng, ws, n)):
+                for i, xi in enumerate(config.xi_grid):
+                    parts[i * n_k + j] = kernel(gains, xi, k, ws)
+            return parts
         finally:
             free.put(ws)
 
-    parts = _map_chunks(task, len(grid) * n_chunks, workers)
+    parts = _map_chunks(task, n_chunks, workers)
     return [GridPoint(xi=xi, k=k,
-                      measures=_reduce(parts[p * n_chunks:(p + 1) * n_chunks],
+                      measures=_reduce([chunk[p] for chunk in parts],
                                        config.trials, config.seed))
-            for p, (xi, k, _) in enumerate(grid)]
+            for p, (xi, k) in enumerate(grid)]
 
 
 # ---------------------------------------------------------------------------
@@ -326,33 +335,45 @@ def _gains(u: np.ndarray, scale: float,
     return np.multiply(-scale, g, out=g)
 
 
-def _minmax_gains(rng: np.random.Generator, k: int, beta: float,
-                  out) -> tuple[np.ndarray, np.ndarray]:
-    """(min, max) of k >= 2 i.i.d. Exp(beta) gains per trial, drawn from two
-    uniforms per trial into the vector pair ``out``: the minimum is
-    Exp(beta/k), and the maximum is the minimum plus the largest of k-1
-    i.i.d. Exp(beta) gaps, whose CDF ``(1 - exp(-x/beta))**(k-1)`` is
-    inverted through expm1 so that uniforms near 1 keep their tail; at k = 2
-    the one gap is Exp(beta), drawn by ``_gains``."""
+def _minmax_gains(rng: np.random.Generator, k_grid: tuple, beta: float,
+                  base: np.ndarray, out: np.ndarray) -> Iterator:
+    """Yield ``(k, out)`` for each k of the ascending ``k_grid`` (each
+    k >= 2), ``out`` a (2, n) array holding (min, max) of k i.i.d.
+    Exp(beta) gains per trial, every K from one draw of two uniforms per
+    trial into the (2, n) array ``base``, which may be ``out`` itself when
+    ``k_grid`` holds one K. The minimum is Exp(beta/k), ``-(beta/k) *
+    log1p(-u1)``; the maximum is the minimum plus the largest of k-1 i.i.d.
+    Exp(beta) gaps, whose CDF ``(1 - exp(-x/beta))**(k-1)`` is inverted
+    through expm1 and ``log(u2)`` so that uniforms near 1 keep their tail;
+    at k = 2 the one gap is Exp(beta), drawn from ``u2`` by ``_gains``.
+    ``base`` keeps ``log1p(-u1)`` and ``u2``, which the first k > 2
+    replaces by ``log(u2)``: k = 2, if present, comes first."""
+    u1, u2 = base
     lo, hi = out
-    rng.random(out=lo)
-    rng.random(out=hi)
-    _gains(lo, beta / k, out=lo)
-    if k == 2:
-        _gains(hi, beta, out=hi)
-        np.add(lo, hi, out=hi)
-        return lo, hi
-    # a uniform of 0 is the bottom of the inverse CDF: log(0) = -inf, then
-    # expm1 gives -1 and the gap is exactly 0
-    with np.errstate(divide="ignore"):
-        np.log(hi, out=hi)
-    np.divide(hi, k - 1, out=hi)
-    np.expm1(hi, out=hi)
-    np.negative(hi, out=hi)
-    np.log(hi, out=hi)
-    np.multiply(beta, hi, out=hi)
-    np.subtract(lo, hi, out=hi)
-    return lo, hi
+    rng.random(out=u1)
+    rng.random(out=u2)
+    np.negative(u1, out=u1)
+    np.log1p(u1, out=u1)
+    logged = False
+    for k in k_grid:
+        np.multiply(-(beta / k), u1, out=lo)
+        if k == 2:
+            _gains(u2, beta, out=hi)
+            np.add(lo, hi, out=hi)
+        else:
+            if not logged:
+                # a uniform of 0 is the bottom of the inverse CDF: log(0) =
+                # -inf, then expm1 gives -1 and the gap is exactly 0
+                with np.errstate(divide="ignore"):
+                    np.log(u2, out=u2)
+                logged = True
+            np.divide(u2, k - 1, out=hi)
+            np.expm1(hi, out=hi)
+            np.negative(hi, out=hi)
+            np.log(hi, out=hi)
+            np.multiply(beta, hi, out=hi)
+            np.subtract(lo, hi, out=hi)
+        yield k, out
 
 
 def _ordered_gains(rng: np.random.Generator, beta: float,
@@ -370,14 +391,36 @@ def _ordered_gains(rng: np.random.Generator, beta: float,
     return g
 
 
-def _pair_snrs(rng: np.random.Generator, k: int, xi: float, beta: float,
-               out) -> tuple[np.ndarray, np.ndarray]:
-    """(weak, strong) instantaneous SNRs ``xi * g`` of the weakest and
-    strongest of k i.i.d. Exp(beta) users per trial, into the vector pair
-    ``out``."""
-    for w in _minmax_gains(rng, k, beta, out):
-        np.multiply(xi, w, out=w)
-    return out
+def _pair_snrs(gains: np.ndarray, xi: float, out: np.ndarray) -> np.ndarray:
+    """(weak, strong) instantaneous SNRs ``xi * g`` of a (2, n) array of
+    (min, max) gains, into the (2, n) array ``out``, which may be
+    ``gains``."""
+    return np.multiply(xi, gains, out=out)
+
+
+def _pair_sweep(config: SimConfig, accepted: tuple,
+                kernel: Callable[[np.ndarray, np.ndarray, np.ndarray], dict],
+                n_kernel: int, workers: int | None) -> list:
+    """``_sweep`` for a pair kernel: ``kernel(w1, w2, scratch)`` maps the
+    weak and strong SNRs of a chunk at one grid point to partial sums,
+    ``scratch`` being ``n_kernel`` vectors it may overwrite. The workspace
+    rows are the chunk's uniforms, then the gains of the current K if the
+    grid has several K (else the uniforms' rows), then w1 and w2 if it has
+    several xi (else the gains' rows, scaled in place), then the kernel's."""
+    gain_row = 2 if len(config.k_grid) > 1 else 0
+    snr_row = gain_row + 2 if len(config.xi_grid) > 1 else gain_row
+
+    def draw(rng, ws, n):
+        return _minmax_gains(rng, config.k_grid, config.beta, ws[:2, :n],
+                             ws[gain_row:gain_row + 2, :n])
+
+    def point(gains, xi: float, k: int, ws: np.ndarray) -> dict:
+        rows = ws[snr_row:, :gains.shape[1]]
+        w1, w2 = _pair_snrs(gains, xi, rows[:2])
+        return kernel(w1, w2, rows[2:])
+
+    return _sweep(config, accepted, draw, point, workers,
+                  snr_row + 2 + n_kernel)
 
 
 def _select(measures, common: tuple, tags: tuple, per_tag: tuple) -> tuple:
@@ -417,11 +460,6 @@ def _shares(w1: np.ndarray, w2: np.ndarray, tags, fixed, bufs: list) -> dict:
     return shares
 
 
-#: scratch vectors of a pair kernel: weak and strong SNR, OMA sum rate, the
-#: three NOMA rates, and the shares of both endpoints and the fixed share
-_PAIR_SCRATCH = 9
-
-
 def _rate_moments(w1: np.ndarray, w2: np.ndarray, tags: tuple, fixed,
                   want: frozenset, scratch: np.ndarray) -> dict:
     """Moments of the measures in ``want`` among the pair's OMA capacities
@@ -429,8 +467,10 @@ def _rate_moments(w1: np.ndarray, w2: np.ndarray, tags: tuple, fixed,
     and, per share tag in ``tags``, its NOMA capacities (``c1_noma_<tag>``,
     ``c2_noma_<tag>``, ``s_noma_<tag>``) with the paired per-draw sum-rate
     gain ``ds_<tag>``, each vector only if one of those needs it;
-    ``scratch`` holds four vectors plus one per share."""
-    s_o, c1, c2, s, *share_bufs = scratch
+    ``scratch`` holds two rate vectors, one vector per share, then two sum
+    vectors only if ``want`` holds a sum (``s_*`` or ``ds_*``)."""
+    c1, c2, *bufs = scratch
+    s_o, s = bufs[len(tags):] or (None, None)
     out = {}
 
     def keep(name: str, v: np.ndarray) -> None:
@@ -443,7 +483,7 @@ def _rate_moments(w1: np.ndarray, w2: np.ndarray, tags: tuple, fixed,
             keep(name, _oma_rate(w, 2, c))
     if sums:
         keep("s_oma", np.add(c1, c2, out=s_o))
-    shares = _shares(w1, w2, tags, fixed, share_bufs)
+    shares = _shares(w1, w2, tags, fixed, bufs)
     for tag in tags:
         a = shares[tag]
         sums = want & {f"s_noma_{tag}", f"ds_{tag}"}
@@ -480,9 +520,8 @@ def run_outage(config: SimConfig, workers: int | None = None,
                          ("ainf", "asup", "mid") + _fixed_tag(config),
                          ("p_noma_weak", "p_noma_strong"))
 
-    def kernel(rng, xi: float, k: int, scratch: np.ndarray) -> dict:
-        w1, w2, c1, c2, *share_bufs = scratch
-        _pair_snrs(rng, k, xi, config.beta, (w1, w2))
+    def kernel(w1: np.ndarray, w2: np.ndarray, scratch: np.ndarray) -> dict:
+        c1, c2, *share_bufs = scratch
         out = {}
         for name, w in (("p_oma_weak", w1), ("p_oma_strong", w2)):
             if name in want:
@@ -498,8 +537,9 @@ def run_outage(config: SimConfig, workers: int | None = None,
                     _strong_rate(w2, a, out=c2) < r0))
         return out
 
-    # SNRs, rates, and the shares of both endpoints, mid and the fixed share
-    return _sweep(config, ("pair_iid",), kernel, workers, 8)
+    # two rates, and a vector per share, 'mid' needing both endpoints
+    n_shares = len(set(tags).union(("ainf", "asup") if "mid" in tags else ()))
+    return _pair_sweep(config, ("pair_iid",), kernel, 2 + n_shares, workers)
 
 
 def run_pairing(config: SimConfig, workers: int | None = None,
@@ -515,13 +555,14 @@ def run_pairing(config: SimConfig, workers: int | None = None,
                          ("ainf", "asup") + _fixed_tag(config),
                          ("c1_noma", "c2_noma", "s_noma", "ds"))
 
-    def kernel(rng, xi: float, k: int, scratch: np.ndarray) -> dict:
-        w1, w2 = _pair_snrs(rng, k, xi, config.beta, scratch[:2])
-        return _rate_moments(w1, w2, tags, config.fixed_share, want,
-                             scratch[2:])
+    def kernel(w1: np.ndarray, w2: np.ndarray, scratch: np.ndarray) -> dict:
+        return _rate_moments(w1, w2, tags, config.fixed_share, want, scratch)
 
-    return _sweep(config, ("pair_iid", "pair_minmax"), kernel, workers,
-                  _PAIR_SCRATCH)
+    # only the vectors _rate_moments touches: a workspace row never written
+    # can still cost resident memory where it shares a huge page
+    sums = any(name.startswith(("s_", "ds_")) for name in want)
+    return _pair_sweep(config, ("pair_iid", "pair_minmax"), kernel,
+                       2 + len(tags) + 2 * sums, workers)
 
 
 def run_multiuser_power(config: SimConfig, workers: int | None = None,
@@ -530,13 +571,29 @@ def run_multiuser_power(config: SimConfig, workers: int | None = None,
     for every one of K users (measure ``sum_b``, the only name
     ``measures`` may hold)."""
     _select(measures, ("sum_b",), (), ())
+    k = config.k_grid[0]
+    # the widest block whose K + 2 vectors fit in two chunk rows: each numpy
+    # call releases the interpreter lock, and narrower blocks, with more
+    # calls, measured slower on two workers than on one
+    block = 2 * CHUNK_TRIALS // (k + 2)
 
-    def kernel(rng, xi: float, k: int, scratch: np.ndarray) -> dict:
-        w = _ordered_gains(rng, config.beta, scratch[:k])
-        np.multiply(xi, w, out=w)
-        # the transpose's columns are the contiguous rows of w
-        return {"sum_b": _moment(_min_power_total(w.T, k, scratch[k:]))}
+    def draw(rng, ws, n):
+        yield k, _ordered_gains(rng, config.beta, ws[:k, :n])
 
-    # the K gains, then the three vectors of _min_power_total
-    return _sweep(config, ("multiuser",), kernel, workers,
-                  config.k_grid[0] + 3)
+    def point(g: np.ndarray, xi: float, k: int, ws: np.ndarray) -> dict:
+        n = g.shape[1]
+        total = ws[k, :n]
+        # rows k + 1 and k + 2 are contiguous: a block's K SNR vectors and
+        # the recursion's two others
+        area = ws[k + 1:k + 3].reshape(-1)
+        w = area[:k * block].reshape(k, block)
+        root, term = area[k * block:(k + 2) * block].reshape(2, block)
+        for c0 in range(0, n, block):
+            m = min(block, n - c0)
+            wb = np.multiply(xi, g[:, c0:c0 + m], out=w[:, :m])
+            # the transpose's columns are the rows of wb
+            _min_power_total(wb.T, k, (total[c0:c0 + m], root[:m], term[:m]))
+        return {"sum_b": _moment(total)}
+
+    # the K gains, the total, and two rows for the blocks
+    return _sweep(config, ("multiuser",), draw, point, workers, k + 3)

@@ -27,8 +27,10 @@ def e1_oracle(x: float) -> float:
 def engine_minmax(k: int, beta: float, rng: np.random.Generator,
                   n: int) -> tuple[np.ndarray, np.ndarray]:
     """(min, max) gains of n pools of k i.i.d. Exp(beta) users, drawn the way
-    the Monte Carlo engine draws them: its pair sampler, at xi = 1."""
-    return mcsim._pair_snrs(rng, k, 1.0, beta, (np.empty(n), np.empty(n)))
+    the Monte Carlo engine draws them: its pair sampler at a single K."""
+    out = np.empty((2, n))
+    _, (mn, mx) = next(mcsim._minmax_gains(rng, (k,), beta, out, out))
+    return mn, mx
 
 
 def oma_max_oracle(k: int, xi: float, beta: float) -> float:

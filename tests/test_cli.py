@@ -286,7 +286,7 @@ class TestFigureReproducibility:
         assert manifest["output_paths"] == ["figure5.csv"]
         assert manifest["tool_version"]
         assert manifest["timestamp"]
-        assert manifest["stream_version"] == mcsim.STREAM_VERSION == 3
+        assert manifest["stream_version"] == mcsim.STREAM_VERSION == 4
         code, _, _ = run_cli(capsys, [
             "figure", "--config", str(first / "figure5_manifest.json"),
             "--out-dir", str(rerun)])
@@ -294,8 +294,8 @@ class TestFigureReproducibility:
         assert ((first / "figure5.csv").read_bytes()
                 == (rerun / "figure5.csv").read_bytes())
 
-    @pytest.mark.parametrize("stream", [1, 2, None],
-                             ids=["v1", "v2", "unrecorded"])
+    @pytest.mark.parametrize("stream", [1, 2, 3, None],
+                             ids=["v1", "v2", "v3", "unrecorded"])
     def test_manifest_of_another_stream_exits_2(self, capsys, tmp_path,
                                                 stream):
         # re-run on another stream, it would write other bytes without a word
@@ -325,8 +325,9 @@ class TestFigureReproducibility:
                                            (3, "--k-grid", "7,30", 29))])
     def test_grid_subset_reproduces_its_rows(self, capsys, tmp_path, figure,
                                              flag, subset, rows):
-        # substreams are keyed by the SNR and K, not by their place in the
-        # grid; two chunks per point, so the chunk index is in the key too
+        # substreams are keyed by the chunk alone, so a point's draws do not
+        # depend on the grid around it; two chunks, so the chunk index in
+        # the key is exercised too
         lines = {}
         for name, extra in (("full", []), ("subset", [flag, subset])):
             code, _, _ = run_cli(capsys, [
@@ -449,6 +450,16 @@ class TestFigureReproducibility:
         assert "fixed_share" in err
         assert not list(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("figure,k,low", [(6, "0", 1), (4, "1", 2)])
+    def test_bad_k_exits_1_naming_it(self, capsys, tmp_path, figure, k, low):
+        # the error names --k, not the k_grid the sweep is given
+        code, out, err = run_cli(capsys, [
+            "figure", str(figure), "--k", k, "--trials", "100",
+            "--out-dir", str(tmp_path)])
+        assert code == 1 and out == ""
+        assert err == f"error: k must be an integer >= {low}, got {k}\n", err
+        assert not list(tmp_path.iterdir())
+
     @pytest.mark.parametrize("r0", ["600", "2000"])
     def test_overflowing_r0_exits_1(self, capsys, tmp_path, r0):
         # 4**r0 - 1 is no double: one error line, not an OverflowError
@@ -534,22 +545,23 @@ class TestMultiuserCommand:
 
     @pytest.mark.parametrize("k,beta", [(1, 1.0), (5, 2.0), (30, 0.5)])
     def test_random_draw_is_its_keyed_substream(self, capsys, k, beta):
-        # the gains are the engine's sampler on the 'multiuser' substream
-        # (scenario 3) of this point, chunk 0, under the stream version
-        xi = 10.0 ** 2.5
-        argv = ["multiuser", "--k", str(k), "--xi", repr(xi), "--random",
-                "--seed", "7", "--beta", repr(beta)]
-        code, out, _ = run_cli(capsys, argv)
-        assert code == 0
-        assert run_cli(capsys, argv)[1] == out
-        line = next(l for l in out.splitlines() if l.startswith("gains"))
-        printed = line.split(" = ")[1].split(",")
-        vals = [float(v) for v in printed]
+        # the gains are the engine's sampler on chunk 0 of the 'multiuser'
+        # substream (scenario 3) under the stream version; the SNR does not
+        # enter the key, so every --xi prints the same gains
+        printed = []
+        for xi in (10.0 ** 2.5, 3.0):
+            argv = ["multiuser", "--k", str(k), "--xi", repr(xi), "--random",
+                    "--seed", "7", "--beta", repr(beta)]
+            code, out, _ = run_cli(capsys, argv)
+            assert code == 0
+            assert run_cli(capsys, argv)[1] == out
+            line = next(l for l in out.splitlines() if l.startswith("gains"))
+            printed.append(line.split(" = ")[1].split(","))
+        vals = [float(v) for v in printed[0]]
         assert len(vals) == k and vals == sorted(vals)
-        key = (7, 3, int(np.float64(xi).view(np.uint64)), k, 0)
-        want = mcsim._ordered_gains(mcsim._substream(key), beta,
+        want = mcsim._ordered_gains(mcsim._substream((7, 3, 0)), beta,
                                     np.empty((k, 1)))
-        assert printed == [cli._txt(g) for g in want.ravel()]
+        assert printed[0] == printed[1] == [cli._txt(g) for g in want.ravel()]
 
     @pytest.mark.parametrize("seed", ["-1", str(2 ** 64)])
     def test_out_of_range_seed_exits_1_as_figure_does(self, capsys, tmp_path,

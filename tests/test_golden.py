@@ -20,34 +20,34 @@ from fairnoma.cli import main
 RECORDED_NUMPY = "2.4.6"
 
 # (figure, trials, extra flags) -> SHA-256 of figureN.csv on its default grid,
-# recorded for stream version 3 (mcsim.STREAM_VERSION) and the array
+# recorded for stream version 4 (mcsim.STREAM_VERSION) and the array
 # Gauss-Kronrod quadrature of the closed forms (figures 1, 2 and 5); figure
 # 2's hashes since its NOMA outage columns integrate the outage region
 GOLDEN = [
-    (1, 3000, [], "dfc9a19bc79e00886db483fac8f17af1c88a6365745f4d5c0207722d7f7f4d34"),
-    (2, 3000, [], "71508462e326ff14e125c8decced0f5d6855d82df8a6771fe658c07b09d31a39"),
-    (3, 3000, [], "66256de0ec1ed9b96d91ea19d027ba49f0a70ce62f8b84cd18bb357b173e839f"),
-    (4, 3000, [], "946a560e954844cbcea41f09b5e5f3e3f099c109d92e4495a84859dcbe82673f"),
-    (5, 3000, [], "5808291d5c127519608cb40e42fb995774f4e7f7d399049c751fb5d4b3b90577"),
+    (1, 3000, [], "117218845f376608db82d7e378375b6dc3d2cf497fc8a8d99d59859ad50748fa"),
+    (2, 3000, [], "8079b2ddec42469c97740a4f77882c755885679fbae754b94004a97c5a7849c8"),
+    (3, 3000, [], "26cfda43641edfc53ee85532b18d77ba3db87d1c6b485f601371078814df735d"),
+    (4, 3000, [], "06d8b06293d7eacbf6cc08100c7379b98efb65963afdf7219a7de180d48f4f77"),
+    (5, 3000, [], "aa8bd7be2270eb7a122fc164ee5a92ed242c55b2e559be8dd69596ac5843f836"),
     (6, 3000, ["--workers", "2"],
-     "4df2b034cf396b3c8faf7f76953c093efb6ef255b1ed28ba4afba105665f0ebf"),
-    # two chunks per grid point, so the parallel path really splits work
+     "b0fe3faa4f8d8db746cfcdc8bcfb54acb0b659aaccb3ffe602319f9036934eab"),
+    # two chunk tasks, so the parallel path really splits work
     (1, 70000, ["--workers", "2"],
-     "bda722792a2c83e1e2bb4b868fe0cb32654b2741a053792c19d8188ec5b9283c"),
+     "7c860a1ff22f35e2809d71ad92fcd7607f6752580bc6a40aa148e09ce58074df"),
 ]
 
-# three full chunks and a partial fourth per grid point, at one and two
-# workers, so buffers reused across chunks, grid points and threads are
-# covered
+# three full chunks and a partial fourth, each drawn once for the whole
+# grid, at one and two workers, so buffers reused across chunks, grid
+# points and threads are covered
 _MULTI_CHUNK = [
     (1, ["--xi-db", "0,30,60"],
-     "b06cbee2b6ee36ca31c5349b72903756163db999d31733b2243a9f12955133bb"),
+     "398161a1e86a2e61bd34b2b8bb9c1fdcdc0660c511a27ea9595972a23eb5c1e9"),
     (2, ["--xi-db", "0,30,60"],
-     "fe905e5ad3e8997a90a0d0fdfb55978c85d3703338b894cbf26b1d364823b0ad"),
+     "172711964d767cb38ec7c248f06a34c5b678cb484c52bf9923797e605456207a"),
     (3, ["--k-grid", "2,7,30"],
-     "d05f5970dca7c5915134940a77249cf0b902d27266865fbba025d9ffd3430beb"),
+     "df0228ec67b8bada73889351060d9586da4dc494f113fe6d8ad8e293e96a2dab"),
     (6, ["--xi-db", "0,30,60"],
-     "80141a565d1c06c50f11aaf22d4eaad53b9f614b1ff077b0c63cf8b640fd54af"),
+     "ee84fd36953ed9c033e8326073896336c16789b353945f5712f20ceb13a9a2d8"),
 ]
 GOLDEN += [(figure, 200000, grid + ["--workers", workers], digest)
            for figure, grid, digest in _MULTI_CHUNK for workers in ("1", "2")]

@@ -140,6 +140,25 @@ class TestDeterminism:
         assert outputs[0].count("\n") == 3 * 15 + 2
         assert outputs[0] == outputs[1]
 
+    def test_point_does_not_depend_on_its_grid(self):
+        # every point of a grid is evaluated on the chunk's one draw, so it
+        # equals a run of that point alone bit for bit, whichever rows of
+        # the workspace hold the draws (grids of several xi, several K, both)
+        trials = CHUNK_TRIALS + 123
+        cases = [(run_pairing, {"scenario": "pair_minmax",
+                                "fixed_share": 0.3}, (2, 7, 30)),
+                 (run_outage, {"r0": 2.0}, (2,)),
+                 (run_multiuser_power, {"scenario": "multiuser"}, (4,))]
+        for runner, options, k_grid in cases:
+            for xi_grid in ((3.7,), (3.7, 1e4)):
+                grid = runner(_cfg(trials=trials, xi_grid=xi_grid,
+                                   k_grid=k_grid, **options))
+                for point in grid:
+                    alone = runner(_cfg(trials=trials, xi_grid=(point.xi,),
+                                        k_grid=(point.k,), **options))
+                    assert alone[0].measures == point.measures, (
+                        runner.__name__, xi_grid, point.xi, point.k)
+
     def test_different_seeds_differ(self):
         a = run_pairing(_cfg(seed=1))[0].measures["s_noma_asup"].mean
         b = run_pairing(_cfg(seed=2))[0].measures["s_noma_asup"].mean
@@ -214,15 +233,16 @@ class TestWorkers:
         assert pool_sizes == [2, 8]
 
     def test_one_pool_per_sweep(self, pool_sizes, monkeypatch):
-        # every (point, chunk) task of a sweep goes to one pool of
-        # min(workers, points * chunks, CPUs) threads, or to none
+        # every chunk task of a sweep, each serving the whole grid, goes to
+        # one pool of min(workers, chunks, CPUs) threads, or to none: a
+        # one-chunk sweep runs on one thread however large its grid
         pairs = _cfg(trials=3 * CHUNK_TRIALS + 5, xi_grid=(10.0, 100.0, 1e3))
         multi = _cfg(trials=100, scenario="multiuser", k_grid=(3,),
                      xi_grid=(10.0, 1e3))
         serial = run_pairing(pairs) + run_multiuser_power(multi)
         assert pool_sizes == []
-        for workers, cpus, sizes in ((2, 8, [2, 2]), (16, 8, [8, 2]),
-                                     (16, 64, [12, 2]), (4, 1, []),
+        for workers, cpus, sizes in ((2, 8, [2]), (16, 8, [4]),
+                                     (16, 64, [4]), (4, 1, []),
                                      (1, 8, [])):
             _set_cpus(monkeypatch, cpus)
             pool_sizes.clear()
@@ -379,6 +399,22 @@ class TestSamplers:
                 got = mcsim._ordered_gains(rng, 1.5, ws[:k, :n])
                 assert np.array_equal(got, np.cumsum(gaps, axis=0))
 
+    def test_k_grid_shares_one_draw(self):
+        # each K of a grid gets the gains a one-K draw of the same
+        # substream gives, bit for bit, though the grid keeps log1p(-u1) and
+        # log(u2) across K; full and partial chunks
+        for n in (CHUNK_TRIALS, 777):
+            for k_grid in ((2, 3, 7, 30), (3, 4, 30), (2, 5)):
+                base, out = np.empty((2, n)), np.empty((2, n))
+                shared = mcsim._minmax_gains(mcsim._substream((4, 2, 1)),
+                                             k_grid, 1.5, base, out)
+                for want_k, (k, gains) in zip(k_grid, shared, strict=True):
+                    alone = np.empty((2, n))
+                    _, single = next(mcsim._minmax_gains(
+                        mcsim._substream((4, 2, 1)), (k,), 1.5, alone, alone))
+                    assert k == want_k
+                    assert np.array_equal(gains, single), (n, k_grid, k)
+
     def test_extreme_uniforms_give_finite_gains_silently(self):
         # a uniform of exactly 0 is the bottom of each inverse CDF; it must
         # give a gain or gap of 0, not log(0) and a warning
@@ -386,8 +422,9 @@ class TestSamplers:
             warnings.simplefilter("error")
             with np.errstate(all="raise"):
                 for k in (2, 5, 30):
-                    lo, hi = mcsim._minmax_gains(_EdgeUniforms(), k, 2.0,
-                                                 (np.empty(6), np.empty(6)))
+                    out = np.empty((2, 6))
+                    _, (lo, hi) = next(mcsim._minmax_gains(
+                        _EdgeUniforms(), (k,), 2.0, out, out))
                     g = mcsim._ordered_gains(_EdgeUniforms(), 2.0,
                                              np.empty((k, 6)))
                     for v in (lo, hi, g):
@@ -517,9 +554,9 @@ class TestScalarApiIsTheEngine:
         shares, moment = mcsim._shares, mcsim._moment
 
         def record_minmax(*args):
-            out = minmax(*args)
-            seen["gains"].append(tuple(g.copy() for g in out))
-            return out
+            for k, out in minmax(*args):
+                seen["gains"].append(tuple(g.copy() for g in out))
+                yield k, out
 
         def record_ordered(*args):
             g = ordered(*args)
@@ -550,19 +587,21 @@ class TestScalarApiIsTheEngine:
     @pytest.mark.parametrize("beta", (0.5, 1.0, 2.0))
     def test_pair_shares_and_rates(self, monkeypatch, beta):
         seen = self._record(monkeypatch)
-        # a full chunk and a partial one per grid point, run serially so the
-        # recordings come in chunk order
+        # a full chunk and a partial one, each drawn once for the whole
+        # grid, run serially so the recordings come in chunk order
         run_pairing(_cfg(trials=CHUNK_TRIALS + 37, beta=beta,
                           xi_grid=self.XI_GRID))
+        assert len(seen["gains"]) == 2
         checked = []
-        for chunk, xi in enumerate(np.repeat(self.XI_GRID, 2).tolist()):
+        for j, (chunk, xi) in enumerate(
+                (chunk, xi) for chunk in (0, 1) for xi in self.XI_GRID):
             weak, strong = seen["gains"][chunk]
-            shares = seen["shares"][chunk]
+            shares = seen["shares"][j]
             assert list(shares) == ["ainf", "asup"]
             # c1_oma, c2_oma, s_oma, then c1, c2, s, ds per share
-            moments = seen["moments"][11 * chunk:11 * chunk + 11]
+            moments = seen["moments"][11 * j:11 * j + 11]
             n = len(weak)
-            for i in range(0, n, 97) if chunk % 2 == 0 else range(n):
+            for i in range(0, n, 97) if chunk == 0 else range(n):
                 g1, g2 = float(weak[i]), float(strong[i])
                 region = twouser.fair_region(twouser.SystemParams(xi=xi),
                                              twouser.ChannelPair(g1, g2))
@@ -606,13 +645,14 @@ class TestScalarApiIsTheEngine:
         for k in range(1, 31):
             for records in seen.values():
                 records.clear()
-            # one partial chunk per grid point
+            # one partial chunk, drawn once for every grid point
             run_multiuser_power(_cfg(trials=23, beta=beta, k_grid=(k,),
                                      scenario="multiuser",
                                      xi_grid=self.XI_GRID))
-            assert len(seen["gains"]) == len(self.XI_GRID)
-            for xi, g, total in zip(self.XI_GRID, seen["gains"],
-                                    seen["moments"]):
+            assert len(seen["gains"]) == 1
+            assert len(seen["moments"]) == len(self.XI_GRID)
+            g = seen["gains"][0]
+            for xi, total in zip(self.XI_GRID, seen["moments"]):
                 # the sampler's K-major rows, ascending as ChannelSet demands
                 for i, gains in enumerate(g.T):
                     channels = multiuser.ChannelSet(tuple(gains))
