@@ -70,6 +70,14 @@ at its gains bit for bit. Every measure is reduced by one ``np.sum`` and
 one ``einsum`` over its full chunk, and a buffer is overwritten only after
 its moments are taken.
 
+Outage is counted in the SINR domain, with no rate computed per draw: an
+OMA user is in outage when its SNR ``w < 4**r0 - 1`` (a half share), a
+NOMA user when its SINR is ``< 2**r0 - 1``, both strict, against the
+thresholds of ``twouser._rate_threshold``, the doubles the closed forms in
+``outage`` use too. In exact arithmetic this is the test ``C < r0``; in
+doubles the two could differ only for a draw within a few ulps of the
+threshold.
+
 The power share is deliberately absent from the stream key, and each pair
 kernel evaluates every share it reports on the same draws (common random
 numbers). Measures carry the share as a tag: ``ainf`` and ``asup`` for the
@@ -100,7 +108,8 @@ import numpy as np
 from .errors import DomainError
 from .multiuser import _min_power_total
 from .twouser import (_oma_rate, _rate_threshold, _require_positive,
-                      _share_bound, _strong_rate, _weak_rate)
+                      _require_real, _share_bound, _store_floats,
+                      _strong_rate, _weak_rate, _weak_sinr)
 
 #: trials per substream chunk; fixed so parallel partitioning cannot move
 #: draws between substreams
@@ -150,17 +159,20 @@ class SimConfig:
     def __post_init__(self):
         _require_int("trials", self.trials)
         _require_int("seed", self.seed, 0, 2 ** 64)
-        xi_grid = tuple(float(x) for x in self.xi_grid)
+        xi_grid = tuple(self.xi_grid)
         if not xi_grid:
             raise DomainError("xi_grid must be non-empty")
         for x in xi_grid:
             _require_positive("xi_grid entries", x)
+        xi_grid = tuple(map(float, xi_grid))
         if any(a >= b for a, b in zip(xi_grid, xi_grid[1:])):
             raise DomainError("xi_grid must be strictly increasing")
         object.__setattr__(self, "xi_grid", xi_grid)
         _require_positive("beta", self.beta)
+        _require_real("r0", self.r0)
         if not (math.isfinite(self.r0) and self.r0 >= 0.0):
             raise DomainError(f"r0 must be >= 0, got {self.r0!r}")
+        _store_floats(self, ("beta", "r0"))
         share = self.fixed_share
         # NaN and the infinities fail the interval test too
         if share is not None and (isinstance(share, bool)
@@ -508,14 +520,18 @@ def run_outage(config: SimConfig, workers: int | None = None,
     Reports OMA for both users (``p_oma_weak``, ``p_oma_strong``) and, per
     share tag, ``p_noma_weak_<tag>`` and ``p_noma_strong_<tag>`` for both
     fair endpoints, their average share as ``mid``, and ``fixed_share`` as
-    ``fixed`` if it is set, all from the same draws; ``measures``, a set of those names, limits the
-    result to them. The region endpoints that matter are weak at ``ainf``
-    and strong at ``asup``; weak at ``asup`` and strong at ``ainf`` are the
-    boundary identities.
+    ``fixed`` if it is set, all from the same draws; ``measures``, a set of
+    those names, limits the result to them. The region endpoints that
+    matter are weak at ``ainf`` and strong at ``asup``; weak at ``asup`` and
+    strong at ``ainf`` are the boundary identities.
+
+    Each draw is counted in the SINR domain, no rate computed: OMA when
+    ``w < 4**r0 - 1``, NOMA when the weak user's SINR
+    ``(1 - a) w1 / (a w1 + 1)``, or the strong user's ``a w2``, is
+    ``< 2**r0 - 1``; both strict, as ``C < r0`` is.
     """
-    r0 = config.r0
-    # outage iff xi*g < threshold, per user in OMA
-    o_thresh = _rate_threshold(r0)
+    o_thresh = _rate_threshold(config.r0)
+    n_thresh = _rate_threshold(config.r0, 1)
     want, tags = _select(measures, ("p_oma_weak", "p_oma_strong"),
                          ("ainf", "asup", "mid") + _fixed_tag(config),
                          ("p_noma_weak", "p_noma_strong"))
@@ -531,13 +547,14 @@ def run_outage(config: SimConfig, workers: int | None = None,
             a = shares[tag]
             if f"p_noma_weak_{tag}" in want:
                 out[f"p_noma_weak_{tag}"] = int(np.count_nonzero(
-                    _weak_rate(w1, a, c1, c2) < r0))
+                    _weak_sinr(w1, a, c1, c2) < n_thresh))
             if f"p_noma_strong_{tag}" in want:
+                # after SIC the strong user's SINR is a * w2
                 out[f"p_noma_strong_{tag}"] = int(np.count_nonzero(
-                    _strong_rate(w2, a, out=c2) < r0))
+                    np.multiply(a, w2, out=c2) < n_thresh))
         return out
 
-    # two rates, and a vector per share, 'mid' needing both endpoints
+    # two SINR vectors, and a vector per share, 'mid' needing both endpoints
     n_shares = len(set(tags).union(("ainf", "asup") if "mid" in tags else ()))
     return _pair_sweep(config, ("pair_iid",), kernel, 2 + n_shares, workers)
 

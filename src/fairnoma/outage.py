@@ -18,7 +18,6 @@ import numpy as np
 
 from ._quad import integrate_interval
 from .errors import DomainError
-from .specfun import _LN2
 from .twouser import SystemParams, _rate_threshold
 
 
@@ -81,7 +80,7 @@ def _noma_endpoints(params: SystemParams) -> tuple[float, float]:
         return 0.0, 0.0
     theta = _rate_threshold(params.r0)
     bx = params.beta * params.xi
-    qm1 = math.expm1(params.r0 * _LN2)
+    qm1 = _rate_threshold(params.r0, 1)
     q = 1.0 + qm1
     if math.exp(-2.0 * qm1 / bx) == 0.0:
         # the strong user's gap stays above 700 mean gains up to the cap:

@@ -15,18 +15,37 @@ chunks: the same ufuncs in the same order, so both give the same bits.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import DomainError
-from .specfun import _LN2, _LN4
+from .specfun import _LN2
+
+
+def _require_real(name: str, value) -> None:
+    """Raise DomainError unless ``value`` is a real number (numpy's
+    included), checked before any coercion; a bool is not a number here,
+    though Python makes it an int, and neither is a numeric string. A
+    float skips the abstract-class check, which takes half a microsecond."""
+    if type(value) is not float and (isinstance(value, bool)
+                                     or not isinstance(value, numbers.Real)):
+        raise DomainError(f"{name} must be a real number, got {value!r}")
 
 
 def _require_positive(name: str, value: float) -> None:
+    _require_real(name, value)
     if not (math.isfinite(value) and value > 0.0):
         raise DomainError(f"{name} must be positive and finite, got {value!r}")
+
+
+def _store_floats(obj, names: tuple) -> None:
+    """Store the checked reals ``names`` of the frozen ``obj`` as floats: a
+    numpy float32 would carry its own precision into every threshold."""
+    for name in names:
+        object.__setattr__(obj, name, float(getattr(obj, name)))
 
 
 @dataclass(frozen=True)
@@ -44,8 +63,10 @@ class SystemParams:
     def __post_init__(self):
         _require_positive("xi", self.xi)
         _require_positive("beta", self.beta)
+        _require_real("r0", self.r0)
         if not (math.isfinite(self.r0) and self.r0 >= 0.0):
             raise DomainError(f"r0 must be >= 0 and finite, got {self.r0!r}")
+        _store_floats(self, ("xi", "beta", "r0"))
 
 
 @dataclass(frozen=True)
@@ -103,43 +124,62 @@ def _oma_rate(w: np.ndarray, k: int, out: np.ndarray | None = None) -> np.ndarra
     return np.divide(out, k * _LN2, out=out)
 
 
-def _rate_threshold(r0: float) -> float:
-    """4**r0 - 1, accurate for small r0: the SNR below which a half
-    orthogonal share (``_oma_rate`` at k = 2) falls short of rate r0. Every
-    outage computation calls it before any other power of r0, so an r0
-    whose threshold overflows a double (above about 512) is refused here."""
+def _rate_threshold(r0: float, k: int = 2) -> float:
+    """2**(k*r0) - 1, accurate for small r0: the SINR below which the
+    capacity of a 1/k orthogonal share (``_oma_rate``), or at k = 1 a NOMA
+    capacity, falls short of rate r0; outage is a strict ``<`` against it.
+    Every outage computation calls it at k = 2 before any other power of
+    r0, so an r0 whose threshold overflows a double (above about 512) is
+    refused here."""
     try:
-        return math.expm1(r0 * _LN4)
+        return math.expm1(r0 * (k * _LN2))
     except OverflowError:
         raise DomainError(f"target rate r0 = {r0!r} b/s/Hz needs an SNR"
-                          " threshold 4**r0 - 1 beyond a double") from None
+                          f" threshold 2**({k}*r0) - 1 beyond a double"
+                          ) from None
+
+
+def _sinr(w: np.ndarray, own, rest, out: np.ndarray | None = None,
+          tmp: np.ndarray | None = None) -> np.ndarray:
+    """``own * w / (rest * w + 1.0)``: the SINR of share ``own`` under the
+    undecoded share ``rest``; ``out`` may be ``own``."""
+    out = np.multiply(own, w, out=out)
+    tmp = np.multiply(rest, w, out=tmp)
+    np.add(tmp, 1.0, out=tmp)
+    return np.divide(out, tmp, out=out)
+
+
+def _capacity(sinr: np.ndarray) -> np.ndarray:
+    """``np.log1p(sinr) / _LN2``, in place: the capacity at that SINR."""
+    np.log1p(sinr, out=sinr)
+    return np.divide(sinr, _LN2, out=sinr)
 
 
 def _noma_rate(w: np.ndarray, own, rest, out: np.ndarray | None = None,
                tmp: np.ndarray | None = None) -> np.ndarray:
-    """``np.log1p(own * w / (rest * w + 1.0)) / _LN2``: NOMA capacity at
-    share ``own`` under the undecoded share ``rest``; ``out`` may be ``own``."""
-    out = np.multiply(own, w, out=out)
-    tmp = np.multiply(rest, w, out=tmp)
-    np.add(tmp, 1.0, out=tmp)
-    np.divide(out, tmp, out=out)
-    np.log1p(out, out=out)
-    return np.divide(out, _LN2, out=out)
+    """NOMA capacity at share ``own`` under the undecoded share ``rest``;
+    ``out`` may be ``own``."""
+    return _capacity(_sinr(w, own, rest, out=out, tmp=tmp))
 
 
 def _strong_rate(w: np.ndarray, a, out: np.ndarray | None = None) -> np.ndarray:
-    """``np.log1p(a * w) / _LN2``: the strong user's NOMA capacity after SIC."""
-    out = np.multiply(a, w, out=out)
-    np.log1p(out, out=out)
-    return np.divide(out, _LN2, out=out)
+    """The strong user's NOMA capacity after SIC: its SINR is ``a * w``."""
+    return _capacity(np.multiply(a, w, out=out))
+
+
+def _weak_sinr(w: np.ndarray, a: np.ndarray, out: np.ndarray,
+               tmp: np.ndarray) -> np.ndarray:
+    """The weak user's SINR under strong-user share ``a``, written into
+    ``out``; ``tmp`` is overwritten."""
+    np.subtract(1.0, a, out=out)
+    return _sinr(w, out, a, out=out, tmp=tmp)
 
 
 def _weak_rate(w: np.ndarray, a: np.ndarray, out: np.ndarray,
                tmp: np.ndarray) -> np.ndarray:
     """The weak user's NOMA capacity under strong-user share ``a``, written
     into ``out``; ``tmp`` is overwritten."""
-    np.subtract(1.0, a, out=out)
-    return _noma_rate(w, out, a, out=out, tmp=tmp)
+    return _capacity(_weak_sinr(w, a, out, tmp))
 
 
 def oma_capacity(xi: float, g: float) -> float:

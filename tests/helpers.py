@@ -71,6 +71,26 @@ def noma_endpoint_oracle(k: int, xi: float) -> tuple[float, float]:
                  for f in (weak, strong))
 
 
+def noma_fixed_sum_oracle(k: int, xi: float, a: float) -> float:
+    """Mean NOMA sum rate of the weakest and the strongest of k i.i.d. Exp(1)
+    users at the fixed strong-user share a, as two 1-D quadratures: the weak
+    user's log2(1 + xi*g1) - log2(1 + a*xi*g1) against the minimum's
+    density k exp(-k x), and the strong user's log2(1 + a*xi*g2) against
+    the maximum's, k exp(-x) (1 - exp(-x))**(k-1), both on [0, inf)."""
+    def weak(x):
+        w = xi * x
+        return ((math.log1p(w) - math.log1p(a * w)) / math.log(2.0)
+                * k * math.exp(-k * x))
+
+    def strong(x):
+        return (math.log2(1.0 + a * xi * x) * k * math.exp(-x)
+                * (-math.expm1(-x)) ** (k - 1))
+
+    return math.fsum(integrate.quad(f, 0.0, np.inf, epsabs=0.0,
+                                    epsrel=1e-12, limit=400)[0]
+                     for f in (weak, strong))
+
+
 def harmonic_number(k: int) -> float:
     """H_k as an exactly-rounded sum of reciprocals."""
     return math.fsum(1.0 / i for i in range(1, k + 1))

@@ -89,6 +89,27 @@ class TestConfigValidation:
         with pytest.raises(DomainError, match=field):
             _cfg(**options)
 
+    @pytest.mark.parametrize("field,options", [
+        ("r0", {"r0": True}),
+        ("r0", {"r0": "1"}),
+        ("beta", {"beta": True}),
+        ("beta", {"beta": "2"}),
+        ("xi_grid", {"xi_grid": (True,)}),
+        ("xi_grid", {"xi_grid": ("10",)}),
+        ("xi_grid", {"xi_grid": (1.0, np.True_)}),
+    ])
+    def test_rejects_non_reals(self, field, options):
+        # checked before any float(): True is no SNR, "10" is no number
+        with pytest.raises(DomainError, match=field):
+            _cfg(**options)
+
+    def test_accepts_numpy_reals(self):
+        cfg = _cfg(xi_grid=(np.float32(2.0), np.int64(5), np.float64(7.5)),
+                   r0=np.float32(1.0), beta=np.float32(2.0))
+        assert cfg.xi_grid == (2.0, 5.0, 7.5)
+        # stored as floats, so no threshold is computed in float32
+        assert all(type(x) is float for x in cfg.xi_grid + (cfg.r0, cfg.beta))
+
     def test_scenario_mismatch_raises(self):
         with pytest.raises(DomainError):
             run_pairing(_cfg(scenario="multiuser"))
@@ -637,6 +658,39 @@ class TestScalarApiIsTheEngine:
             monkeypatch.setattr(mcsim, "_pair_snrs", at_threshold)
             m = run_outage(_cfg(trials=1000, r0=r0))[0].measures
             assert m["p_oma_weak"].mean == m["p_oma_strong"].mean == 0.5, r0
+
+    def test_noma_outage_threshold(self, monkeypatch):
+        # NOMA SINRs at the threshold 2**r0 - 1 and one ulp below it, as in
+        # the OMA test: the weak user's written over _weak_sinr's result,
+        # the strong user's its SNR at a share of exactly 1
+        pair_snrs, shares = mcsim._pair_snrs, mcsim._shares
+        weak_sinr = mcsim._weak_sinr
+
+        def at_threshold(v, theta):
+            v[0::2] = theta
+            v[1::2] = np.nextafter(theta, 0.0)
+            return v
+
+        def full_shares(*args):
+            out = shares(*args)
+            for a in out.values():
+                a.fill(1.0)
+            return out
+
+        monkeypatch.setattr(mcsim, "_shares", full_shares)
+        for r0 in (0.1, 0.5, 1.0, 2.0, 3.0):
+            theta = twouser._rate_threshold(r0, 1)
+            monkeypatch.setattr(
+                mcsim, "_pair_snrs", lambda *args, theta=theta: [
+                    at_threshold(w, theta) for w in pair_snrs(*args)])
+            monkeypatch.setattr(
+                mcsim, "_weak_sinr", lambda *args, theta=theta:
+                at_threshold(weak_sinr(*args), theta))
+            m = run_outage(_cfg(trials=1000, r0=r0, fixed_share=0.3))[0].measures
+            noma = {name: r.mean for name, r in m.items()
+                    if name.startswith("p_noma")}
+            assert len(noma) == 8
+            assert set(noma.values()) == {0.5}, (r0, noma)
 
     @pytest.mark.parametrize("beta", (0.5, 1.0, 2.0))
     def test_k_user_power_total(self, monkeypatch, beta):

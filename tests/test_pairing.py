@@ -13,7 +13,7 @@ from fairnoma.mcsim import SimConfig, run_pairing
 from fairnoma.specfun import exp_integral_e1_scaled
 from fairnoma.twouser import SystemParams
 from helpers import (engine_minmax, harmonic_number, noma_endpoint_oracle,
-                     oma_max_oracle)
+                     noma_fixed_sum_oracle, oma_max_oracle)
 
 # expected_gain_asup(k) from 50-digit mpmath, as the order-statistic integral
 # and as the alternating binomial sum at k*0.3 + 70 digits (they agree to
@@ -190,6 +190,24 @@ class TestPoolNomaOracles:
                 r = pt.measures[name]
                 z = (r.mean - want) / r.std_error
                 assert abs(z) <= 4.5, (pt.k, pt.xi, name, z)
+
+
+class TestPoolFixedShareOracle:
+    def test_fixed_share_sum_matches_quadrature(self):
+        # figure 4's s_fixed_mc column: the NOMA sum rate at share 0.2, the
+        # sum of a 1-D integral over each marginal. Seed, trials and bound
+        # were fixed before the first run.
+        points = run_pairing(SimConfig(trials=200_000, seed=103,
+                                       xi_grid=(1.0, 100.0, 1e5),
+                                       scenario="pair_minmax",
+                                       k_grid=(2, 3, 10, 30),
+                                       fixed_share=0.2),
+                             measures={"s_noma_fixed"})
+        assert len(points) == 12
+        for pt in points:
+            r = pt.measures["s_noma_fixed"]
+            z = (r.mean - noma_fixed_sum_oracle(pt.k, pt.xi, 0.2)) / r.std_error
+            assert abs(z) <= 4.5, (pt.k, pt.xi, z)
 
 
 class TestUpperEndpointGain:

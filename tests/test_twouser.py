@@ -11,10 +11,25 @@ from fairnoma.errors import DomainError
 class TestConstructors:
     def test_system_params_validation(self):
         tu.SystemParams(xi=1.0, beta=2.0, r0=0.0)
+        p = tu.SystemParams(xi=np.float32(2.0), beta=np.int64(1),
+                            r0=np.float32(0.5))
+        assert all(type(v) is float for v in (p.xi, p.beta, p.r0))
         for bad in ({"xi": 0.0}, {"xi": -1.0}, {"xi": math.nan},
                     {"xi": 1.0, "beta": 0.0}, {"xi": 1.0, "r0": -0.1}):
             with pytest.raises(DomainError):
                 tu.SystemParams(**bad)
+
+    @pytest.mark.parametrize("field,options", [
+        ("xi", {"xi": True}),
+        ("xi", {"xi": "10"}),
+        ("beta", {"xi": 1.0, "beta": True}),
+        ("r0", {"xi": 1.0, "r0": False}),
+        ("r0", {"xi": 1.0, "r0": "1"}),
+    ])
+    def test_system_params_rejects_non_reals(self, field, options):
+        # a bool is an int to Python, but True is no SNR or rate
+        with pytest.raises(DomainError, match=field):
+            tu.SystemParams(**options)
 
     def test_channel_pair_ordering(self):
         with pytest.raises(DomainError):
