@@ -28,11 +28,12 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import __version__
-from .errors import DomainError, QuadratureError
+from .errors import (DomainError, QuadratureError, _is_integer, _is_real,
+                     _require_int, _require_positive)
 from .ergodic import ergodic_curve_point, high_snr_ergodic_approx
 from .mcsim import (_SCENARIO_IDS, STREAM_VERSION, SimConfig,
-                    _ordered_gains, _require_int, _substream,
-                    run_multiuser_power, run_outage, run_pairing)
+                    _ordered_gains, _substream, run_multiuser_power,
+                    run_outage, run_pairing)
 from .multiuser import (
     ChannelSet,
     full_alloc_a,
@@ -50,7 +51,6 @@ from .twouser import (
     noma_capacity_strong,
     noma_capacity_weak,
     oma_capacity,
-    _require_positive,
 )
 
 OUT_DIR_ENV = "FAIRNOMA_OUT_DIR"
@@ -107,9 +107,7 @@ def _csv_text(header: str, rows: list) -> str:
 
 def cmd_region(args: argparse.Namespace) -> int:
     xi = _db_to_linear(args.xi_db) if args.xi is None else args.xi
-    g1, g2 = args.g1, args.g2
-    _require_positive("g1", g1)
-    _require_positive("g2", g2)
+    g1, g2 = _require_positive("g1", args.g1), _require_positive("g2", args.g2)
     if g1 > g2:
         print("warning: g1 > g2, swapping so g1 is the weaker user",
               file=sys.stderr)
@@ -221,14 +219,6 @@ _FIGURES = {
 }
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
 def _is_list_of(check):
     return lambda value: (isinstance(value, (list, tuple))
                           and all(map(check, value)))
@@ -237,15 +227,15 @@ def _is_list_of(check):
 # the type each figure parameter must have, checked before any conversion so
 # a config value is never coerced (2.5 to 2, true to 1)
 _PARAM_TYPES = {
-    "trials": ("an integer", _is_int),
-    "seed": ("an integer", _is_int),
-    "k": ("an integer", _is_int),
-    "k_grid": ("a list of integers", _is_list_of(_is_int)),
+    "trials": ("an integer", _is_integer),
+    "seed": ("an integer", _is_integer),
+    "k": ("an integer", _is_integer),
+    "k_grid": ("a list of integers", _is_list_of(_is_integer)),
     "xi_db": ("a number or a list of numbers",
-              lambda v: _is_number(v) or _is_list_of(_is_number)(v)),
-    "beta": ("a number", _is_number),
-    "r0": ("a number", _is_number),
-    "fixed_share": ("a number", _is_number),
+              lambda v: _is_real(v) or _is_list_of(_is_real)(v)),
+    "beta": ("a number", _is_real),
+    "r0": ("a number", _is_real),
+    "fixed_share": ("a number", _is_real),
 }
 
 
@@ -278,7 +268,7 @@ def _resolve_figure_params(args: argparse.Namespace) -> dict:
     figure = args.figure
     if figure is None:
         figure = cfg.get("figure")
-    if not _is_int(figure) or figure not in _FIGURES:
+    if not _is_integer(figure) or figure not in _FIGURES:
         raise _Usage(f"figure must be one of {list(_FIGURES)}, "
                      f"got {figure!r}")
 
@@ -300,8 +290,8 @@ def _resolve_figure_params(args: argparse.Namespace) -> dict:
         if key in resolved and not check(resolved[key]):
             raise _Usage(f"{key} must be {kind}, got {resolved[key]!r}")
 
-    if isinstance(resolved["xi_db"], (int, float)):
-        resolved["xi_db"] = (float(resolved["xi_db"]),)
+    if _is_real(resolved["xi_db"]):
+        resolved["xi_db"] = (resolved["xi_db"],)
     resolved["xi_db"] = tuple(float(d) for d in resolved["xi_db"])
     if "k_grid" in resolved:
         resolved["k_grid"] = tuple(resolved["k_grid"])

@@ -105,11 +105,11 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import (DomainError, _require_int, _require_positive,
+                     _require_rate, _require_real)
 from .multiuser import _min_power_total
-from .twouser import (_oma_rate, _rate_threshold, _require_positive,
-                      _require_real, _share_bound, _store_floats,
-                      _strong_rate, _weak_rate, _weak_sinr)
+from .twouser import (_oma_rate, _rate_threshold, _share_bound, _strong_rate,
+                      _weak_rate, _weak_sinr)
 
 #: trials per substream chunk; fixed so parallel partitioning cannot move
 #: draws between substreams
@@ -122,14 +122,15 @@ STREAM_VERSION = 4
 _SCENARIO_IDS = {"pair_iid": 1, "pair_minmax": 2, "multiuser": 3}
 
 
-def _require_int(name: str, value, low: int = 1,
-                 high: int | None = None) -> None:
-    """Raise DomainError unless ``value`` is an int in [low, high); a bool
-    is not a count, though Python makes it an int."""
-    if (isinstance(value, bool) or not isinstance(value, int) or value < low
-            or (high is not None and value >= high)):
-        bounds = f">= {low}" if high is None else f"in [{low}, {high})"
-        raise DomainError(f"{name} must be an integer {bounds}, got {value!r}")
+def _require_grid(name: str, values, require: Callable) -> tuple:
+    """``values`` as a tuple of ``require``'s results, or DomainError unless
+    it is non-empty and strictly increasing."""
+    grid = tuple(require(f"{name} entries", v) for v in values)
+    if not grid:
+        raise DomainError(f"{name} must be non-empty")
+    if any(a >= b for a, b in zip(grid, grid[1:])):
+        raise DomainError(f"{name} must be strictly increasing")
+    return grid
 
 
 @dataclass(frozen=True)
@@ -157,39 +158,28 @@ class SimConfig:
     k_grid: tuple = (2,)
 
     def __post_init__(self):
-        _require_int("trials", self.trials)
-        _require_int("seed", self.seed, 0, 2 ** 64)
-        xi_grid = tuple(self.xi_grid)
-        if not xi_grid:
-            raise DomainError("xi_grid must be non-empty")
-        for x in xi_grid:
-            _require_positive("xi_grid entries", x)
-        xi_grid = tuple(map(float, xi_grid))
-        if any(a >= b for a, b in zip(xi_grid, xi_grid[1:])):
-            raise DomainError("xi_grid must be strictly increasing")
-        object.__setattr__(self, "xi_grid", xi_grid)
-        _require_positive("beta", self.beta)
-        _require_real("r0", self.r0)
-        if not (math.isfinite(self.r0) and self.r0 >= 0.0):
-            raise DomainError(f"r0 must be >= 0, got {self.r0!r}")
-        _store_floats(self, ("beta", "r0"))
-        share = self.fixed_share
-        # NaN and the infinities fail the interval test too
-        if share is not None and (isinstance(share, bool)
-                                  or not isinstance(share, (int, float))
-                                  or not 0.0 < share < 1.0):
-            raise DomainError(
-                f"fixed_share must be a number in (0, 1), got {share!r}")
+        # stored as checked, so no threshold is computed in float32
+        checked = {
+            "trials": _require_int("trials", self.trials),
+            "seed": _require_int("seed", self.seed, 0, 2 ** 64),
+            "xi_grid": _require_grid("xi_grid", self.xi_grid,
+                                     _require_positive),
+            "beta": _require_positive("beta", self.beta),
+            "r0": _require_rate("r0", self.r0),
+        }
+        if self.fixed_share is not None:
+            share = checked["fixed_share"] = _require_real("fixed_share",
+                                                           self.fixed_share)
+            # NaN and the infinities fail the interval test too
+            if not 0.0 < share < 1.0:
+                raise DomainError(f"fixed_share must be a number in (0, 1),"
+                                  f" got {self.fixed_share!r}")
         if self.scenario not in _SCENARIO_IDS:
             raise DomainError(f"unknown scenario {self.scenario!r}")
-        k_grid = tuple(self.k_grid)
-        if not k_grid:
-            raise DomainError("k_grid must be non-empty")
-        for k in k_grid:
-            _require_int("k_grid entries", k)
-        if any(a >= b for a, b in zip(k_grid, k_grid[1:])):
-            raise DomainError("k_grid must be strictly increasing")
-        object.__setattr__(self, "k_grid", k_grid)
+        k_grid = checked["k_grid"] = _require_grid("k_grid", self.k_grid,
+                                                   _require_int)
+        for name, value in checked.items():
+            object.__setattr__(self, name, value)
         # a K the scenario would ignore is an error, not a no-op
         if self.scenario == "pair_iid" and k_grid != (2,):
             raise DomainError(

@@ -17,8 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
-from .twouser import _noma_rate, _oma_rate, _one, _require_positive
+from .errors import (DomainError, _is_integer, _require_positive,
+                     _require_rate, _require_real)
+from .twouser import _noma_rate, _oma_rate, _one
 
 
 _ALLOC_KINDS = ("b_min", "a_full")
@@ -31,11 +32,9 @@ class ChannelSet:
     gains: tuple
 
     def __post_init__(self):
-        gains = tuple(float(g) for g in self.gains)
+        gains = tuple(_require_positive("gains", g) for g in self.gains)
         if not gains:
             raise DomainError("need at least one user")
-        for g in gains:
-            _require_positive("gains", g)
         if any(a > b for a, b in zip(gains, gains[1:])):
             raise DomainError("gains must be sorted ascending")
         object.__setattr__(self, "gains", gains)
@@ -56,26 +55,28 @@ class AllocationVector:
     def __post_init__(self):
         if self.kind not in _ALLOC_KINDS:
             raise DomainError(f"kind must be one of {_ALLOC_KINDS}, got {self.kind!r}")
-        coeffs = tuple(float(c) for c in self.coeffs)
+        coeffs = tuple(_require_real("coefficients", c) for c in self.coeffs)
         for c in coeffs:
             # the single-user edge spends the whole budget, hence <= 1
             if not (0.0 < c <= 1.0):
                 raise DomainError(f"coefficients must lie in (0, 1], got {c!r}")
-        if self.residual < -1e-12:
-            raise DomainError(f"residual must be nonnegative, got {self.residual!r}")
-        if abs(math.fsum(coeffs) + self.residual - 1.0) > 1e-9:
+        residual = _require_real("residual", self.residual)
+        if not residual >= -1e-12:   # NaN fails too
+            raise DomainError(f"residual must be nonnegative, got {residual!r}")
+        if abs(math.fsum(coeffs) + residual - 1.0) > 1e-9:
             raise DomainError("coefficients plus residual must spend exactly the budget")
         object.__setattr__(self, "coeffs", coeffs)
+        object.__setattr__(self, "residual", residual)
 
 
 def _check_user_index(k: int, n_users: int) -> None:
-    if not isinstance(k, int) or not 1 <= k <= n_users:
+    if not _is_integer(k) or not 1 <= k <= n_users:
         raise IndexError(f"user index must be in 1..{n_users}, got {k!r}")
 
 
 def oma_capacity_k(xi: float, channels: ChannelSet, k: int) -> float:
     """User k's rate under a 1/K orthogonal share (k is 1-based, SIC order)."""
-    _require_positive("xi", xi)
+    xi = _require_positive("xi", xi)
     _check_user_index(k, channels.k)
     return _oma_rate(_one(xi * channels.gains[k - 1]), channels.k).item()
 
@@ -83,15 +84,12 @@ def oma_capacity_k(xi: float, channels: ChannelSet, k: int) -> float:
 def _noma_rates(xi: float, channels: ChannelSet, coeffs) -> np.ndarray:
     """Every user's NOMA rate: own power over downstream (undecodable)
     power. ``coeffs`` may be an AllocationVector."""
-    _require_positive("xi", xi)
+    xi = _require_positive("xi", xi)
     if isinstance(coeffs, AllocationVector):
         coeffs = coeffs.coeffs
-    coeffs = tuple(float(c) for c in coeffs)
+    coeffs = tuple(_require_rate("coefficients", c) for c in coeffs)
     if len(coeffs) != channels.k:
         raise DomainError(f"need {channels.k} coefficients, got {len(coeffs)}")
-    for c in coeffs:
-        if not (math.isfinite(c) and c >= 0.0):
-            raise DomainError(f"coefficients must be >= 0, got {c!r}")
     if math.fsum(coeffs) > 1.0 + 1e-9:
         raise DomainError("coefficients exceed the power budget")
     rest = [math.fsum(coeffs[k:]) for k in range(1, channels.k + 1)]
@@ -141,7 +139,7 @@ def min_alloc_b(xi: float, channels: ChannelSet) -> AllocationVector:
     so every user's rate matches its 1/K orthogonal rate exactly and the
     total spend stays at or below the budget.
     """
-    _require_positive("xi", xi)
+    xi = _require_positive("xi", xi)
     b = np.multiply(xi, [channels.gains])
     _min_power_total(b, channels.k)
     coeffs = tuple(b[0].tolist())
@@ -156,7 +154,7 @@ def full_alloc_a(xi: float, channels: ChannelSet) -> AllocationVector:
     k sizes its share against the remaining-power level A_{k-1}. The
     residual is the final ladder level A_K >= 0.
     """
-    _require_positive("xi", xi)
+    xi = _require_positive("xi", xi)
     n = channels.k
     if n == 1:
         return AllocationVector(coeffs=(1.0,), residual=0.0, kind="a_full")

@@ -16,20 +16,17 @@ import math
 import numpy as np
 
 from ._quad import integrate_semi_infinite
-from .errors import DomainError
+from .errors import (DomainError, _require_int, _require_positive,
+                     _require_real)
 from .specfun import _LN2, _LN4, EULER_GAMMA, exp_integral_e1_scaled
-from .twouser import SystemParams, _require_positive
-
-
-def _check_pool(k: int) -> None:
-    if not isinstance(k, int) or k < 2:
-        raise DomainError(f"pool size must be an integer >= 2, got {k!r}")
+from .twouser import SystemParams
 
 
 def minmax_joint_cdf(x0: float, xm: float, k: int, beta: float = 1.0) -> float:
     """P(g_min <= x0, g_max <= xm) for the extremes of k i.i.d. gains."""
-    _check_pool(k)
-    _require_positive("beta", beta)
+    k = _require_int("pool size", k, 2)
+    beta = _require_positive("beta", beta)
+    x0, xm = _require_real("x0", x0), _require_real("xm", xm)
     if not (0.0 <= x0 <= xm):
         raise DomainError(f"need 0 <= x0 <= xm, got ({x0!r}, {xm!r})")
     em = math.exp(-xm / beta)
@@ -39,8 +36,9 @@ def minmax_joint_cdf(x0: float, xm: float, k: int, beta: float = 1.0) -> float:
 
 def minmax_joint_pdf(x0: float, xm: float, k: int, beta: float = 1.0) -> float:
     """Joint density of (g_min, g_max) on the wedge 0 < x0 < xm."""
-    _check_pool(k)
-    _require_positive("beta", beta)
+    k = _require_int("pool size", k, 2)
+    beta = _require_positive("beta", beta)
+    x0, xm = _require_real("x0", x0), _require_real("xm", xm)
     if not (0.0 < x0 < xm):
         raise DomainError(f"density defined only for 0 < x0 < xm, got ({x0!r}, {xm!r})")
     e0 = math.exp(-x0 / beta)
@@ -57,8 +55,7 @@ def expected_gain_asup(k: int) -> float:
     max term integrates ln(y) against its marginal, with the (k-1) power
     taken through log1p for large k.
     """
-    if not isinstance(k, int) or k < 1:
-        raise DomainError(f"pool size must be a positive integer, got {k!r}")
+    k = _require_int("pool size", k)
     if k == 1:
         return 0.0
 
@@ -77,7 +74,7 @@ def expected_gain_ainf_approx(k: int, params: SystemParams) -> float:
     rewritten as log1p(xi/(k*(1+sqrt(1+xi*H_k)))), identical to the surd
     quotient form but exact near zero.
     """
-    _check_pool(k)
+    k = _require_int("pool size", k, 2)
     h_k = math.fsum(1.0 / i for i in range(1, k + 1))
     bx = params.beta * params.xi
     e1_term = exp_integral_e1_scaled(k / bx) / _LN4

@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 
-from .errors import DomainError, QuadratureError
+from .errors import DomainError, QuadratureError, _require_positive
 
 #: Euler-Mascheroni constant, 20 significant digits.
 EULER_GAMMA = 0.57721566490153286061
@@ -36,11 +36,6 @@ _E1_SERIES = tuple((-1.0) ** (k + 1) / (k * math.factorial(k))
 _CHEB_POINTS = 32
 _CHEB_TERMS = 22
 _CF_DEPTH = 12
-
-
-def _check_finite(name: str, x: float) -> None:
-    if not math.isfinite(x):
-        raise DomainError(f"{name} requires a finite argument, got {x!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -80,9 +75,7 @@ def _e1_cf_scaled(x: float) -> float:
 
 def exp_integral_e1_scaled(x: float) -> float:
     """e^x E1(x) for x > 0, finite for all x (decays like 1/x as x grows)."""
-    _check_finite("exp_integral_e1_scaled", x)
-    if x <= 0.0:
-        raise DomainError(f"exp_integral_e1_scaled requires x > 0, got {x!r}")
+    x = _require_positive("exp_integral_e1_scaled argument x", x)
     if x < 1.0:
         return math.exp(x) * _e1_series(x)
     return _e1_cf_scaled(x)

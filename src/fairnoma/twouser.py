@@ -15,37 +15,14 @@ chunks: the same ufuncs in the same order, so both give the same bits.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import (DomainError, _require_positive, _require_rate,
+                     _require_real)
 from .specfun import _LN2
-
-
-def _require_real(name: str, value) -> None:
-    """Raise DomainError unless ``value`` is a real number (numpy's
-    included), checked before any coercion; a bool is not a number here,
-    though Python makes it an int, and neither is a numeric string. A
-    float skips the abstract-class check, which takes half a microsecond."""
-    if type(value) is not float and (isinstance(value, bool)
-                                     or not isinstance(value, numbers.Real)):
-        raise DomainError(f"{name} must be a real number, got {value!r}")
-
-
-def _require_positive(name: str, value: float) -> None:
-    _require_real(name, value)
-    if not (math.isfinite(value) and value > 0.0):
-        raise DomainError(f"{name} must be positive and finite, got {value!r}")
-
-
-def _store_floats(obj, names: tuple) -> None:
-    """Store the checked reals ``names`` of the frozen ``obj`` as floats: a
-    numpy float32 would carry its own precision into every threshold."""
-    for name in names:
-        object.__setattr__(obj, name, float(getattr(obj, name)))
 
 
 @dataclass(frozen=True)
@@ -61,12 +38,10 @@ class SystemParams:
     r0: float = 0.0
 
     def __post_init__(self):
-        _require_positive("xi", self.xi)
-        _require_positive("beta", self.beta)
-        _require_real("r0", self.r0)
-        if not (math.isfinite(self.r0) and self.r0 >= 0.0):
-            raise DomainError(f"r0 must be >= 0 and finite, got {self.r0!r}")
-        _store_floats(self, ("xi", "beta", "r0"))
+        # stored as checked, so no threshold is computed in float32
+        object.__setattr__(self, "xi", _require_positive("xi", self.xi))
+        object.__setattr__(self, "beta", _require_positive("beta", self.beta))
+        object.__setattr__(self, "r0", _require_rate("r0", self.r0))
 
 
 @dataclass(frozen=True)
@@ -77,8 +52,8 @@ class ChannelPair:
     g2: float
 
     def __post_init__(self):
-        _require_positive("g1", self.g1)
-        _require_positive("g2", self.g2)
+        object.__setattr__(self, "g1", _require_positive("g1", self.g1))
+        object.__setattr__(self, "g2", _require_positive("g2", self.g2))
         if self.g1 > self.g2:
             raise DomainError(
                 f"ChannelPair requires g1 <= g2, got ({self.g1!r}, {self.g2!r});"
@@ -93,6 +68,8 @@ class FairRegion:
     a_sup: float
 
     def __post_init__(self):
+        object.__setattr__(self, "a_inf", _require_real("a_inf", self.a_inf))
+        object.__setattr__(self, "a_sup", _require_real("a_sup", self.a_sup))
         if not (0.0 < self.a_inf <= self.a_sup < 1.0):
             raise DomainError(
                 f"FairRegion requires 0 < a_inf <= a_sup < 1, got "
@@ -184,14 +161,15 @@ def _weak_rate(w: np.ndarray, a: np.ndarray, out: np.ndarray,
 
 def oma_capacity(xi: float, g: float) -> float:
     """Half-bandwidth orthogonal-access capacity, (1/2) log2(1 + xi*g)."""
-    _require_positive("xi", xi)
-    _require_positive("g", g)
-    return _oma_rate(_one(xi * g), 2).item()
+    w = _require_positive("xi", xi) * _require_positive("g", g)
+    return _oma_rate(_one(w), 2).item()
 
 
-def _check_share(a: float) -> None:
-    if not (math.isfinite(a) and 0.0 <= a <= 1.0):
+def _check_share(a) -> float:
+    share = _require_real("power share a", a)
+    if not 0.0 <= share <= 1.0:
         raise DomainError(f"power share a must lie in [0, 1], got {a!r}")
+    return share
 
 
 def noma_capacity_weak(xi: float, g1: float, a: float) -> float:
@@ -200,18 +178,15 @@ def noma_capacity_weak(xi: float, g1: float, a: float) -> float:
     The weak user decodes while treating the strong user's share ``a`` as
     interference; monotone decreasing in ``a``.
     """
-    _require_positive("xi", xi)
-    _require_positive("g1", g1)
-    _check_share(a)
-    return _noma_rate(_one(xi * g1), 1.0 - a, a).item()
+    w = _require_positive("xi", xi) * _require_positive("g1", g1)
+    a = _check_share(a)
+    return _noma_rate(_one(w), 1.0 - a, a).item()
 
 
 def noma_capacity_strong(xi: float, g2: float, a: float) -> float:
     """Strong-user NOMA capacity log2(1 + a xi g2), interference-free after SIC."""
-    _require_positive("xi", xi)
-    _require_positive("g2", g2)
-    _check_share(a)
-    return _strong_rate(_one(xi * g2), a).item()
+    w = _require_positive("xi", xi) * _require_positive("g2", g2)
+    return _strong_rate(_one(w), _check_share(a)).item()
 
 
 def allocation_bound(xi: float, x: float) -> float:
@@ -220,9 +195,8 @@ def allocation_bound(xi: float, x: float) -> float:
     Evaluated as 1/(1 + sqrt(1 + xi*x)), which is cancellation-free and makes
     the xi*x -> 0 limit of 1/2 exact.
     """
-    _require_positive("xi", xi)
-    _require_positive("x", x)
-    return _share_bound(_one(xi * x)).item()
+    w = _require_positive("xi", xi) * _require_positive("x", x)
+    return _share_bound(_one(w)).item()
 
 
 def fair_region(params: SystemParams, ch: ChannelPair) -> FairRegion:
@@ -255,7 +229,7 @@ def high_snr_capacities(xi: float, ch: ChannelPair) -> HighSnrCapacities:
     log2(sqrt(xi/g1) g2). Meaningful when xi*g1 >> 1; no regime check is
     enforced.
     """
-    _require_positive("xi", xi)
+    xi = _require_positive("xi", xi)
     half_log_xi = 0.5 * math.log(xi) / _LN2
     log_g1 = math.log(ch.g1) / _LN2
     log_g2 = math.log(ch.g2) / _LN2

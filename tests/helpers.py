@@ -91,6 +91,45 @@ def noma_fixed_sum_oracle(k: int, xi: float, a: float) -> float:
                      for f in (weak, strong))
 
 
+def min_power_sum(xi: float, gains) -> float:
+    """Total of the minimum NOMA power shares that give each of K users,
+    gains ascending, exactly its 1/K orthogonal rate. From the strongest
+    user down, user k's share b_k = ((1 + w_k)**(1/K) - 1)(1 + w_k B)/w_k,
+    with w_k = xi*g_k and B the stronger users' total, solves
+    log2(1 + b_k w_k/(1 + w_k B)) = log2(1 + w_k)/K."""
+    k = len(gains)
+    total = 0.0
+    for g in reversed(gains):
+        w = xi * g
+        total += ((1.0 + w) ** (1.0 / k) - 1.0) * (1.0 + w * total) / w
+    return total
+
+
+def min_power_sum_oracle(k: int, xi: float) -> float:
+    """Mean of ``min_power_sum`` over the ordered gains of k = 2 (by
+    ``dblquad``) or k = 3 (by ``tplquad``) i.i.d. Exp(1) users, whose
+    density is k! exp(-(g_1 + ... + g_k)). The minimum is g_1 = exp(s), so
+    the quadrature resolves it near 0 at any SNR, and the j-th gap
+    g_{j+1} - g_j (from 1) is at most 40/(k - j); each range leaves out a
+    mass of exp(-40)."""
+    def f(*x):
+        # innermost variable first: the gaps from the top down, then s
+        g = math.exp(x[-1])
+        gains = [g]
+        for gap in x[-2::-1]:
+            g += gap
+            gains.append(g)
+        return (min_power_sum(xi, gains) * math.factorial(k)
+                * math.exp(x[-1] - sum(gains)))
+
+    s_range = (-40.0, math.log(40.0 / k))
+    if k == 2:
+        return integrate.dblquad(f, *s_range, 0.0, 40.0, epsabs=1e-6,
+                                 epsrel=0.0)[0]
+    return integrate.tplquad(f, *s_range, 0.0, 20.0, 0.0, 40.0,
+                             epsabs=1e-6, epsrel=0.0)[0]
+
+
 def harmonic_number(k: int) -> float:
     """H_k as an exactly-rounded sum of reciprocals."""
     return math.fsum(1.0 / i for i in range(1, k + 1))

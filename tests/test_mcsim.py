@@ -105,10 +105,18 @@ class TestConfigValidation:
 
     def test_accepts_numpy_reals(self):
         cfg = _cfg(xi_grid=(np.float32(2.0), np.int64(5), np.float64(7.5)),
-                   r0=np.float32(1.0), beta=np.float32(2.0))
-        assert cfg.xi_grid == (2.0, 5.0, 7.5)
+                   r0=np.float32(1.0), beta=np.float32(2.0),
+                   fixed_share=np.float32(0.25))
+        assert cfg.xi_grid == (2.0, 5.0, 7.5) and cfg.fixed_share == 0.25
         # stored as floats, so no threshold is computed in float32
-        assert all(type(x) is float for x in cfg.xi_grid + (cfg.r0, cfg.beta))
+        assert all(type(x) is float for x in cfg.xi_grid
+                   + (cfg.r0, cfg.beta, cfg.fixed_share))
+
+    def test_accepts_numpy_integers(self):
+        cfg = _cfg(trials=np.int64(100), seed=np.uint64(7),
+                   scenario="pair_minmax", k_grid=(np.int64(3), np.int32(5)))
+        assert (cfg.trials, cfg.seed, cfg.k_grid) == (100, 7, (3, 5))
+        assert all(type(n) is int for n in (cfg.trials, cfg.seed) + cfg.k_grid)
 
     def test_scenario_mismatch_raises(self):
         with pytest.raises(DomainError):

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from fairnoma.errors import DomainError
+from fairnoma.mcsim import SimConfig, run_multiuser_power
 from fairnoma.multiuser import (
     AllocationVector,
     ChannelSet,
@@ -28,6 +29,7 @@ from fairnoma.twouser import (
     noma_capacity_weak,
     oma_capacity,
 )
+from helpers import min_power_sum_oracle
 
 
 def oma_rate_ref(xi, g, k_total):
@@ -57,6 +59,10 @@ class TestChannelSet:
             ChannelSet(gains=(0.0, 1.0))
         with pytest.raises(DomainError):
             ChannelSet(gains=())
+        # checked before any float(): no numeric strings, no bools
+        for gains in (("0.5", "1.5"), (True, 2.0)):
+            with pytest.raises(DomainError):
+                ChannelSet(gains=gains)
 
     def test_ties_permitted(self):
         ch = ChannelSet(gains=(1.0, 1.0, 2.0))
@@ -109,6 +115,8 @@ class TestOrthogonalCapacity:
             oma_capacity_k(10.0, ch, 3)
         with pytest.raises(IndexError):
             oma_capacity_k(10.0, ch, 1.0)
+        with pytest.raises(IndexError):
+            oma_capacity_k(10.0, ch, True)
 
 
 class TestNomaCapacity:
@@ -144,6 +152,8 @@ class TestNomaCapacity:
             noma_capacity_k(10.0, ch, (-0.1, 0.5), 1)
         with pytest.raises(DomainError):
             noma_capacity_k(10.0, ch, (0.8, 0.8), 1)
+        with pytest.raises(DomainError):
+            noma_capacity_k(10.0, ch, ("0.5", "0.5"), 1)
 
 
 class TestMinAllocB:
@@ -167,6 +177,40 @@ class TestMinAllocB:
         v = min_alloc_b(1e3, ChannelSet(gains=gains))
         assert math.fsum(v.coeffs) < 1.0
         assert v.residual > 0.0
+
+
+class TestMinPowerSumOracles:
+    """Figure 6's ``e_sum_b_mc`` column, the engine's mean of sum(b), at
+    0, 20 and 50 dB against references that share none of its draws. The
+    seeds, the trial counts and the bound were fixed before the first
+    run."""
+
+    @staticmethod
+    def _engine(k: int) -> list:
+        return run_multiuser_power(SimConfig(
+            trials=200_000, seed=106, xi_grid=(1.0, 100.0, 1e5),
+            scenario="multiuser", k_grid=(k,)))
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_matches_quadrature(self, k):
+        # a 2-D (K = 2) or 3-D (K = 3) integral over the ordered gains
+        for pt in self._engine(k):
+            r = pt.measures["sum_b"]
+            z = (r.mean - min_power_sum_oracle(k, pt.xi)) / r.std_error
+            assert abs(z) <= 4.5, (k, pt.xi, z)
+
+    def test_matches_sorted_exponentials_at_k5(self):
+        # two samples: the engine's, and sorted default_rng exponentials
+        # through the scalar min_alloc_b, the same pools at every SNR
+        rng = np.random.default_rng(107)
+        pools = np.sort(rng.exponential(1.0, (10_000, 5)), axis=1).tolist()
+        for pt in self._engine(5):
+            sums = [math.fsum(min_alloc_b(pt.xi, ChannelSet(gains=tuple(g))
+                                          ).coeffs) for g in pools]
+            se = float(np.std(sums, ddof=1)) / math.sqrt(len(sums))
+            r = pt.measures["sum_b"]
+            z = (r.mean - float(np.mean(sums))) / math.hypot(r.std_error, se)
+            assert abs(z) <= 4.5, (pt.xi, z)
 
 
 class TestFullAllocA:

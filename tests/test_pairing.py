@@ -78,6 +78,8 @@ class TestJointCdf:
             pairing.minmax_joint_cdf(1.0, 2.0, 1)
         with pytest.raises(DomainError):
             pairing.minmax_joint_cdf(1.0, 2.0, 3, beta=0.0)
+        with pytest.raises(DomainError):
+            pairing.minmax_joint_cdf("a", 1.0, 2)
 
 
 class TestJointPdf:
@@ -246,7 +248,7 @@ class TestUpperEndpointGain:
             assert abs(z) < 4.0, (k, z)
 
     def test_rejects_bad_pool(self):
-        for k in (0, -2, 2.5):
+        for k in (0, -2, 2.5, True):
             with pytest.raises(DomainError):
                 pairing.expected_gain_asup(k)
 

@@ -76,6 +76,9 @@ class TestCapacities:
             tu.noma_capacity_weak(1.0, 1.0, -0.01)
         with pytest.raises(DomainError):
             tu.noma_capacity_strong(1.0, 1.0, 1.01)
+        for share in (True, "x"):
+            with pytest.raises(DomainError):
+                tu.noma_capacity_weak(1.0, 1.0, share)
 
     def test_weak_monotone_decreasing_strong_increasing_in_a(self):
         a_grid = np.linspace(0.0, 1.0, 21)
