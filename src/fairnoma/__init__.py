@@ -58,9 +58,7 @@ from .mcsim import (
     GridPoint,
     SimConfig,
     SimResult,
-    run_multiuser_power,
-    run_outage,
-    run_pairing,
+    simulate,
 )
 
 __all__ = [
@@ -103,9 +101,7 @@ __all__ = [
     "oma_outage_strong",
     "oma_outage_weak",
     "outage_point",
-    "run_multiuser_power",
-    "run_outage",
-    "run_pairing",
+    "simulate",
     "sum_rate",
     "verify_fairness",
     "with_residual_to_strongest",

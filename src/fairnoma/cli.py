@@ -32,8 +32,7 @@ from .errors import (DomainError, QuadratureError, _is_integer, _is_real,
                      _require_int, _require_positive)
 from .ergodic import ergodic_curve_point, high_snr_ergodic_approx
 from .mcsim import (_SCENARIO_IDS, STREAM_VERSION, SimConfig,
-                    _ordered_gains, _substream, run_multiuser_power,
-                    run_outage, run_pairing)
+                    _ordered_gains, _substream, simulate)
 from .multiuser import (
     ChannelSet,
     full_alloc_a,
@@ -164,8 +163,8 @@ def _ergodic(pt, p: dict) -> dict:
 
 
 class _Figure(NamedTuple):
-    """One figure: its parameters beyond ``_COMMON_DEFAULTS``, the runner
-    and scenario of its sweep, the closed forms of a grid point
+    """One figure: its parameters beyond ``_COMMON_DEFAULTS``, the scenario
+    of its sweep, the closed forms of a grid point
     (``closed_form(point, params)``, a dict) if it has any, and its CSV
     columns after the x column as (name, source) pairs. A column named
     ``*_mc`` is the Monte Carlo mean of the measure ``source``, any other
@@ -173,7 +172,6 @@ class _Figure(NamedTuple):
     ``k_grid``, else ``xi_db``."""
 
     defaults: dict
-    runner: Callable
     scenario: str
     closed_form: Callable | None
     columns: tuple
@@ -181,14 +179,14 @@ class _Figure(NamedTuple):
 
 
 _FIGURES = {
-    1: _Figure({"xi_db": _XI_SWEEP}, run_pairing, "pair_iid", _ergodic, (
+    1: _Figure({"xi_db": _XI_SWEEP}, "pair_iid", _ergodic, (
         ("e_c1_oma", "e_c1_oma"), ("e_c2_oma", "e_c2_oma"),
         ("e_c1_noma_ainf_cf", "e_c1_noma_ainf"),
         ("e_c2_noma_asup_cf", "e_c2_noma_asup"),
         ("e_c1_noma_ainf_mc", "c1_noma_ainf"),
         ("e_c2_noma_asup_mc", "c2_noma_asup"),
         ("approx_c1", "approx_c1"), ("approx_c2", "approx_c2"))),
-    2: _Figure({"xi_db": _XI_SWEEP, "r0": 2.0}, run_outage, "pair_iid",
+    2: _Figure({"xi_db": _XI_SWEEP, "r0": 2.0}, "pair_iid",
                lambda pt, p: vars(outage_point(_system_params(pt, p))), (
         ("p_oma_weak_cf", "p_oma_weak"), ("p_oma_strong_cf", "p_oma_strong"),
         ("p_noma_weak_ainf_cf", "p_noma_weak_ainf"),
@@ -199,22 +197,21 @@ _FIGURES = {
         ("p_noma_weak_mid_mc", "p_noma_weak_mid"),
         ("p_noma_strong_mid_mc", "p_noma_strong_mid")),
         plot=("semilogy", "outage probability")),
-    3: _Figure({"xi_db": (50.0,), "k_grid": _K_SWEEP}, run_pairing,
-               "pair_minmax", None, (
+    3: _Figure({"xi_db": (50.0,), "k_grid": _K_SWEEP}, "pair_minmax", None, (
         ("c_min_oma_mc", "c1_oma"), ("c_max_oma_mc", "c2_oma"),
         ("c_min_ainf_mc", "c1_noma_ainf"), ("c_max_ainf_mc", "c2_noma_ainf"),
         ("c_min_asup_mc", "c1_noma_asup"), ("c_max_asup_mc", "c2_noma_asup"))),
     4: _Figure({"xi_db": _XI_SWEEP, "k": 10, "fixed_share": 0.2},
-               run_pairing, "pair_minmax", None, (
+               "pair_minmax", None, (
         ("s_oma_mc", "s_oma"), ("s_ainf_mc", "s_noma_ainf"),
         ("s_asup_mc", "s_noma_asup"), ("s_fixed_mc", "s_noma_fixed"))),
     5: _Figure({"xi_db": (50.0,), "k_grid": _K_SWEEP, "fixed_share": 0.2},
-               run_pairing, "pair_minmax",
+               "pair_minmax",
                lambda pt, p: {"gain_asup": expected_gain_asup(pt.k)}, (
         ("ds_ainf_mc", "ds_ainf"), ("ds_asup_mc", "ds_asup"),
         ("ds_fixed_mc", "ds_fixed"), ("gain_asup_cf", "gain_asup"))),
-    6: _Figure({"xi_db": _XI_SWEEP, "k": 5}, run_multiuser_power, "multiuser",
-               None, (("e_sum_b_mc", "sum_b"),),
+    6: _Figure({"xi_db": _XI_SWEEP, "k": 5}, "multiuser", None,
+               (("e_sum_b_mc", "sum_b"),),
                plot=("plot", "mean total power fraction")),
 }
 
@@ -314,7 +311,9 @@ def _figure_rows(fig: _Figure, p: dict, workers) -> tuple:
         # checked here, so the error names the parameter the user set
         _require_int("k", p["k"], 2 if fig.scenario == "pair_minmax" else 1)
         fields["k_grid"] = (p["k"],)
-    points = fig.runner(SimConfig(
+    # looked up as a module global on every call, so a wrapper put in its
+    # place sees the figure's sweep
+    points = simulate(SimConfig(
         xi_grid=tuple(_db_to_linear(d) for d in p["xi_db"]),
         scenario=fig.scenario, **fields), workers,
         measures={src for name, src in fig.columns if name.endswith("_mc")})

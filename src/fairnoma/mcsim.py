@@ -1,12 +1,12 @@
 """Deterministic Monte Carlo engine for every expectation and probability in
 the package.
 
-One sweep driver serves every scenario, and ``SimConfig.scenario`` is the
-one statement of which users a trial draws: 'pair_iid' is a random pair of
-two i.i.d. users, 'pair_minmax' the weakest and strongest of K, 'multiuser'
-all K users in gain order. A runner only names the scenarios its kernel
-serves. A sweep splits the trials into fixed 65536-draw chunks, and
-chunk ``ci`` draws its uniforms once from
+``simulate`` is the one entry point, and ``SimConfig.scenario`` is the one
+statement of which users a trial draws, so it alone picks the kernel:
+'pair_iid' is a random pair of two i.i.d. users and 'pair_minmax' the
+weakest and strongest of K, both served by one pair kernel; 'multiuser' is
+all K users in gain order. A sweep splits the trials into fixed 65536-draw
+chunks, and chunk ``ci`` draws its uniforms once from
 ``PCG64DXSM(SeedSequence((seed, scenario_id, ci)))``; ``_substream`` is the
 one place that names the generator. Neither xi nor K is in the key: the
 chunk's gains serve every grid point (xi, and K from ``k_grid``). So each
@@ -78,18 +78,18 @@ thresholds of ``twouser._rate_threshold``, the doubles the closed forms in
 doubles the two could differ only for a draw within a few ulps of the
 threshold.
 
-The power share is deliberately absent from the stream key, and each pair
+The power share is deliberately absent from the stream key, and the pair
 kernel evaluates every share it reports on the same draws (common random
-numbers). Measures carry the share as a tag: ``ainf`` and ``asup`` for the
-two fair endpoints, which both runners always report; ``mid`` for their
-average, which ``run_outage`` always reports too; and ``fixed`` for
-``SimConfig.fixed_share`` when it is set, as in ``c1_noma_ainf`` or
-``ds_asup``. Paired differences between shares, or against OMA, therefore
-have far less variance than independent runs would give.
+numbers), capacities and outage counts alike. Measures carry the share as a
+tag: ``ainf`` and ``asup`` for the two fair endpoints, ``mid`` for their
+average, and ``fixed`` for ``SimConfig.fixed_share`` when it is set, as in
+``c1_noma_ainf``, ``ds_asup`` or ``p_noma_weak_mid``. Paired differences
+between shares, or against OMA, therefore have far less variance than
+independent runs would give.
 
-A runner computes only the measures in its ``measures`` set (all if None),
-and a share or rate vector only if one of those needs it, by the same
-operations on the same draws whatever else is asked for. A boundary
+``simulate`` computes only the measures in its ``measures`` set (all if
+None), and a share, rate or SINR vector only if one of those needs it, by
+the same operations on the same draws whatever else is asked for. A boundary
 identity, such as ``c2_noma_ainf`` (``c2_oma`` in exact arithmetic), stays
 a computed value, never a copy of the OMA vector.
 """
@@ -137,15 +137,14 @@ def _require_grid(name: str, values, require: Callable) -> tuple:
 class SimConfig:
     """Experiment description; everything that can influence a result.
 
-    ``scenario`` picks the users of a trial and the substreams they are
-    drawn from: 'pair_iid' (two i.i.d. users, so ``k_grid`` is (2,)) and
-    'pair_minmax' (the weakest and strongest of K >= 2, for each K of
-    ``k_grid``) for ``run_pairing``, 'pair_iid' for ``run_outage``, and
-    'multiuser' (all K users, for the single K of ``k_grid``) for
-    ``run_multiuser_power``. ``k_grid`` holds strictly increasing pool
-    sizes. The pair runners always report both fair endpoints (tags
-    ``ainf`` and ``asup``); ``fixed_share``, a number in (0, 1) or None,
-    adds the tag ``fixed`` for that strong-user share.
+    ``scenario`` picks the users of a trial, the substreams they are drawn
+    from and the measures ``simulate`` reports: 'pair_iid' (two i.i.d.
+    users, so ``k_grid`` is (2,)), 'pair_minmax' (the weakest and strongest
+    of K >= 2, for each K of ``k_grid``) and 'multiuser' (all K users, for
+    the single K of ``k_grid``). ``k_grid`` holds strictly increasing pool
+    sizes. A pair sweep always reports both fair endpoints and their
+    average (tags ``ainf``, ``asup`` and ``mid``); ``fixed_share``, a number
+    in (0, 1) or None, adds the tag ``fixed`` for that strong-user share.
     """
 
     trials: int
@@ -268,31 +267,25 @@ def _reduce(parts: list, trials: int, seed: int) -> dict:
     return measures
 
 
-def _sweep(config: SimConfig, accepted: tuple,
+def _sweep(config: SimConfig,
            draw: Callable[[np.random.Generator, np.ndarray, int], Iterator],
            kernel: Callable[[np.ndarray, float, int, np.ndarray], dict],
            workers: int | None, n_scratch: int) -> list:
-    """One GridPoint per (xi, K) point of ``config``, xi-major, for a
-    runner that serves the scenarios in ``accepted``. Each chunk is one
-    task: ``draw(rng, ws, n)`` draws the chunk's n trials from ``rng`` once
-    and yields ``(k, gains)`` for each K of ``config.k_grid`` in order, and
-    ``kernel(gains, xi, k, ws)`` maps those gains at one xi to partial sums
-    (``_moment`` pairs or integer counts), which are reduced per point in
-    chunk order. ``ws`` is an (n_scratch, CHUNK_TRIALS) workspace that both
-    may overwrite, reused by later chunks; n columns of each row are the
-    chunk's. The chunk tasks run on one pool of at most ``workers`` threads,
-    clamped to the chunk count and the CPU count."""
-    scenario = config.scenario
-    if scenario not in accepted:
-        raise DomainError(
-            f"this operation takes scenario {' or '.join(map(repr, accepted))},"
-            f" got {scenario!r}")
+    """One GridPoint per (xi, K) point of ``config``, xi-major. Each chunk
+    is one task: ``draw(rng, ws, n)`` draws the chunk's n trials from
+    ``rng`` once and yields ``(k, gains)`` for each K of ``config.k_grid``
+    in order, and ``kernel(gains, xi, k, ws)`` maps those gains at one xi to
+    partial sums (``_moment`` pairs or integer counts), which are reduced
+    per point in chunk order. ``ws`` is an (n_scratch, CHUNK_TRIALS)
+    workspace that both may overwrite, reused by later chunks; n columns of
+    each row are the chunk's. The chunk tasks run on one pool of at most
+    ``workers`` threads, clamped to the chunk count and the CPU count."""
     if workers is not None:
         _require_int("workers", workers)
     n_chunks = (config.trials + CHUNK_TRIALS - 1) // CHUNK_TRIALS
     # no grid value in the key: every point sees the same draws, so a
     # point's rows do not depend on which other points the grid holds
-    key = (config.seed, _SCENARIO_IDS[scenario])
+    key = (config.seed, _SCENARIO_IDS[config.scenario])
     grid = [(xi, k) for xi in config.xi_grid for k in config.k_grid]
     n_k = len(config.k_grid)
     # idle workspaces; a task that finds none makes one, so there are never
@@ -393,17 +386,10 @@ def _ordered_gains(rng: np.random.Generator, beta: float,
     return g
 
 
-def _pair_snrs(gains: np.ndarray, xi: float, out: np.ndarray) -> np.ndarray:
-    """(weak, strong) instantaneous SNRs ``xi * g`` of a (2, n) array of
-    (min, max) gains, into the (2, n) array ``out``, which may be
-    ``gains``."""
-    return np.multiply(xi, gains, out=out)
-
-
-def _pair_sweep(config: SimConfig, accepted: tuple,
+def _pair_sweep(config: SimConfig,
                 kernel: Callable[[np.ndarray, np.ndarray, np.ndarray], dict],
                 n_kernel: int, workers: int | None) -> list:
-    """``_sweep`` for a pair kernel: ``kernel(w1, w2, scratch)`` maps the
+    """``_sweep`` for the pair kernel: ``kernel(w1, w2, scratch)`` maps the
     weak and strong SNRs of a chunk at one grid point to partial sums,
     ``scratch`` being ``n_kernel`` vectors it may overwrite. The workspace
     rows are the chunk's uniforms, then the gains of the current K if the
@@ -418,15 +404,15 @@ def _pair_sweep(config: SimConfig, accepted: tuple,
 
     def point(gains, xi: float, k: int, ws: np.ndarray) -> dict:
         rows = ws[snr_row:, :gains.shape[1]]
-        w1, w2 = _pair_snrs(gains, xi, rows[:2])
+        # the instantaneous SNRs xi * g of (min, max)
+        w1, w2 = np.multiply(xi, gains, out=rows[:2])
         return kernel(w1, w2, rows[2:])
 
-    return _sweep(config, accepted, draw, point, workers,
-                  snr_row + 2 + n_kernel)
+    return _sweep(config, draw, point, workers, snr_row + 2 + n_kernel)
 
 
 def _select(measures, common: tuple, tags: tuple, per_tag: tuple) -> tuple:
-    """(names, tags) a runner computes: ``measures``, or if it is None every
+    """(names, tags) a kernel computes: ``measures``, or if it is None every
     name it produces (``common``, then ``<m>_<tag>`` for each m in
     ``per_tag`` per tag of ``tags``, the share tags it reports), and the
     tags they carry."""
@@ -437,11 +423,6 @@ def _select(measures, common: tuple, tags: tuple, per_tag: tuple) -> tuple:
                           f" {list(produced)}, got {sorted(want, key=str)}")
     return want, tuple(tag for tag in tags
                        if any(f"{m}_{tag}" in want for m in per_tag))
-
-
-def _fixed_tag(config: SimConfig) -> tuple:
-    """The share tag a set ``fixed_share`` adds: ('fixed',), or ()."""
-    return () if config.fixed_share is None else ("fixed",)
 
 
 def _shares(w1: np.ndarray, w2: np.ndarray, tags, fixed, bufs: list) -> dict:
@@ -462,22 +443,28 @@ def _shares(w1: np.ndarray, w2: np.ndarray, tags, fixed, bufs: list) -> dict:
     return shares
 
 
-def _rate_moments(w1: np.ndarray, w2: np.ndarray, tags: tuple, fixed,
-                  want: frozenset, scratch: np.ndarray) -> dict:
-    """Moments of the measures in ``want`` among the pair's OMA capacities
-    (``c1_oma`` of the weak user, ``c2_oma`` of the strong one, ``s_oma``)
-    and, per share tag in ``tags``, its NOMA capacities (``c1_noma_<tag>``,
-    ``c2_noma_<tag>``, ``s_noma_<tag>``) with the paired per-draw sum-rate
-    gain ``ds_<tag>``, each vector only if one of those needs it;
-    ``scratch`` holds two rate vectors, one vector per share, then two sum
-    vectors only if ``want`` holds a sum (``s_*`` or ``ds_*``)."""
+def _pair_measures(w1: np.ndarray, w2: np.ndarray, tags: tuple, fixed,
+                   thresholds: tuple, want: frozenset,
+                   scratch: np.ndarray) -> dict:
+    """Partial sums of the measures in ``want`` for a chunk of weak and
+    strong SNRs ``w1`` and ``w2``: ``_moment`` pairs of the capacities and
+    integer counts of the outages. Each vector is computed only if one of
+    those needs it. ``thresholds`` are the OMA and NOMA SINR thresholds of
+    r0. ``scratch`` holds two rate or SINR vectors, one vector per share
+    (``_shares``), then two sum vectors only if ``want`` holds a sum
+    (``s_*`` or ``ds_*``)."""
+    o_thresh, n_thresh = thresholds
     c1, c2, *bufs = scratch
-    s_o, s = bufs[len(tags):] or (None, None)
+    shares = _shares(w1, w2, tags, fixed, bufs)
+    s_o, s = bufs[len(shares):] or (None, None)
     out = {}
 
     def keep(name: str, v: np.ndarray) -> None:
         if name in want:
             out[name] = _moment(v)
+
+    def count(name: str, sinr: np.ndarray, threshold: float) -> None:
+        out[name] = int(np.count_nonzero(sinr < threshold))
 
     sums = want & {"s_oma", *(f"ds_{tag}" for tag in tags)}
     for name, w, c in (("c1_oma", w1, c1), ("c2_oma", w2, c2)):
@@ -485,7 +472,9 @@ def _rate_moments(w1: np.ndarray, w2: np.ndarray, tags: tuple, fixed,
             keep(name, _oma_rate(w, 2, c))
     if sums:
         keep("s_oma", np.add(c1, c2, out=s_o))
-    shares = _shares(w1, w2, tags, fixed, bufs)
+    for name, w in (("p_oma_weak", w1), ("p_oma_strong", w2)):
+        if name in want:
+            count(name, w, o_thresh)
     for tag in tags:
         a = shares[tag]
         sums = want & {f"s_noma_{tag}", f"ds_{tag}"}
@@ -497,86 +486,18 @@ def _rate_moments(w1: np.ndarray, w2: np.ndarray, tags: tuple, fixed,
             keep(f"s_noma_{tag}", np.add(c1, c2, out=s))
         if f"ds_{tag}" in want:
             out[f"ds_{tag}"] = _moment(np.subtract(s, s_o, out=c1))
+        if f"p_noma_weak_{tag}" in want:
+            count(f"p_noma_weak_{tag}", _weak_sinr(w1, a, c1, c2), n_thresh)
+        if f"p_noma_strong_{tag}" in want:
+            # after SIC the strong user's SINR is a * w2
+            count(f"p_noma_strong_{tag}", np.multiply(a, w2, out=c2),
+                  n_thresh)
     return out
 
 
-# ---------------------------------------------------------------------------
-# scenario runners
-
-def run_outage(config: SimConfig, workers: int | None = None,
-               measures=None) -> list:
-    """Per-xi outage frequencies below r0.
-
-    Reports OMA for both users (``p_oma_weak``, ``p_oma_strong``) and, per
-    share tag, ``p_noma_weak_<tag>`` and ``p_noma_strong_<tag>`` for both
-    fair endpoints, their average share as ``mid``, and ``fixed_share`` as
-    ``fixed`` if it is set, all from the same draws; ``measures``, a set of
-    those names, limits the result to them. The region endpoints that
-    matter are weak at ``ainf`` and strong at ``asup``; weak at ``asup`` and
-    strong at ``ainf`` are the boundary identities.
-
-    Each draw is counted in the SINR domain, no rate computed: OMA when
-    ``w < 4**r0 - 1``, NOMA when the weak user's SINR
-    ``(1 - a) w1 / (a w1 + 1)``, or the strong user's ``a w2``, is
-    ``< 2**r0 - 1``; both strict, as ``C < r0`` is.
-    """
-    o_thresh = _rate_threshold(config.r0)
-    n_thresh = _rate_threshold(config.r0, 1)
-    want, tags = _select(measures, ("p_oma_weak", "p_oma_strong"),
-                         ("ainf", "asup", "mid") + _fixed_tag(config),
-                         ("p_noma_weak", "p_noma_strong"))
-
-    def kernel(w1: np.ndarray, w2: np.ndarray, scratch: np.ndarray) -> dict:
-        c1, c2, *share_bufs = scratch
-        out = {}
-        for name, w in (("p_oma_weak", w1), ("p_oma_strong", w2)):
-            if name in want:
-                out[name] = int(np.count_nonzero(w < o_thresh))
-        shares = _shares(w1, w2, tags, config.fixed_share, share_bufs)
-        for tag in tags:
-            a = shares[tag]
-            if f"p_noma_weak_{tag}" in want:
-                out[f"p_noma_weak_{tag}"] = int(np.count_nonzero(
-                    _weak_sinr(w1, a, c1, c2) < n_thresh))
-            if f"p_noma_strong_{tag}" in want:
-                # after SIC the strong user's SINR is a * w2
-                out[f"p_noma_strong_{tag}"] = int(np.count_nonzero(
-                    np.multiply(a, w2, out=c2) < n_thresh))
-        return out
-
-    # two SINR vectors, and a vector per share, 'mid' needing both endpoints
-    n_shares = len(set(tags).union(("ainf", "asup") if "mid" in tags else ()))
-    return _pair_sweep(config, ("pair_iid",), kernel, 2 + n_shares, workers)
-
-
-def run_pairing(config: SimConfig, workers: int | None = None,
-                measures=None) -> list:
-    """Pair capacities over (xi, K), for a random pair of two i.i.d. users
-    ('pair_iid') or the weakest and strongest of K ('pair_minmax'): OMA
-    (``c1_oma`` of the weak user, ``c2_oma`` of the strong one, ``s_oma``)
-    and, per share tag, ``c1_noma_<tag>``, ``c2_noma_<tag>``,
-    ``s_noma_<tag>`` and the paired per-draw sum-rate gain ``ds_<tag>``, for
-    both fair endpoints and ``fixed_share`` if it is set; ``measures``, a
-    set of those names, limits the result to them."""
-    want, tags = _select(measures, ("c1_oma", "c2_oma", "s_oma"),
-                         ("ainf", "asup") + _fixed_tag(config),
-                         ("c1_noma", "c2_noma", "s_noma", "ds"))
-
-    def kernel(w1: np.ndarray, w2: np.ndarray, scratch: np.ndarray) -> dict:
-        return _rate_moments(w1, w2, tags, config.fixed_share, want, scratch)
-
-    # only the vectors _rate_moments touches: a workspace row never written
-    # can still cost resident memory where it shares a huge page
-    sums = any(name.startswith(("s_", "ds_")) for name in want)
-    return _pair_sweep(config, ("pair_iid", "pair_minmax"), kernel,
-                       2 + len(tags) + 2 * sums, workers)
-
-
-def run_multiuser_power(config: SimConfig, workers: int | None = None,
-                        measures=None) -> list:
-    """Per-xi mean of the minimum total NOMA power share that matches OMA
-    for every one of K users (measure ``sum_b``, the only name
-    ``measures`` may hold)."""
+def _multiuser_power(config: SimConfig, workers: int | None,
+                     measures) -> list:
+    """``simulate`` for scenario 'multiuser'."""
     _select(measures, ("sum_b",), (), ())
     k = config.k_grid[0]
     # the widest block whose K + 2 vectors fit in two chunk rows: each numpy
@@ -603,4 +524,48 @@ def run_multiuser_power(config: SimConfig, workers: int | None = None,
         return {"sum_b": _moment(total)}
 
     # the K gains, the total, and two rows for the blocks
-    return _sweep(config, ("multiuser",), draw, point, workers, k + 3)
+    return _sweep(config, draw, point, workers, k + 3)
+
+
+# ---------------------------------------------------------------------------
+# entry point
+
+def simulate(config: SimConfig, workers: int | None = None,
+             measures=None) -> list:
+    """One GridPoint per (xi, K) point of ``config``, xi-major, holding a
+    SimResult per measure; ``measures``, a set of the names the scenario
+    produces, limits the result to them. At most ``workers`` threads run.
+
+    The pair scenarios report the weak and the strong user's capacities:
+    OMA (``c1_oma``, ``c2_oma``, ``s_oma``) and, per share tag,
+    ``c1_noma_<tag>``, ``c2_noma_<tag>``, ``s_noma_<tag>`` and the paired
+    per-draw sum-rate gain ``ds_<tag>``; and their outage frequencies below
+    ``r0``: ``p_oma_weak``, ``p_oma_strong`` and, per share tag,
+    ``p_noma_weak_<tag>`` and ``p_noma_strong_<tag>``. The tags are
+    ``ainf``, ``asup``, ``mid`` and, if ``fixed_share`` is set, ``fixed``.
+    The region endpoints that matter are the weak user at ``ainf`` and the
+    strong one at ``asup``; the other two are boundary identities.
+
+    'multiuser' reports ``sum_b``, the minimum total NOMA power share that
+    matches OMA for every one of the K users.
+    """
+    if config.scenario == "multiuser":
+        return _multiuser_power(config, workers, measures)
+    fixed = () if config.fixed_share is None else ("fixed",)
+    want, tags = _select(
+        measures, ("c1_oma", "c2_oma", "s_oma", "p_oma_weak", "p_oma_strong"),
+        ("ainf", "asup", "mid") + fixed,
+        ("c1_noma", "c2_noma", "s_noma", "ds", "p_noma_weak", "p_noma_strong"))
+    # at k = 2 first, which refuses an r0 whose thresholds overflow
+    thresholds = (_rate_threshold(config.r0), _rate_threshold(config.r0, 1))
+
+    def kernel(w1: np.ndarray, w2: np.ndarray, scratch: np.ndarray) -> dict:
+        return _pair_measures(w1, w2, tags, config.fixed_share, thresholds,
+                              want, scratch)
+
+    # only the vectors _pair_measures touches: a workspace row never written
+    # can still cost resident memory where it shares a huge page; 'mid'
+    # needs both endpoints
+    n_shares = len(set(tags).union(("ainf", "asup") if "mid" in tags else ()))
+    sums = any(name.startswith(("s_", "ds_")) for name in want)
+    return _pair_sweep(config, kernel, 2 + n_shares + 2 * sums, workers)

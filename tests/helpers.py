@@ -105,28 +105,18 @@ def min_power_sum(xi: float, gains) -> float:
     return total
 
 
-def min_power_sum_oracle(k: int, xi: float) -> float:
-    """Mean of ``min_power_sum`` over the ordered gains of k = 2 (by
-    ``dblquad``) or k = 3 (by ``tplquad``) i.i.d. Exp(1) users, whose
-    density is k! exp(-(g_1 + ... + g_k)). The minimum is g_1 = exp(s), so
-    the quadrature resolves it near 0 at any SNR, and the j-th gap
-    g_{j+1} - g_j (from 1) is at most 40/(k - j); each range leaves out a
-    mass of exp(-40)."""
-    def f(*x):
-        # innermost variable first: the gaps from the top down, then s
-        g = math.exp(x[-1])
-        gains = [g]
-        for gap in x[-2::-1]:
-            g += gap
-            gains.append(g)
-        return (min_power_sum(xi, gains) * math.factorial(k)
-                * math.exp(x[-1] - sum(gains)))
+def min_power_sum_oracle(xi: float) -> float:
+    """Mean of ``min_power_sum`` over the ordered gains of 2 i.i.d. Exp(1)
+    users, whose density is 2 exp(-(g_1 + g_2)), by ``dblquad``. The
+    minimum is g_1 = exp(s), so the quadrature resolves it near 0 at any
+    SNR, and the gap g_2 - g_1 is at most 40; each range leaves out a mass
+    of exp(-40)."""
+    def f(gap, s):
+        g1 = math.exp(s)
+        g2 = g1 + gap
+        return min_power_sum(xi, (g1, g2)) * 2.0 * math.exp(s - (g1 + g2))
 
-    s_range = (-40.0, math.log(40.0 / k))
-    if k == 2:
-        return integrate.dblquad(f, *s_range, 0.0, 40.0, epsabs=1e-6,
-                                 epsrel=0.0)[0]
-    return integrate.tplquad(f, *s_range, 0.0, 20.0, 0.0, 40.0,
+    return integrate.dblquad(f, -40.0, math.log(20.0), 0.0, 40.0,
                              epsabs=1e-6, epsrel=0.0)[0]
 
 

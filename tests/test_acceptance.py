@@ -19,12 +19,7 @@ from test_outage import strong_outage_region_oracle
 
 from fairnoma.cli import main as cli_main
 from fairnoma.ergodic import ergodic_curve_point, ergodic_oma
-from fairnoma.mcsim import (
-    SimConfig,
-    run_multiuser_power,
-    run_outage,
-    run_pairing,
-)
+from fairnoma.mcsim import SimConfig, simulate
 from fairnoma.multiuser import (
     ChannelSet,
     full_alloc_a,
@@ -54,14 +49,14 @@ def ergodic_runs():
     over the 10 dB grid."""
     config = SimConfig(trials=1_000_000, seed=SEED, xi_grid=XI_GRID, beta=1.0,
                        scenario="pair_iid")
-    return run_pairing(config, workers=4)
+    return simulate(config, workers=4)
 
 
 def test_criterion_01_sum_rate_gain_near_one_bit():
     t0 = time.perf_counter()
     config = SimConfig(trials=1_000_000, seed=SEED, xi_grid=(1e5,), beta=1.0,
                        scenario="pair_iid")
-    m = run_pairing(config, workers=4)[0].measures
+    m = simulate(config, workers=4)[0].measures
     gains = {"inf": m["ds_ainf"].mean, "sup": m["ds_asup"].mean}
     elapsed = time.perf_counter() - t0
     assert abs(gains["inf"] - 1.0) <= 0.05, gains
@@ -119,7 +114,7 @@ def test_criterion_04_outage_closed_forms_vs_mc():
              ("p_noma_strong_asup", noma_outage_strong_asup))
     worst_z = 0.0
     for config in configs:
-        for pt in run_outage(config, workers=4):
+        for pt in simulate(config, workers=4):
             params = SystemParams(xi=pt.xi, r0=2.0)
             for name, fn in pairs:
                 p_cf = fn(params)
@@ -169,7 +164,7 @@ def test_criterion_06_pairing_gain_formula():
     config = SimConfig(trials=1_000_000, seed=SEED, xi_grid=(1e5,), beta=1.0,
                        scenario="pair_minmax", k_grid=tuple(range(2, 11)))
     worst = 0.0
-    for pt in run_pairing(config, workers=4):
+    for pt in simulate(config, workers=4):
         gap = abs(pt.measures["ds_asup"].mean - expected_gain_asup(pt.k))
         worst = max(worst, gap)
         assert gap <= 0.1, (pt.k, gap)
@@ -194,7 +189,7 @@ def test_criterion_07_kuser_allocation_suite():
     config = SimConfig(trials=200_000, seed=SEED, xi_grid=XI_GRID, beta=1.0,
                        k_grid=(5,), scenario="multiuser")
     means = [pt.measures["sum_b"].mean
-             for pt in run_multiuser_power(config, workers=4)]
+             for pt in simulate(config, workers=4)]
     assert all(m < 1.0 for m in means)
     assert all(x > y for x, y in zip(means, means[1:]))
     print("criterion 7 PASS: 10000 random K-user instances satisfy the "

@@ -203,18 +203,19 @@ class TestFigureOutputs:
     @pytest.mark.parametrize("figure", sorted(FIGURE_HEADERS))
     def test_sweep_asks_for_the_measures_the_figure_writes(
             self, capsys, tmp_path, monkeypatch, figure):
-        # a recording wrapper around the figure's own runner, which it calls
+        # a recording wrapper put in place of the module's simulate, as a
+        # tracer wraps it: the figure's sweep must call it by that name
         fig = cli._FIGURES[figure]
+        simulate = cli.simulate
         calls = []
 
         def recording(*args, **kwargs):
-            points = fig.runner(*args, **kwargs)
+            points = simulate(*args, **kwargs)
             calls.append((kwargs.get("measures"),
                           [set(pt.measures) for pt in points]))
             return points
 
-        monkeypatch.setitem(cli._FIGURES, figure,
-                            fig._replace(runner=recording))
+        monkeypatch.setattr(cli, "simulate", recording)
         grid = ["--k-grid", "2,3"] if figure in (3, 5) else ["--xi-db", "20,30"]
         code, _, _ = run_cli(capsys, ["figure", str(figure), "--trials", "10",
                                       "--out-dir", str(tmp_path)] + grid)

@@ -13,8 +13,7 @@ import pytest
 
 from fairnoma import cli, ergodic, mcsim, multiuser, twouser
 from fairnoma.errors import DomainError
-from fairnoma.mcsim import (CHUNK_TRIALS, SimConfig, SimResult,
-                            run_multiuser_power, run_outage, run_pairing)
+from fairnoma.mcsim import CHUNK_TRIALS, SimConfig, SimResult, simulate
 
 
 def _cfg(**kw):
@@ -118,55 +117,46 @@ class TestConfigValidation:
         assert (cfg.trials, cfg.seed, cfg.k_grid) == (100, 7, (3, 5))
         assert all(type(n) is int for n in (cfg.trials, cfg.seed) + cfg.k_grid)
 
-    def test_scenario_mismatch_raises(self):
-        with pytest.raises(DomainError):
-            run_pairing(_cfg(scenario="multiuser"))
-        with pytest.raises(DomainError):
-            run_outage(_cfg(scenario="pair_minmax"))
-        with pytest.raises(DomainError):
-            run_multiuser_power(_cfg(scenario="pair_iid"))
-
 
 class TestDeterminism:
     def test_repeat_run_is_bit_identical(self):
         cfg = _cfg(trials=30_000, xi_grid=(10.0, 1000.0))
-        first = run_pairing(cfg)
-        second = run_pairing(cfg)
+        first = simulate(cfg)
+        second = simulate(cfg)
         for p, q in zip(first, second):
             assert p.measures == q.measures
 
     def test_worker_count_cannot_change_results(self):
         # spans several chunks so parallel partitioning is actually exercised
         cfg = _cfg(trials=3 * CHUNK_TRIALS + 17, xi_grid=(10.0, 1000.0))
-        serial = run_pairing(cfg, workers=None)
-        parallel = run_pairing(cfg, workers=4)
+        serial = simulate(cfg, workers=None)
+        parallel = simulate(cfg, workers=4)
         for p, q in zip(serial, parallel):
             for name in p.measures:
                 assert p.measures[name] == q.measures[name]
 
     def test_worker_count_cannot_change_counts(self):
         cfg = _cfg(trials=2 * CHUNK_TRIALS + 5, r0=1.0)
-        serial = run_outage(cfg, workers=None)[0]
-        parallel = run_outage(cfg, workers=3)[0]
+        serial = simulate(cfg, workers=None)[0]
+        parallel = simulate(cfg, workers=3)[0]
         assert serial.measures == parallel.measures
 
     def test_blas_thread_count_cannot_change_results(self):
         # chunks long enough that a BLAS dot product would go multi-threaded
         probe = """
-            from fairnoma.mcsim import (SimConfig, run_multiuser_power,
-                                        run_pairing)
+            from fairnoma.mcsim import SimConfig, simulate
             pool = SimConfig(trials=70_000, seed=9, xi_grid=(1e3,),
                              scenario="pair_minmax", k_grid=(2, 7, 30),
                              fixed_share=0.2)
             multi = SimConfig(trials=70_000, seed=9, xi_grid=(10.0, 1e4),
                               scenario="multiuser", k_grid=(5,))
-            for p in run_pairing(pool) + run_multiuser_power(multi):
+            for p in simulate(pool) + simulate(multi):
                 for name, r in sorted(p.measures.items()):
                     print(p.xi, p.k, name, r.mean.hex(), r.std_error.hex())
             """
         outputs = [_run_probe(probe, OPENBLAS_NUM_THREADS=threads)
                    for threads in ("1", "2")]
-        assert outputs[0].count("\n") == 3 * 15 + 2
+        assert outputs[0].count("\n") == 3 * 29 + 2
         assert outputs[0] == outputs[1]
 
     def test_point_does_not_depend_on_its_grid(self):
@@ -174,27 +164,26 @@ class TestDeterminism:
         # equals a run of that point alone bit for bit, whichever rows of
         # the workspace hold the draws (grids of several xi, several K, both)
         trials = CHUNK_TRIALS + 123
-        cases = [(run_pairing, {"scenario": "pair_minmax",
-                                "fixed_share": 0.3}, (2, 7, 30)),
-                 (run_outage, {"r0": 2.0}, (2,)),
-                 (run_multiuser_power, {"scenario": "multiuser"}, (4,))]
-        for runner, options, k_grid in cases:
+        cases = [({"scenario": "pair_minmax", "fixed_share": 0.3}, (2, 7, 30)),
+                 ({"r0": 2.0}, (2,)),
+                 ({"scenario": "multiuser"}, (4,))]
+        for options, k_grid in cases:
             for xi_grid in ((3.7,), (3.7, 1e4)):
-                grid = runner(_cfg(trials=trials, xi_grid=xi_grid,
-                                   k_grid=k_grid, **options))
+                grid = simulate(_cfg(trials=trials, xi_grid=xi_grid,
+                                     k_grid=k_grid, **options))
                 for point in grid:
-                    alone = runner(_cfg(trials=trials, xi_grid=(point.xi,),
-                                        k_grid=(point.k,), **options))
+                    alone = simulate(_cfg(trials=trials, xi_grid=(point.xi,),
+                                          k_grid=(point.k,), **options))
                     assert alone[0].measures == point.measures, (
-                        runner.__name__, xi_grid, point.xi, point.k)
+                        options, xi_grid, point.xi, point.k)
 
     def test_different_seeds_differ(self):
-        a = run_pairing(_cfg(seed=1))[0].measures["s_noma_asup"].mean
-        b = run_pairing(_cfg(seed=2))[0].measures["s_noma_asup"].mean
+        a = simulate(_cfg(seed=1))[0].measures["s_noma_asup"].mean
+        b = simulate(_cfg(seed=2))[0].measures["s_noma_asup"].mean
         assert a != b
 
     def test_result_carries_provenance(self):
-        res = run_pairing(_cfg(trials=1234, seed=77))[0]
+        res = simulate(_cfg(trials=1234, seed=77))[0]
         sr = res.measures["c1_oma"]
         assert isinstance(sr, SimResult)
         assert sr.trials == 1234 and sr.seed == 77
@@ -268,15 +257,14 @@ class TestWorkers:
         pairs = _cfg(trials=3 * CHUNK_TRIALS + 5, xi_grid=(10.0, 100.0, 1e3))
         multi = _cfg(trials=100, scenario="multiuser", k_grid=(3,),
                      xi_grid=(10.0, 1e3))
-        serial = run_pairing(pairs) + run_multiuser_power(multi)
+        serial = simulate(pairs) + simulate(multi)
         assert pool_sizes == []
         for workers, cpus, sizes in ((2, 8, [2]), (16, 8, [4]),
                                      (16, 64, [4]), (4, 1, []),
                                      (1, 8, [])):
             _set_cpus(monkeypatch, cpus)
             pool_sizes.clear()
-            points = (run_pairing(pairs, workers)
-                      + run_multiuser_power(multi, workers))
+            points = simulate(pairs, workers) + simulate(multi, workers)
             assert pool_sizes == sizes, (workers, cpus)
             assert [p.measures for p in points] == [p.measures for p in serial]
 
@@ -299,7 +287,7 @@ class TestWorkers:
     def test_rejects_worker_counts_below_one(self):
         for workers in (0, -3, 1.5, True):
             with pytest.raises(DomainError, match="workers"):
-                run_outage(_cfg(trials=100, r0=1.0), workers=workers)
+                simulate(_cfg(trials=100, r0=1.0), workers=workers)
 
     def test_threads_never_share_a_workspace(self, monkeypatch):
         # more threads than cores, switching as often as the interpreter
@@ -310,12 +298,11 @@ class TestWorkers:
                     k_grid=(3, 7))
         multi = _cfg(trials=6 * CHUNK_TRIALS + 5, scenario="multiuser",
                      k_grid=(4,))
-        serial = run_pairing(pool) + run_multiuser_power(multi)
+        serial = simulate(pool) + simulate(multi)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            threaded = (run_pairing(pool, workers=8)
-                        + run_multiuser_power(multi, workers=8))
+            threaded = simulate(pool, workers=8) + simulate(multi, workers=8)
         finally:
             sys.setswitchinterval(interval)
         assert [p.measures for p in threaded] == [p.measures for p in serial]
@@ -324,14 +311,17 @@ class TestWorkers:
 class TestChunkMemory:
     @pytest.mark.skipif(not sys.platform.startswith("linux"),
                         reason="counts Linux minor page faults")
-    @pytest.mark.parametrize("runner,options", [
-        ("run_pairing", {}),
-        ("run_outage", {"r0": 2.0, "fixed_share": 0.3}),
-        ("run_pairing", {"scenario": "pair_minmax", "k_grid": (7,)}),
-        ("run_multiuser_power", {"scenario": "multiuser", "k_grid": (5,)}),
-    ])
+    # the ids name the runner each case was written for when every
+    # scenario had one, so a case keeps its name
+    @pytest.mark.parametrize("options", [
+        {},
+        {"r0": 2.0, "fixed_share": 0.3},
+        {"scenario": "pair_minmax", "k_grid": (7,)},
+        {"scenario": "multiuser", "k_grid": (5,)},
+    ], ids=["run_pairing-options0", "run_outage-options1",
+            "run_pairing-options2", "run_multiuser_power-options3"])
     @pytest.mark.parametrize("workers", [1, 2])
-    def test_chunks_do_not_page_fault(self, runner, options, workers):
+    def test_chunks_do_not_page_fault(self, options, workers):
         # Chunk temporaries of half a megabyte or more are mapped fresh,
         # zero-filled by the kernel and unmapped again: about 1500-2500
         # minor faults per chunk. Reused workspaces take none once the
@@ -341,13 +331,13 @@ class TestChunkMemory:
         # pays any first touch of its own workspaces.
         probe = f"""
             import resource
-            from fairnoma.mcsim import CHUNK_TRIALS, SimConfig, {runner}
+            from fairnoma.mcsim import CHUNK_TRIALS, SimConfig, simulate
             config = SimConfig(trials=4 * CHUNK_TRIALS, seed=3,
                                xi_grid=(10.0, 1e3), **{options!r})
-            {runner}(config, {workers})
-            {runner}(config, {workers})
+            simulate(config, {workers})
+            simulate(config, {workers})
             before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-            {runner}(config, {workers})
+            simulate(config, {workers})
             print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
             """
         faults_per_chunk = int(_run_probe(probe)) / 8
@@ -358,30 +348,34 @@ class TestCommonRandomNumbers:
     def test_policy_not_in_stream_key(self):
         # identical draws with and without a fixed share: the OMA measures
         # match bitwise, and both fair endpoints come from them yet differ
-        res_fair = run_pairing(_cfg(trials=50_000))[0].measures
-        res_fixed = run_pairing(_cfg(trials=50_000, fixed_share=0.3))[0].measures
+        res_fair = simulate(_cfg(trials=50_000))[0].measures
+        res_fixed = simulate(_cfg(trials=50_000, fixed_share=0.3))[0].measures
         assert res_fair["c1_oma"] == res_fixed["c1_oma"]
         assert res_fair["s_oma"] == res_fixed["s_oma"]
         assert res_fair["s_noma_ainf"].mean != res_fair["s_noma_asup"].mean
 
     def test_every_policy_from_one_draw_set(self):
         # a fixed share adds 'fixed' measures without moving the others
-        plain = run_pairing(_cfg(trials=50_000))[0].measures
-        fixed = run_pairing(_cfg(trials=50_000, fixed_share=0.3))[0].measures
+        plain = simulate(_cfg(trials=50_000))[0].measures
+        fixed = simulate(_cfg(trials=50_000, fixed_share=0.3))[0].measures
         assert set(fixed) - set(plain) == {"c1_noma_fixed", "c2_noma_fixed",
-                                           "s_noma_fixed", "ds_fixed"}
+                                           "s_noma_fixed", "ds_fixed",
+                                           "p_noma_weak_fixed",
+                                           "p_noma_strong_fixed"}
         for name in plain:
             assert fixed[name] == plain[name]
-        plain = run_outage(_cfg(trials=50_000, r0=2.0))[0].measures
-        fixed = run_outage(_cfg(trials=50_000, r0=2.0,
-                                fixed_share=0.3))[0].measures
-        assert set(fixed) - set(plain) == {"p_noma_weak_fixed",
+        plain = simulate(_cfg(trials=50_000, r0=2.0))[0].measures
+        fixed = simulate(_cfg(trials=50_000, r0=2.0,
+                              fixed_share=0.3))[0].measures
+        assert set(fixed) - set(plain) == {"c1_noma_fixed", "c2_noma_fixed",
+                                           "s_noma_fixed", "ds_fixed",
+                                           "p_noma_weak_fixed",
                                            "p_noma_strong_fixed"}
         for name in plain:
             assert fixed[name] == plain[name]
 
     def test_paired_difference_cuts_variance(self):
-        m = run_pairing(_cfg(trials=200_000, xi_grid=(1e4,)))[0].measures
+        m = simulate(_cfg(trials=200_000, xi_grid=(1e4,)))[0].measures
         direct = m["ds_asup"].mean
         indirect = m["s_noma_asup"].mean - m["s_oma"].mean
         assert abs(direct - indirect) <= 1e-10
@@ -466,16 +460,16 @@ class TestSamplers:
 
 class TestStatisticalHonesty:
     def test_se_scales_like_inverse_root_n(self):
-        small = run_pairing(_cfg(trials=10_000, seed=3))[0]
-        big = run_pairing(_cfg(trials=1_000_000, seed=3))[0]
+        small = simulate(_cfg(trials=10_000, seed=3))[0]
+        big = simulate(_cfg(trials=1_000_000, seed=3))[0]
         ratio = (small.measures["s_noma_asup"].std_error
                  / big.measures["s_noma_asup"].std_error)
         assert 8.0 <= ratio <= 12.0
 
     def test_means_match_closed_forms(self):
         params = twouser.SystemParams(xi=1e3)
-        m = run_pairing(_cfg(trials=400_000, seed=9,
-                             xi_grid=(1e3,)))[0].measures
+        m = simulate(_cfg(trials=400_000, seed=9,
+                          xi_grid=(1e3,)))[0].measures
         e_c1, e_c2, e_s = ergodic.ergodic_oma(params)
         targets = {"c1_oma": e_c1, "c2_oma": e_c2, "s_oma": e_s,
                    "c1_noma_ainf": ergodic.ergodic_noma_weak_ainf(params)}
@@ -485,8 +479,10 @@ class TestStatisticalHonesty:
 
     def test_binomial_se_formula(self):
         cfg = _cfg(trials=100_000, r0=2.0, xi_grid=(1e3,))
-        m = run_outage(cfg)[0].measures
-        for sr in m.values():
+        m = simulate(cfg)[0].measures
+        probabilities = [sr for name, sr in m.items() if name.startswith("p_")]
+        assert len(probabilities) == 8
+        for sr in probabilities:
             assert sr.std_error == pytest.approx(
                 math.sqrt(sr.mean * (1.0 - sr.mean) / sr.trials), rel=1e-12)
             assert 0.0 <= sr.mean <= 1.0
@@ -494,22 +490,22 @@ class TestStatisticalHonesty:
 
 class TestBoundaryIdentities:
     def test_sup_weak_equals_oma_weak_per_draw(self):
-        m = run_pairing(_cfg(trials=100_000, xi_grid=(1e4,)))[0].measures
+        m = simulate(_cfg(trials=100_000, xi_grid=(1e4,)))[0].measures
         assert abs(m["c1_noma_asup"].mean - m["c1_oma"].mean) <= 1e-12
 
     def test_inf_strong_equals_oma_strong_per_draw(self):
-        m = run_pairing(_cfg(trials=100_000, xi_grid=(1e4,)))[0].measures
+        m = simulate(_cfg(trials=100_000, xi_grid=(1e4,)))[0].measures
         assert abs(m["c2_noma_ainf"].mean - m["c2_oma"].mean) <= 1e-12
 
     def test_outage_identity_counts_are_exact(self):
         cfg = _cfg(trials=300_000, r0=2.0, xi_grid=(100.0, 1e3))
-        for point in run_outage(cfg):
+        for point in simulate(cfg):
             m = point.measures
             assert m["p_noma_weak_asup"].mean == m["p_oma_weak"].mean
             assert m["p_noma_strong_ainf"].mean == m["p_oma_strong"].mean
 
     def test_mid_policy_sits_between_endpoints(self):
-        m = run_outage(_cfg(trials=300_000, r0=2.0, xi_grid=(1e3,)))[0].measures
+        m = simulate(_cfg(trials=300_000, r0=2.0, xi_grid=(1e3,)))[0].measures
         assert (m["p_noma_weak_ainf"].mean <= m["p_noma_weak_mid"].mean
                 <= m["p_noma_weak_asup"].mean)
         assert (m["p_noma_strong_asup"].mean <= m["p_noma_strong_mid"].mean
@@ -519,12 +515,12 @@ class TestBoundaryIdentities:
 class TestPairingScenario:
     def test_requires_two_users(self):
         with pytest.raises(DomainError):
-            run_pairing(_cfg(scenario="pair_minmax", k_grid=(1,)))
+            simulate(_cfg(scenario="pair_minmax", k_grid=(1,)))
 
     def test_gain_grows_with_pool_size(self):
         cfg = _cfg(trials=200_000, scenario="pair_minmax", xi_grid=(1e5,),
                    k_grid=(2, 5, 10))
-        points = run_pairing(cfg)
+        points = simulate(cfg)
         gains = [p.measures["ds_asup"].mean for p in points]
         assert gains[0] < gains[1] < gains[2]
         for p in points:
@@ -536,32 +532,31 @@ class TestPairingScenario:
 
     def test_pool_of_two_matches_plain_pair(self):
         # different substreams, so agreement is statistical, not bitwise
-        pair = run_pairing(_cfg(trials=400_000, seed=21,
-                                xi_grid=(1e3,)))[0].measures
-        pool = run_pairing(_cfg(trials=400_000, seed=21, xi_grid=(1e3,),
-                                scenario="pair_minmax"))[0].measures
+        pair = simulate(_cfg(trials=400_000, seed=21,
+                             xi_grid=(1e3,)))[0].measures
+        pool = simulate(_cfg(trials=400_000, seed=21, xi_grid=(1e3,),
+                             scenario="pair_minmax"))[0].measures
         joint_se = math.hypot(pair["s_oma"].std_error, pool["s_oma"].std_error)
         assert abs(pair["s_oma"].mean - pool["s_oma"].mean) < 4.0 * joint_se
 
     def test_fixed_share_measures_present(self):
-        m = run_pairing(_cfg(trials=50_000, scenario="pair_minmax",
-                             fixed_share=0.2, k_grid=(4,)))[0].measures
+        m = simulate(_cfg(trials=50_000, scenario="pair_minmax",
+                          fixed_share=0.2, k_grid=(4,)))[0].measures
         assert {"s_noma_fixed", "ds_fixed", "c1_noma_fixed",
                 "c2_noma_fixed"} <= set(m)
 
 
 class TestMultiuserScenario:
     def test_single_user_needs_exactly_full_power(self):
-        points = run_multiuser_power(_cfg(trials=30_000, scenario="multiuser",
-                                          k_grid=(1,), xi_grid=(10.0, 1e3)))
+        points = simulate(_cfg(trials=30_000, scenario="multiuser",
+                               k_grid=(1,), xi_grid=(10.0, 1e3)))
         for p in points:
             assert p.measures["sum_b"].mean == 1.0
             assert p.measures["sum_b"].std_error == 0.0
 
     def test_total_below_one_and_decreasing_in_snr(self):
-        points = run_multiuser_power(_cfg(trials=150_000, scenario="multiuser",
-                                          k_grid=(5,),
-                                          xi_grid=(10.0, 1e3, 1e5)))
+        points = simulate(_cfg(trials=150_000, scenario="multiuser",
+                               k_grid=(5,), xi_grid=(10.0, 1e3, 1e5)))
         means = [p.measures["sum_b"].mean for p in points]
         assert all(m < 1.0 for m in means)
         assert means[0] > means[1] > means[2]
@@ -618,17 +613,17 @@ class TestScalarApiIsTheEngine:
         seen = self._record(monkeypatch)
         # a full chunk and a partial one, each drawn once for the whole
         # grid, run serially so the recordings come in chunk order
-        run_pairing(_cfg(trials=CHUNK_TRIALS + 37, beta=beta,
-                          xi_grid=self.XI_GRID))
+        simulate(_cfg(trials=CHUNK_TRIALS + 37, beta=beta,
+                      xi_grid=self.XI_GRID))
         assert len(seen["gains"]) == 2
         checked = []
         for j, (chunk, xi) in enumerate(
                 (chunk, xi) for chunk in (0, 1) for xi in self.XI_GRID):
             weak, strong = seen["gains"][chunk]
             shares = seen["shares"][j]
-            assert list(shares) == ["ainf", "asup"]
+            assert list(shares) == ["ainf", "asup", "mid"]
             # c1_oma, c2_oma, s_oma, then c1, c2, s, ds per share
-            moments = seen["moments"][11 * j:11 * j + 11]
+            moments = seen["moments"][15 * j:15 * j + 15]
             n = len(weak)
             for i in range(0, n, 97) if chunk == 0 else range(n):
                 g1, g2 = float(weak[i]), float(strong[i])
@@ -645,34 +640,40 @@ class TestScalarApiIsTheEngine:
                          moments[3 + 4 * j][i]),
                         ("c2_noma", twouser.noma_capacity_strong(xi, g2, a),
                          moments[4 + 4 * j][i])]
-        assert len(seen["moments"]) == 11 * 2 * len(self.XI_GRID)
+        assert len(seen["moments"]) == 15 * 2 * len(self.XI_GRID)
         bad = self._mismatches(checked)
         assert not bad, (len(bad), len(checked), bad[:5])
+
+    @staticmethod
+    def _gains_at(monkeypatch, theta: float) -> None:
+        """Every pair draw's two gains set to ``theta`` and one ulp below it
+        in turn; at xi = 1 the SNRs ``xi * g`` are these gains exactly."""
+        minmax = mcsim._minmax_gains
+
+        def at_threshold(*args):
+            for k, out in minmax(*args):
+                for g in out:
+                    g[0::2] = theta
+                    g[1::2] = np.nextafter(theta, 0.0)
+                yield k, out
+
+        monkeypatch.setattr(mcsim, "_minmax_gains", at_threshold)
 
     def test_oma_outage_threshold(self, monkeypatch):
         # SNRs at the threshold and one ulp below it, so a threshold that
         # differs from the closed form's in the last bit changes the counts
-        pair_snrs = mcsim._pair_snrs
         for r0 in (0.1, 0.5, 1.0, 2.0, 3.0):
-            theta = twouser._rate_threshold(r0)
-
-            def at_threshold(*args, theta=theta):
-                out = pair_snrs(*args)
-                for w in out:
-                    w[0::2] = theta
-                    w[1::2] = np.nextafter(theta, 0.0)
-                return out
-
-            monkeypatch.setattr(mcsim, "_pair_snrs", at_threshold)
-            m = run_outage(_cfg(trials=1000, r0=r0))[0].measures
+            with monkeypatch.context() as patch:
+                self._gains_at(patch, twouser._rate_threshold(r0))
+                m = simulate(_cfg(trials=1000, r0=r0,
+                                  xi_grid=(1.0,)))[0].measures
             assert m["p_oma_weak"].mean == m["p_oma_strong"].mean == 0.5, r0
 
     def test_noma_outage_threshold(self, monkeypatch):
         # NOMA SINRs at the threshold 2**r0 - 1 and one ulp below it, as in
         # the OMA test: the weak user's written over _weak_sinr's result,
         # the strong user's its SNR at a share of exactly 1
-        pair_snrs, shares = mcsim._pair_snrs, mcsim._shares
-        weak_sinr = mcsim._weak_sinr
+        shares, weak_sinr = mcsim._shares, mcsim._weak_sinr
 
         def at_threshold(v, theta):
             v[0::2] = theta
@@ -688,13 +689,12 @@ class TestScalarApiIsTheEngine:
         monkeypatch.setattr(mcsim, "_shares", full_shares)
         for r0 in (0.1, 0.5, 1.0, 2.0, 3.0):
             theta = twouser._rate_threshold(r0, 1)
-            monkeypatch.setattr(
-                mcsim, "_pair_snrs", lambda *args, theta=theta: [
-                    at_threshold(w, theta) for w in pair_snrs(*args)])
-            monkeypatch.setattr(
-                mcsim, "_weak_sinr", lambda *args, theta=theta:
-                at_threshold(weak_sinr(*args), theta))
-            m = run_outage(_cfg(trials=1000, r0=r0, fixed_share=0.3))[0].measures
+            with monkeypatch.context() as patch:
+                self._gains_at(patch, theta)
+                patch.setattr(mcsim, "_weak_sinr", lambda *args:
+                              at_threshold(weak_sinr(*args), theta))
+                m = simulate(_cfg(trials=1000, r0=r0, fixed_share=0.3,
+                                  xi_grid=(1.0,)))[0].measures
             noma = {name: r.mean for name, r in m.items()
                     if name.startswith("p_noma")}
             assert len(noma) == 8
@@ -708,9 +708,8 @@ class TestScalarApiIsTheEngine:
             for records in seen.values():
                 records.clear()
             # one partial chunk, drawn once for every grid point
-            run_multiuser_power(_cfg(trials=23, beta=beta, k_grid=(k,),
-                                     scenario="multiuser",
-                                     xi_grid=self.XI_GRID))
+            simulate(_cfg(trials=23, beta=beta, k_grid=(k,),
+                          scenario="multiuser", xi_grid=self.XI_GRID))
             assert len(seen["gains"]) == 1
             assert len(seen["moments"]) == len(self.XI_GRID)
             g = seen["gains"][0]
@@ -728,38 +727,42 @@ class TestScalarApiIsTheEngine:
         assert not bad, (len(bad), len(checked), bad[:5])
 
 
-def _figure_sets(runner) -> list:
-    """The Monte Carlo measures of each figure that ``runner`` sweeps."""
+def _figure_sets(scenario: str) -> list:
+    """The Monte Carlo measures of each figure of ``scenario``."""
     return [{src for name, src in fig.columns if name.endswith("_mc")}
-            for fig in cli._FIGURES.values() if fig.runner is runner]
+            for fig in cli._FIGURES.values() if fig.scenario == scenario]
 
 
 class TestMeasureSubsets:
-    """A runner asked for some of its measures computes each of them by the
+    """A sweep asked for some of its measures computes each of them by the
     same operations on the same draws as the full run, so each equals the
-    full run's bit for bit, and it returns exactly those measures."""
+    full run's bit for bit, and it returns exactly those measures. The ids
+    of the cases name the runner each was written for when every scenario
+    had one, so a case keeps its name."""
 
     CASES = [
-        (run_pairing, {"fixed_share": 0.3}),
-        (run_pairing, {}),
-        (run_pairing, {"scenario": "pair_minmax", "k_grid": (2, 7, 30),
-                       "fixed_share": 0.3}),
-        (run_outage, {"r0": 2.0}),
-        (run_outage, {"r0": 2.0, "fixed_share": 0.3}),
-        (run_multiuser_power, {"scenario": "multiuser", "k_grid": (5,)}),
+        {"fixed_share": 0.3},
+        {},
+        {"scenario": "pair_minmax", "k_grid": (2, 7, 30), "fixed_share": 0.3},
+        {"r0": 2.0},
+        {"r0": 2.0, "fixed_share": 0.3},
+        {"scenario": "multiuser", "k_grid": (5,)},
     ]
 
-    @pytest.mark.parametrize("runner,options", CASES)
-    def test_each_subset_equals_the_full_run(self, runner, options):
+    @pytest.mark.parametrize("options", CASES, ids=[
+        "run_pairing-options0", "run_pairing-options1", "run_pairing-options2",
+        "run_outage-options3", "run_outage-options4",
+        "run_multiuser_power-options5"])
+    def test_each_subset_equals_the_full_run(self, options):
         # a full chunk and a partial one per grid point
         config = _cfg(trials=CHUNK_TRIALS + 123, xi_grid=(3.7, 1e4),
                       **options)
-        full = runner(config)
+        full = simulate(config)
         names = set(full[0].measures)
         subsets = [{name} for name in sorted(names)]
-        subsets += [s for s in _figure_sets(runner) if s <= names]
+        subsets += [s for s in _figure_sets(config.scenario) if s <= names]
         for subset in subsets:
-            for whole, part in zip(full, runner(config, measures=subset),
+            for whole, part in zip(full, simulate(config, measures=subset),
                                    strict=True):
                 assert (part.xi, part.k) == (whole.xi, whole.k)
                 assert set(part.measures) == subset
@@ -770,10 +773,11 @@ class TestMeasureSubsets:
 
     def test_every_figure_set_is_covered(self):
         # each figure's set is a subset of some case's full measure set
-        for runner in (run_pairing, run_outage, run_multiuser_power):
-            produced = [set(runner(_cfg(trials=10, **options))[0].measures)
-                        for r, options in self.CASES if r is runner]
-            for s in _figure_sets(runner):
+        for scenario in mcsim._SCENARIO_IDS:
+            configs = [_cfg(trials=10, **options) for options in self.CASES]
+            produced = [set(simulate(config)[0].measures) for config in configs
+                        if config.scenario == scenario]
+            for s in _figure_sets(scenario):
                 assert any(s <= names for names in produced), s
 
     def test_figure_one_computes_two_rate_vectors(self, monkeypatch):
@@ -787,25 +791,28 @@ class TestMeasureSubsets:
 
         for name in ("_oma_rate", "_weak_rate", "_strong_rate"):
             monkeypatch.setattr(mcsim, name, recording(name, getattr(mcsim, name)))
-        run_pairing(_cfg(trials=100), measures={"c1_noma_ainf",
-                                                "c2_noma_asup"})
+        simulate(_cfg(trials=100), measures={"c1_noma_ainf", "c2_noma_asup"})
         assert calls == ["_weak_rate", "_strong_rate"]
         calls.clear()
-        run_pairing(_cfg(trials=100))
+        simulate(_cfg(trials=100))
         assert calls == ["_oma_rate", "_oma_rate"] + [
-            "_weak_rate", "_strong_rate"] * 2
+            "_weak_rate", "_strong_rate"] * 3
 
-    @pytest.mark.parametrize("runner,options,bad", [
-        (run_pairing, {}, {"c1_oma", "p_oma_weak"}),
-        (run_pairing, {}, {"ds_fixed"}),
-        (run_pairing, {}, "c1_oma"),
-        (run_pairing, {}, set()),
-        (run_outage, {"r0": 1.0}, {"p_noma_weak_fixed"}),
-        (run_outage, {"r0": 1.0}, {"c1_oma"}),
-        (run_multiuser_power, {"scenario": "multiuser"}, {"sum_a"}),
-    ])
-    def test_unknown_measure_names_the_valid_set(self, runner, options, bad):
-        valid = set(runner(_cfg(trials=10, **options))[0].measures)
+    @pytest.mark.parametrize("options,bad", [
+        # a measure of the other kernel: the scenario picks the kernel
+        ({}, {"sum_b"}),
+        ({}, {"ds_fixed"}),
+        ({}, "c1_oma"),
+        ({}, set()),
+        ({"r0": 1.0}, {"p_noma_weak_fixed"}),
+        ({"scenario": "multiuser"}, {"c1_oma"}),
+        ({"scenario": "multiuser"}, {"sum_a"}),
+    ], ids=["run_pairing-options0-bad0", "run_pairing-options1-bad1",
+            "run_pairing-options2-c1_oma", "run_pairing-options3-bad3",
+            "run_outage-options4-bad4", "run_outage-options5-bad5",
+            "run_multiuser_power-options6-bad6"])
+    def test_unknown_measure_names_the_valid_set(self, options, bad):
+        valid = set(simulate(_cfg(trials=10, **options))[0].measures)
         with pytest.raises(DomainError) as info:
-            runner(_cfg(trials=10, **options), measures=bad)
+            simulate(_cfg(trials=10, **options), measures=bad)
         assert all(repr(name) in str(info.value) for name in valid)

@@ -10,7 +10,7 @@ from scipy import integrate
 
 from fairnoma import outage
 from fairnoma.errors import DomainError
-from fairnoma.mcsim import SimConfig, run_outage
+from fairnoma.mcsim import SimConfig, simulate
 from fairnoma.twouser import SystemParams
 
 
@@ -23,7 +23,7 @@ def _mc(p, trials, seed):
     the table is evaluated on the same draws."""
     config = SimConfig(trials=trials, seed=seed, xi_grid=(p.xi,), beta=p.beta,
                        r0=p.r0)
-    return run_outage(config)[0].measures
+    return simulate(config)[0].measures
 
 
 def strong_outage_region_oracle(params):
@@ -311,7 +311,7 @@ class TestProbabilityRange:
             with pytest.raises(DomainError, match="r0"):
                 op(p)
         with pytest.raises(DomainError, match="r0"):
-            run_outage(SimConfig(trials=10, seed=1, xi_grid=(10.0,), r0=r0))
+            simulate(SimConfig(trials=10, seed=1, xi_grid=(10.0,), r0=r0))
 
 
 class TestEmpiricalPolicies:

@@ -9,7 +9,7 @@ from scipy import integrate
 
 from fairnoma import pairing
 from fairnoma.errors import DomainError
-from fairnoma.mcsim import SimConfig, run_pairing
+from fairnoma.mcsim import SimConfig, simulate
 from fairnoma.specfun import exp_integral_e1_scaled
 from fairnoma.twouser import SystemParams
 from helpers import (engine_minmax, harmonic_number, noma_endpoint_oracle,
@@ -158,11 +158,11 @@ class TestPoolOmaOracles:
         # the weakest of K is Exp(beta/K), so E[c1_oma] is e^x E1(x) / ln 4
         # at x = K/(beta xi); the strongest is a 1-D integral against the
         # maximum's density. Seed and bound were fixed before the first run.
-        points = run_pairing(SimConfig(trials=200_000, seed=101,
-                                       xi_grid=(1.0, 100.0, 1e5),
-                                       scenario="pair_minmax",
-                                       k_grid=(2, 3, 10, 30)),
-                             measures={"c1_oma", "c2_oma"})
+        points = simulate(SimConfig(trials=200_000, seed=101,
+                                    xi_grid=(1.0, 100.0, 1e5),
+                                    scenario="pair_minmax",
+                                    k_grid=(2, 3, 10, 30)),
+                          measures={"c1_oma", "c2_oma"})
         assert len(points) == 12
         for pt in points:
             exact = {"c1_oma": exp_integral_e1_scaled(pt.k / pt.xi)
@@ -179,11 +179,11 @@ class TestPoolNomaOracles:
         # the two NOMA endpoint columns figures 3 and 4 draw on, against a
         # 2-D integral over the (min, max) wedge. Seed, trials and bound were
         # fixed before the first run.
-        points = run_pairing(SimConfig(trials=200_000, seed=102,
-                                       xi_grid=(1.0, 100.0, 1e5),
-                                       scenario="pair_minmax",
-                                       k_grid=(2, 3, 10, 30)),
-                             measures={"c1_noma_ainf", "c2_noma_asup"})
+        points = simulate(SimConfig(trials=200_000, seed=102,
+                                    xi_grid=(1.0, 100.0, 1e5),
+                                    scenario="pair_minmax",
+                                    k_grid=(2, 3, 10, 30)),
+                          measures={"c1_noma_ainf", "c2_noma_asup"})
         assert len(points) == 12
         for pt in points:
             exact = dict(zip(("c1_noma_ainf", "c2_noma_asup"),
@@ -194,17 +194,41 @@ class TestPoolNomaOracles:
                 assert abs(z) <= 4.5, (pt.k, pt.xi, name, z)
 
 
+class TestPoolOutageOracles:
+    def test_oma_outage_matches_exact_probabilities(self):
+        # below r0 = 1 the OMA SNR threshold is theta = 3: the weakest of K
+        # is Exp(beta/K), so P(w1 < theta) = 1 - exp(-K theta/(beta xi)),
+        # and the strongest is below it with (1 - exp(-theta/(beta xi)))**K.
+        # The SE is the exact p's, floored at one count. Seed, trials and
+        # bound were fixed before the first run.
+        trials, theta = 200_000, 3.0
+        points = simulate(SimConfig(trials=trials, seed=108,
+                                    xi_grid=(1.0, 10.0, 100.0), r0=1.0,
+                                    scenario="pair_minmax", k_grid=(2, 5, 30)),
+                          measures={"p_oma_weak", "p_oma_strong"})
+        assert len(points) == 9
+        for pt in points:
+            x = theta / pt.xi
+            exact = {"p_oma_weak": -math.expm1(-pt.k * x),
+                     "p_oma_strong": (-math.expm1(-x)) ** pt.k}
+            for name, p in exact.items():
+                r = pt.measures[name]
+                se = max(math.sqrt(p * (1.0 - p) / trials), 1.0 / trials)
+                z = (r.mean - p) / se
+                assert abs(z) <= 4.5, (pt.k, pt.xi, name, z)
+
+
 class TestPoolFixedShareOracle:
     def test_fixed_share_sum_matches_quadrature(self):
         # figure 4's s_fixed_mc column: the NOMA sum rate at share 0.2, the
         # sum of a 1-D integral over each marginal. Seed, trials and bound
         # were fixed before the first run.
-        points = run_pairing(SimConfig(trials=200_000, seed=103,
-                                       xi_grid=(1.0, 100.0, 1e5),
-                                       scenario="pair_minmax",
-                                       k_grid=(2, 3, 10, 30),
-                                       fixed_share=0.2),
-                             measures={"s_noma_fixed"})
+        points = simulate(SimConfig(trials=200_000, seed=103,
+                                    xi_grid=(1.0, 100.0, 1e5),
+                                    scenario="pair_minmax",
+                                    k_grid=(2, 3, 10, 30),
+                                    fixed_share=0.2),
+                          measures={"s_noma_fixed"})
         assert len(points) == 12
         for pt in points:
             r = pt.measures["s_noma_fixed"]
@@ -232,7 +256,7 @@ class TestUpperEndpointGain:
     def test_matches_monte_carlo_gain(self):
         cfg = SimConfig(trials=300_000, seed=31, xi_grid=(1e5,),
                         scenario="pair_minmax", k_grid=tuple(range(2, 11)))
-        for point in run_pairing(cfg):
+        for point in simulate(cfg):
             gap = abs(point.measures["ds_asup"].mean
                       - pairing.expected_gain_asup(point.k))
             assert gap <= 0.1, (point.k, gap)
@@ -285,7 +309,7 @@ class TestLowerEndpointApprox:
         for xi, k in ((100.0, 50), (1e3, 200)):
             cfg = SimConfig(trials=200_000, seed=41, xi_grid=(xi,),
                             scenario="pair_minmax", k_grid=(k,))
-            mc = run_pairing(cfg)[0].measures["ds_ainf"].mean
+            mc = simulate(cfg)[0].measures["ds_ainf"].mean
             approx = pairing.expected_gain_ainf_approx(k, SystemParams(xi=xi))
             assert abs(approx - mc) <= 0.1
 

@@ -53,9 +53,7 @@ PUBLIC_NAMES = [
     "oma_outage_strong",
     "oma_outage_weak",
     "outage_point",
-    "run_multiuser_power",
-    "run_outage",
-    "run_pairing",
+    "simulate",
     "sum_rate",
     "verify_fairness",
     "with_residual_to_strongest",
