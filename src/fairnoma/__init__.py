@@ -24,20 +24,10 @@ from .twouser import (
 from .ergodic import (
     ErgodicCurvePoint,
     ergodic_curve_point,
-    ergodic_noma_strong_asup,
-    ergodic_noma_weak_ainf,
     ergodic_oma,
-    expected_gain,
     high_snr_ergodic_approx,
 )
-from .outage import (
-    OutagePoint,
-    noma_outage_strong_asup,
-    noma_outage_weak_ainf,
-    oma_outage_strong,
-    oma_outage_weak,
-    outage_point,
-)
+from .outage import OutagePoint, outage_point
 from .pairing import (
     expected_gain_ainf_approx,
     expected_gain_asup,
@@ -52,7 +42,6 @@ from .multiuser import (
     noma_capacity_k,
     oma_capacity_k,
     verify_fairness,
-    with_residual_to_strongest,
 )
 from .mcsim import (
     GridPoint,
@@ -77,11 +66,8 @@ __all__ = [
     "SystemParams",
     "allocation_bound",
     "ergodic_curve_point",
-    "ergodic_noma_strong_asup",
-    "ergodic_noma_weak_ainf",
     "ergodic_oma",
     "exp_integral_e1_scaled",
-    "expected_gain",
     "expected_gain_ainf_approx",
     "expected_gain_asup",
     "fair_region",
@@ -94,16 +80,11 @@ __all__ = [
     "noma_capacity_k",
     "noma_capacity_strong",
     "noma_capacity_weak",
-    "noma_outage_strong_asup",
-    "noma_outage_weak_ainf",
     "oma_capacity",
     "oma_capacity_k",
-    "oma_outage_strong",
-    "oma_outage_weak",
     "outage_point",
     "simulate",
     "sum_rate",
     "verify_fairness",
-    "with_residual_to_strongest",
     "__version__",
 ]

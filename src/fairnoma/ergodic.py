@@ -21,7 +21,6 @@ from typing import Callable
 import numpy as np
 
 from ._quad import integrate_semi_infinite
-from .errors import DomainError
 from .specfun import (_LN2, _LN4, EULER_GAMMA, exp_integral_e1_scaled,
                       exp_integral_e1_scaled_array)
 from .twouser import SystemParams
@@ -32,7 +31,12 @@ _REL_TOL = 1e-8
 
 @dataclass(frozen=True)
 class ErgodicCurvePoint:
-    """Closed-form expected capacities at one transmit SNR (all b/s/Hz)."""
+    """Closed-form expected capacities at one transmit SNR (all b/s/Hz).
+
+    The expected sum-rate gain over OMA is ``e_c1_noma_ainf - e_c1_oma`` at
+    a_inf, where the strong user is indifferent, and ``e_c2_noma_asup -
+    e_c2_oma`` at a_sup; both approach 1 b/s/Hz as xi grows.
+    """
 
     xi: float
     e_c1_oma: float
@@ -82,31 +86,6 @@ def _noma_endpoints(params: SystemParams, rel_tol: float) -> tuple:
     values = (3.0 * e1s / _LN4 - float(integral[0]),
               e1s / _LN4 + float(integral[1]))
     return values, (float(err[0]), float(err[1]))
-
-
-def ergodic_noma_weak_ainf(params: SystemParams) -> float:
-    """Expected weak-user NOMA capacity at the lower region endpoint a_inf."""
-    return _noma_endpoints(params, _REL_TOL)[0][0]
-
-
-def ergodic_noma_strong_asup(params: SystemParams) -> float:
-    """Expected strong-user NOMA capacity at the upper region endpoint a_sup."""
-    return _noma_endpoints(params, _REL_TOL)[0][1]
-
-
-def expected_gain(params: SystemParams, a_choice: str) -> float:
-    """Expected sum-rate gain E[S_N(a)] - E[S_O] at a region endpoint.
-
-    At a_inf the strong user is indifferent and the gain is carried entirely
-    by the weak user; at a_sup it is the reverse. Approaches 1 b/s/Hz for
-    either choice as xi grows.
-    """
-    e_c1, e_c2, _ = ergodic_oma(params)
-    if a_choice == "inf":
-        return ergodic_noma_weak_ainf(params) - e_c1
-    if a_choice == "sup":
-        return ergodic_noma_strong_asup(params) - e_c2
-    raise DomainError(f"a_choice must be 'inf' or 'sup', got {a_choice!r}")
 
 
 def ergodic_curve_point(params: SystemParams) -> ErgodicCurvePoint:

@@ -425,21 +425,22 @@ def _select(measures, common: tuple, tags: tuple, per_tag: tuple) -> tuple:
                        if any(f"{m}_{tag}" in want for m in per_tag))
 
 
-def _shares(w1: np.ndarray, w2: np.ndarray, tags, fixed, bufs: list) -> dict:
-    """Strong user's power share per draw for each share tag in ``tags``,
-    each written into the next free vector of ``bufs``: the two fair
-    endpoints (both also for 'mid', their average ``0.5 * (ainf + asup)``),
-    and 'fixed', the number ``fixed`` broadcast to every draw."""
+def _shares(w1: np.ndarray, w2: np.ndarray, tags, fixed,
+            bufs: Iterator) -> dict:
+    """Strong user's power share for each share tag in ``tags``: per draw,
+    each written into the next vector of ``bufs``, for the two fair
+    endpoints (both also for 'mid', their average ``0.5 * (ainf + asup)``);
+    and for 'fixed' the number ``fixed`` itself, which every ufunc
+    broadcasts to the draws with the same bits as a filled vector."""
     shares = {}
     for tag, w in (("ainf", w2), ("asup", w1)):
         if tag in tags or "mid" in tags:
-            shares[tag] = _share_bound(w, bufs[len(shares)])
+            shares[tag] = _share_bound(w, next(bufs))
     if "mid" in tags:
-        np.add(shares["ainf"], shares["asup"], out=bufs[2])
-        shares["mid"] = np.multiply(0.5, bufs[2], out=bufs[2])
+        mid = np.add(shares["ainf"], shares["asup"], out=next(bufs))
+        shares["mid"] = np.multiply(0.5, mid, out=mid)
     if "fixed" in tags:
-        shares["fixed"] = bufs[len(shares)]
-        shares["fixed"].fill(fixed)
+        shares["fixed"] = fixed
     return shares
 
 
@@ -450,21 +451,25 @@ def _pair_measures(w1: np.ndarray, w2: np.ndarray, tags: tuple, fixed,
     strong SNRs ``w1`` and ``w2``: ``_moment`` pairs of the capacities and
     integer counts of the outages. Each vector is computed only if one of
     those needs it. ``thresholds`` are the OMA and NOMA SINR thresholds of
-    r0. ``scratch`` holds two rate or SINR vectors, one vector per share
-    (``_shares``), then two sum vectors only if ``want`` holds a sum
-    (``s_*`` or ``ds_*``)."""
+    r0. ``scratch`` holds two rate or SINR vectors, the share vectors of
+    ``_shares``, then two sum vectors only if ``want`` holds a sum (``s_*``
+    or ``ds_*``)."""
     o_thresh, n_thresh = thresholds
-    c1, c2, *bufs = scratch
+    c1, c2 = scratch[:2]
+    bufs = iter(scratch[2:])
     shares = _shares(w1, w2, tags, fixed, bufs)
-    s_o, s = bufs[len(shares):] or (None, None)
+    s_o, s = next(bufs, None), next(bufs, None)
     out = {}
 
     def keep(name: str, v: np.ndarray) -> None:
         if name in want:
             out[name] = _moment(v)
 
-    def count(name: str, sinr: np.ndarray, threshold: float) -> None:
-        out[name] = int(np.count_nonzero(sinr < threshold))
+    def count(name: str, threshold: float,
+              sinr: Callable[[], np.ndarray]) -> None:
+        # at r0 = 0 the threshold is 0.0, and no SNR or SINR lies below it
+        out[name] = (int(np.count_nonzero(sinr() < threshold)) if threshold
+                     else 0)
 
     sums = want & {"s_oma", *(f"ds_{tag}" for tag in tags)}
     for name, w, c in (("c1_oma", w1, c1), ("c2_oma", w2, c2)):
@@ -474,7 +479,7 @@ def _pair_measures(w1: np.ndarray, w2: np.ndarray, tags: tuple, fixed,
         keep("s_oma", np.add(c1, c2, out=s_o))
     for name, w in (("p_oma_weak", w1), ("p_oma_strong", w2)):
         if name in want:
-            count(name, w, o_thresh)
+            count(name, o_thresh, lambda: w)
     for tag in tags:
         a = shares[tag]
         sums = want & {f"s_noma_{tag}", f"ds_{tag}"}
@@ -487,11 +492,12 @@ def _pair_measures(w1: np.ndarray, w2: np.ndarray, tags: tuple, fixed,
         if f"ds_{tag}" in want:
             out[f"ds_{tag}"] = _moment(np.subtract(s, s_o, out=c1))
         if f"p_noma_weak_{tag}" in want:
-            count(f"p_noma_weak_{tag}", _weak_sinr(w1, a, c1, c2), n_thresh)
+            count(f"p_noma_weak_{tag}", n_thresh,
+                  lambda: _weak_sinr(w1, a, c1, c2))
         if f"p_noma_strong_{tag}" in want:
             # after SIC the strong user's SINR is a * w2
-            count(f"p_noma_strong_{tag}", np.multiply(a, w2, out=c2),
-                  n_thresh)
+            count(f"p_noma_strong_{tag}", n_thresh,
+                  lambda: np.multiply(a, w2, out=c2))
     return out
 
 
@@ -565,7 +571,8 @@ def simulate(config: SimConfig, workers: int | None = None,
 
     # only the vectors _pair_measures touches: a workspace row never written
     # can still cost resident memory where it shares a huge page; 'mid'
-    # needs both endpoints
-    n_shares = len(set(tags).union(("ainf", "asup") if "mid" in tags else ()))
+    # needs both endpoints, and 'fixed' is a number, not a vector
+    n_shares = len(set(tags).union(("ainf", "asup") if "mid" in tags else ())
+                   - {"fixed"})
     sums = any(name.startswith(("s_", "ds_")) for name in want)
     return _pair_sweep(config, kernel, 2 + n_shares + 2 * sums, workers)

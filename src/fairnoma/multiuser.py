@@ -169,12 +169,6 @@ def full_alloc_a(xi: float, channels: ChannelSet) -> AllocationVector:
     return AllocationVector(coeffs=tuple(coeffs), residual=level, kind="a_full")
 
 
-def with_residual_to_strongest(alloc: AllocationVector) -> AllocationVector:
-    """Hand the unspent budget to the last (interference-free) user."""
-    coeffs = alloc.coeffs[:-1] + (alloc.coeffs[-1] + alloc.residual,)
-    return AllocationVector(coeffs=coeffs, residual=0.0, kind=alloc.kind)
-
-
 def verify_fairness(xi: float, channels: ChannelSet, alloc) -> tuple:
     """Per-user rate slack C_k^N - C_k^O under the actual downstream power.
 

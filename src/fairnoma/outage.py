@@ -44,18 +44,6 @@ class OutagePoint:
             raise DomainError("fair endpoints cannot be worse than orthogonal access")
 
 
-def oma_outage_weak(params: SystemParams) -> float:
-    """P(weak user's orthogonal rate < r0): CDF of the pair minimum."""
-    theta = _rate_threshold(params.r0)
-    return -math.expm1(-2.0 * theta / (params.beta * params.xi))
-
-
-def oma_outage_strong(params: SystemParams) -> float:
-    """P(strong user's orthogonal rate < r0): CDF of the pair maximum."""
-    theta = _rate_threshold(params.r0)
-    return math.expm1(-theta / (params.beta * params.xi)) ** 2
-
-
 def _noma_endpoints(params: SystemParams) -> tuple[float, float]:
     """(weak user at a_inf, strong user at a_sup), from one two-component
     integral over u in [0, 1] of the outage regions themselves.
@@ -111,24 +99,20 @@ def _noma_endpoints(params: SystemParams) -> tuple[float, float]:
     return min(float(p_weak), 1.0), min(float(-4.0 * m / bx * strong), 1.0)
 
 
-def noma_outage_weak_ainf(params: SystemParams) -> float:
-    """P(weak user's NOMA rate at the lower endpoint < r0)."""
-    return _noma_endpoints(params)[0]
-
-
-def noma_outage_strong_asup(params: SystemParams) -> float:
-    """P(strong user's NOMA rate at the upper endpoint < r0)."""
-    return _noma_endpoints(params)[1]
-
-
 def outage_point(params: SystemParams) -> OutagePoint:
-    """Evaluate all four outage probabilities at one operating point."""
+    """Evaluate all four outage probabilities at one operating point.
+
+    The orthogonal ones are the CDFs of the pair minimum and maximum at the
+    half-share threshold: 1 - e^{-2 theta/bx} and (1 - e^{-theta/bx})^2.
+    """
     p_weak, p_strong = _noma_endpoints(params)
+    theta = _rate_threshold(params.r0)
+    bx = params.beta * params.xi
     return OutagePoint(
         xi=params.xi,
         r0=params.r0,
-        p_oma_weak=oma_outage_weak(params),
-        p_oma_strong=oma_outage_strong(params),
+        p_oma_weak=-math.expm1(-2.0 * theta / bx),
+        p_oma_strong=math.expm1(-theta / bx) ** 2,
         p_noma_weak_ainf=p_weak,
         p_noma_strong_asup=p_strong,
     )

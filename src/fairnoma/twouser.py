@@ -144,7 +144,7 @@ def _strong_rate(w: np.ndarray, a, out: np.ndarray | None = None) -> np.ndarray:
     return _capacity(np.multiply(a, w, out=out))
 
 
-def _weak_sinr(w: np.ndarray, a: np.ndarray, out: np.ndarray,
+def _weak_sinr(w: np.ndarray, a, out: np.ndarray,
                tmp: np.ndarray) -> np.ndarray:
     """The weak user's SINR under strong-user share ``a``, written into
     ``out``; ``tmp`` is overwritten."""
@@ -152,7 +152,7 @@ def _weak_sinr(w: np.ndarray, a: np.ndarray, out: np.ndarray,
     return _sinr(w, out, a, out=out, tmp=tmp)
 
 
-def _weak_rate(w: np.ndarray, a: np.ndarray, out: np.ndarray,
+def _weak_rate(w: np.ndarray, a, out: np.ndarray,
                tmp: np.ndarray) -> np.ndarray:
     """The weak user's NOMA capacity under strong-user share ``a``, written
     into ``out``; ``tmp`` is overwritten."""

@@ -26,13 +26,7 @@ from fairnoma.multiuser import (
     min_alloc_b,
     verify_fairness,
 )
-from fairnoma.outage import (
-    noma_outage_strong_asup,
-    noma_outage_weak_ainf,
-    oma_outage_strong,
-    oma_outage_weak,
-    outage_point,
-)
+from fairnoma.outage import outage_point
 from fairnoma.pairing import expected_gain_asup
 from fairnoma.specfun import (exp_integral_e1_scaled,
                               exp_integral_e1_scaled_array)
@@ -108,16 +102,14 @@ def test_criterion_04_outage_closed_forms_vs_mc():
         SimConfig(trials=10_000_000, seed=SEED, xi_grid=XI_GRID[5:],
                   beta=1.0, r0=2.0, scenario="pair_iid"),
     )
-    pairs = (("p_oma_weak", oma_outage_weak),
-             ("p_oma_strong", oma_outage_strong),
-             ("p_noma_weak_ainf", noma_outage_weak_ainf),
-             ("p_noma_strong_asup", noma_outage_strong_asup))
+    names = ("p_oma_weak", "p_oma_strong", "p_noma_weak_ainf",
+             "p_noma_strong_asup")
     worst_z = 0.0
     for config in configs:
         for pt in simulate(config, workers=4):
-            params = SystemParams(xi=pt.xi, r0=2.0)
-            for name, fn in pairs:
-                p_cf = fn(params)
+            cf = outage_point(SystemParams(xi=pt.xi, r0=2.0))
+            for name in names:
+                p_cf = getattr(cf, name)
                 est = pt.measures[name]
                 # binomial SE from the closed form, or from the estimate
                 # when the estimate is larger (guards the deep tail where
@@ -129,7 +121,7 @@ def test_criterion_04_outage_closed_forms_vs_mc():
                 assert z <= 3.0, (pt.xi, name, p_cf, est.mean, z)
     for xi in (10.0, 1e3, 1e5):
         params = SystemParams(xi=xi, r0=2.0)
-        gap = abs(noma_outage_strong_asup(params)
+        gap = abs(outage_point(params).p_noma_strong_asup
                   - strong_outage_region_oracle(params))
         assert gap <= 1e-6, (xi, gap)
     print(f"criterion 4 PASS: outage closed forms max |z|={worst_z:.2f}; "
@@ -139,19 +131,20 @@ def test_criterion_04_outage_closed_forms_vs_mc():
 def test_criterion_05_two_db_outage_gap():
     target = 1e-2
 
-    def crossing(prob_fn) -> float:
+    def crossing(field: str) -> float:
         lo, hi = 0.0, 60.0
         for _ in range(200):
             mid = 0.5 * (lo + hi)
-            p = prob_fn(SystemParams(xi=10.0 ** (mid / 10.0), r0=2.0))
+            p = getattr(outage_point(SystemParams(xi=10.0 ** (mid / 10.0),
+                                                  r0=2.0)), field)
             if p > target:
                 lo = mid
             else:
                 hi = mid
         return 0.5 * (lo + hi)
 
-    db_oma = crossing(oma_outage_strong)
-    db_noma = crossing(noma_outage_strong_asup)
+    db_oma = crossing("p_oma_strong")
+    db_noma = crossing("p_noma_strong_asup")
     gap = db_oma - db_noma
     assert 1.0 <= gap <= 3.0, (db_oma, db_noma, gap)
     print(f"criterion 5 PASS: strong-user outage 1e-2 at {db_oma:.2f} dB "

@@ -12,7 +12,7 @@ import pytest
 
 from fairnoma import _quad, cli, mcsim, specfun
 from fairnoma.cli import main
-from fairnoma.outage import oma_outage_weak
+from fairnoma.outage import outage_point
 from fairnoma.twouser import SystemParams
 
 # every figure's CSV header; the golden hashes pin these too, but only under
@@ -145,8 +145,8 @@ class TestFigureOutputs:
         _, header, rows = read_csv(tmp_path / "figure2.csv")
         i = header.index("p_oma_weak_cf")
         for row in rows:
-            expected = oma_outage_weak(
-                SystemParams(xi=10.0 ** (row[0] / 10.0), r0=2.0))
+            expected = outage_point(
+                SystemParams(xi=10.0 ** (row[0] / 10.0), r0=2.0)).p_oma_weak
             assert row[i] == pytest.approx(expected, rel=1e-12)
 
     def test_k_sweep_figures(self, capsys, tmp_path):

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from fairnoma import ergodic as erg
-from fairnoma.errors import DomainError
 from fairnoma.twouser import SystemParams
 from helpers import e1_oracle
 
@@ -67,21 +66,24 @@ class TestNomaEndpoints:
     def test_weak_ainf_vs_monte_carlo(self):
         mc = _ordered_pair_mc(1e4, 1_000_000, seed=51)
         mean, se = _mean_se(mc["c1_noma_ainf"])
-        value = erg.ergodic_noma_weak_ainf(SystemParams(xi=1e4, beta=1.0))
+        value = erg.ergodic_curve_point(
+            SystemParams(xi=1e4, beta=1.0)).e_c1_noma_ainf
         assert abs(value - mean) <= 3.0 * se
 
     def test_strong_asup_vs_monte_carlo(self):
         mc = _ordered_pair_mc(1e4, 1_000_000, seed=52)
         mean, se = _mean_se(mc["c2_noma_asup"])
-        value = erg.ergodic_noma_strong_asup(SystemParams(xi=1e4, beta=1.0))
+        value = erg.ergodic_curve_point(
+            SystemParams(xi=1e4, beta=1.0)).e_c2_noma_asup
         assert abs(value - mean) <= 3.0 * se
 
     def test_fairness_in_expectation_on_db_grid(self):
         for xi_db in range(0, 61, 10):
             params = SystemParams(xi=10.0 ** (xi_db / 10.0), beta=1.0)
             e_c1, e_c2, _ = erg.ergodic_oma(params)
-            assert erg.ergodic_noma_weak_ainf(params) >= e_c1
-            assert erg.ergodic_noma_strong_asup(params) >= e_c2
+            pt = erg.ergodic_curve_point(params)
+            assert pt.e_c1_noma_ainf >= e_c1
+            assert pt.e_c2_noma_asup >= e_c2
 
     def test_eq13_gap_shrinks_with_snr(self):
         # E[C1_N(a_inf)] ~ E[C2_O] at high SNR; the true gap is 0.104 at
@@ -90,7 +92,8 @@ class TestNomaEndpoints:
         for xi in (1e4, 1e5):
             params = SystemParams(xi=xi, beta=1.0)
             _, e_c2, _ = erg.ergodic_oma(params)
-            gaps.append(abs(erg.ergodic_noma_weak_ainf(params) - e_c2))
+            gaps.append(abs(erg.ergodic_curve_point(params).e_c1_noma_ainf
+                            - e_c2))
         assert gaps[0] <= 0.15
         assert gaps[1] <= 0.05
         assert gaps[1] < gaps[0]
@@ -142,21 +145,22 @@ def test_endpoints_match_mpmath_reference(xi_db, beta, c1_ainf, c2_asup):
 
 class TestExpectedGain:
     def test_theorem_two_both_endpoints(self):
-        params = SystemParams(xi=1e5, beta=1.0)
-        assert erg.expected_gain(params, "inf") == pytest.approx(1.0, abs=0.05)
-        assert erg.expected_gain(params, "sup") == pytest.approx(1.0, abs=0.05)
+        pt = erg.ergodic_curve_point(SystemParams(xi=1e5, beta=1.0))
+        assert pt.e_c1_noma_ainf - pt.e_c1_oma == pytest.approx(1.0, abs=0.05)
+        assert pt.e_c2_noma_asup - pt.e_c2_oma == pytest.approx(1.0, abs=0.05)
 
     def test_gain_vanishes_at_zero_snr(self):
-        params = SystemParams(xi=1e-6, beta=1.0)
-        for choice in ("inf", "sup"):
-            gain = erg.expected_gain(params, choice)
+        pt = erg.ergodic_curve_point(SystemParams(xi=1e-6, beta=1.0))
+        for gain in (pt.e_c1_noma_ainf - pt.e_c1_oma,
+                     pt.e_c2_noma_asup - pt.e_c2_oma):
             assert -1e-10 <= gain <= 1e-3
 
     def test_gain_inf_vs_exact_per_draw_mc(self):
         mc = _ordered_pair_mc(1e3, 1_000_000, seed=53)
         delta = mc["c1_noma_ainf"] - mc["c1_oma"]
         mean, se = _mean_se(delta)
-        gain = erg.expected_gain(SystemParams(xi=1e3, beta=1.0), "inf")
+        pt = erg.ergodic_curve_point(SystemParams(xi=1e3, beta=1.0))
+        gain = pt.e_c1_noma_ainf - pt.e_c1_oma
         assert abs(gain - mean) <= 3.0 * se
 
     def test_log_ratio_identity(self):
@@ -165,10 +169,6 @@ class TestExpectedGain:
         mc = _ordered_pair_mc(1.0, 1_000_000, seed=54)
         mean, se = _mean_se(mc["log_ratio_half"])
         assert abs(mean - 1.0) <= 3.0 * se
-
-    def test_invalid_choice(self):
-        with pytest.raises(DomainError):
-            erg.expected_gain(SystemParams(xi=1.0), "mid")
 
 
 class TestCurvePointAndApprox:
@@ -191,7 +191,6 @@ class TestCurvePointAndApprox:
     def test_high_snr_approx_tracks_quadrature_forms(self):
         params = SystemParams(xi=1e6, beta=1.0)
         approx_c1, approx_c2 = erg.high_snr_ergodic_approx(params)
-        assert approx_c1 == pytest.approx(erg.ergodic_noma_weak_ainf(params),
-                                          abs=0.05)
-        assert approx_c2 == pytest.approx(erg.ergodic_noma_strong_asup(params),
-                                          abs=0.01)
+        pt = erg.ergodic_curve_point(params)
+        assert approx_c1 == pytest.approx(pt.e_c1_noma_ainf, abs=0.05)
+        assert approx_c2 == pytest.approx(pt.e_c2_noma_asup, abs=0.01)

@@ -472,7 +472,8 @@ class TestStatisticalHonesty:
                           xi_grid=(1e3,)))[0].measures
         e_c1, e_c2, e_s = ergodic.ergodic_oma(params)
         targets = {"c1_oma": e_c1, "c2_oma": e_c2, "s_oma": e_s,
-                   "c1_noma_ainf": ergodic.ergodic_noma_weak_ainf(params)}
+                   "c1_noma_ainf":
+                       ergodic.ergodic_curve_point(params).e_c1_noma_ainf}
         for name, cf in targets.items():
             z = (m[name].mean - cf) / m[name].std_error
             assert abs(z) < 4.0, (name, z)
@@ -503,6 +504,14 @@ class TestBoundaryIdentities:
             m = point.measures
             assert m["p_noma_weak_asup"].mean == m["p_oma_weak"].mean
             assert m["p_noma_strong_ainf"].mean == m["p_oma_strong"].mean
+
+    def test_zero_rate_counts_no_outage(self):
+        # at r0 = 0 both thresholds are 0.0, and no SNR or SINR lies below
+        for point in simulate(_cfg(trials=1000, seed=3, xi_grid=(1e-3, 1e3))):
+            counts = [r for name, r in point.measures.items()
+                      if name.startswith("p_")]
+            assert len(counts) == 8
+            assert set(counts) == {SimResult(0.0, 0.0, 1000, 3)}
 
     def test_mid_policy_sits_between_endpoints(self):
         m = simulate(_cfg(trials=300_000, r0=2.0, xi_grid=(1e3,)))[0].measures
@@ -681,10 +690,7 @@ class TestScalarApiIsTheEngine:
             return v
 
         def full_shares(*args):
-            out = shares(*args)
-            for a in out.values():
-                a.fill(1.0)
-            return out
+            return dict.fromkeys(shares(*args), 1.0)
 
         monkeypatch.setattr(mcsim, "_shares", full_shares)
         for r0 in (0.1, 0.5, 1.0, 2.0, 3.0):

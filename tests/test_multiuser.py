@@ -19,7 +19,6 @@ from fairnoma.multiuser import (
     noma_capacity_k,
     oma_capacity_k,
     verify_fairness,
-    with_residual_to_strongest,
 )
 from fairnoma.twouser import (
     ChannelPair,
@@ -269,7 +268,10 @@ class TestFairnessSlack:
         ch = ChannelSet(gains=gains)
         raw = full_alloc_a(1e3, ch)
         assert raw.residual > 0.0
-        boosted = with_residual_to_strongest(raw)
+        # the unspent budget handed to the last (interference-free) user
+        boosted = AllocationVector(
+            coeffs=raw.coeffs[:-1] + (raw.coeffs[-1] + raw.residual,),
+            residual=0.0, kind=raw.kind)
         assert boosted.residual == 0.0
         slacks = verify_fairness(1e3, ch, boosted)
         assert slacks[-1] > 0.0

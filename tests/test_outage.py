@@ -79,37 +79,40 @@ def weak_outage_quad_oracle(params):
 
 class TestOmaForms:
     def test_weak_frozen_value(self):
-        got = outage.oma_outage_weak(_params(100.0))
+        got = outage.outage_point(_params(100.0)).p_oma_weak
         assert got == pytest.approx(1.0 - math.exp(-0.3), rel=1e-15)
 
     def test_strong_frozen_value(self):
-        got = outage.oma_outage_strong(_params(100.0))
+        got = outage.outage_point(_params(100.0)).p_oma_strong
         want = 1.0 + math.exp(-0.3) - 2.0 * math.exp(-0.15)
         assert got == pytest.approx(want, rel=1e-12)
 
     def test_zero_rate_never_in_outage(self):
-        p = _params(50.0, r0=0.0)
-        assert outage.oma_outage_weak(p) == 0.0
-        assert outage.oma_outage_strong(p) == 0.0
+        pt = outage.outage_point(_params(50.0, r0=0.0))
+        assert pt.p_oma_weak == 0.0
+        assert pt.p_oma_strong == 0.0
 
     def test_vanishes_at_high_snr(self):
-        weak = [outage.oma_outage_weak(_params(10.0 ** e)) for e in range(1, 13)]
+        weak = [outage.outage_point(_params(10.0 ** e)).p_oma_weak
+                for e in range(1, 13)]
         assert all(b < a for a, b in zip(weak, weak[1:]))
         assert weak[-1] < 1e-10
 
     def test_strong_never_worse_than_weak(self):
         for r0 in (0.2, 1.0, 3.0):
             for xi in np.geomspace(1.0, 1e6, 9):
-                p = _params(float(xi), r0=r0)
-                assert outage.oma_outage_strong(p) <= outage.oma_outage_weak(p)
+                pt = outage.outage_point(_params(float(xi), r0=r0))
+                assert pt.p_oma_strong <= pt.p_oma_weak
 
 
 class TestWeakUserLowerEndpoint:
     def test_degenerate_rate_is_exactly_zero(self):
-        assert outage.noma_outage_weak_ainf(_params(100.0, r0=0.0)) == 0.0
+        pt = outage.outage_point(_params(100.0, r0=0.0))
+        assert pt.p_noma_weak_ainf == 0.0
 
     def test_vanishing_rate_limit(self):
-        assert outage.noma_outage_weak_ainf(_params(100.0, r0=1e-9)) < 1e-9
+        pt = outage.outage_point(_params(100.0, r0=1e-9))
+        assert pt.p_noma_weak_ainf < 1e-9
 
     @pytest.mark.parametrize("r0", [60.0, 80.0, 150.0, 250.0, 300.0])
     def test_certain_outage_at_a_huge_rate(self, r0):
@@ -117,34 +120,33 @@ class TestWeakUserLowerEndpoint:
         # returned rather than the quadrature's 1 - 2^-53
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert outage.noma_outage_weak_ainf(_params(1.0, r0=r0)) == 1.0
-            assert outage.noma_outage_strong_asup(_params(1.0, r0=r0)) == 1.0
+            pt = outage.outage_point(_params(1.0, r0=r0))
+            assert pt.p_noma_weak_ainf == 1.0
+            assert pt.p_noma_strong_asup == 1.0
 
     def test_matches_independent_quadrature_route(self):
         for xi, r0 in ((100.0, 2.0), (1e3, 2.0), (1e5, 2.0), (50.0, 0.7)):
             p = _params(xi, r0=r0)
-            got = outage.noma_outage_weak_ainf(p)
+            got = outage.outage_point(p).p_noma_weak_ainf
             want = weak_outage_quad_oracle(p)
             assert got == pytest.approx(want, abs=1e-10)
 
     def test_matches_monte_carlo(self):
         p = _params(1e3)
         pw = _mc(p, 1_000_000, 101)["p_noma_weak_ainf"]
-        cf = outage.noma_outage_weak_ainf(p)
+        cf = outage.outage_point(p).p_noma_weak_ainf
         assert abs(pw.mean - cf) < 3.0 * pw.std_error
 
     def test_dominates_oma_on_sweep(self):
         for db in range(0, 121, 4):
-            p = _params(10.0 ** (db / 10.0))
-            assert (outage.noma_outage_weak_ainf(p)
-                    <= outage.oma_outage_weak(p) * (1.0 + 1e-9))
+            pt = outage.outage_point(_params(10.0 ** (db / 10.0)))
+            assert pt.p_noma_weak_ainf <= pt.p_oma_weak * (1.0 + 1e-9)
 
     def test_improvement_ratio_grows_with_snr(self):
         ratios = []
         for db in range(0, 61, 4):
-            p = _params(10.0 ** (db / 10.0))
-            ratios.append(outage.oma_outage_weak(p)
-                          / outage.noma_outage_weak_ainf(p))
+            pt = outage.outage_point(_params(10.0 ** (db / 10.0)))
+            ratios.append(pt.p_oma_weak / pt.p_noma_weak_ainf)
         assert all(b >= a - 1e-9 for a, b in zip(ratios, ratios[1:]))
         assert ratios[-1] > 4.0
 
@@ -261,13 +263,15 @@ def test_endpoints_match_mpmath_reference(xi_db, r0, beta, p_weak, p_strong):
 
 class TestStrongUserUpperEndpoint:
     def test_degenerate_rate_is_exactly_zero(self):
-        assert outage.noma_outage_strong_asup(_params(100.0, r0=0.0)) == 0.0
-        assert outage.noma_outage_strong_asup(_params(100.0, r0=1e-9)) < 1e-9
+        pt = outage.outage_point(_params(100.0, r0=0.0))
+        assert pt.p_noma_strong_asup == 0.0
+        pt = outage.outage_point(_params(100.0, r0=1e-9))
+        assert pt.p_noma_strong_asup < 1e-9
 
     def test_matches_region_integration(self):
         for xi, r0 in ((1e3, 2.0), (100.0, 2.0), (1e3, 1.0), (10.0, 3.0)):
             p = _params(xi, r0=r0)
-            got = outage.noma_outage_strong_asup(p)
+            got = outage.outage_point(p).p_noma_strong_asup
             want = strong_outage_region_oracle(p)
             assert abs(got - want) <= 1e-6
             assert got == pytest.approx(want, rel=1e-9)
@@ -275,18 +279,17 @@ class TestStrongUserUpperEndpoint:
     def test_matches_monte_carlo(self):
         p = _params(1e3)
         ps = _mc(p, 1_000_000, 101)["p_noma_strong_asup"]
-        cf = outage.noma_outage_strong_asup(p)
+        cf = outage.outage_point(p).p_noma_strong_asup
         assert abs(ps.mean - cf) < 3.0 * ps.std_error
 
     def test_dominates_oma_on_sweep(self):
         for db in range(0, 121, 4):
-            p = _params(10.0 ** (db / 10.0))
-            assert (outage.noma_outage_strong_asup(p)
-                    <= outage.oma_outage_strong(p) * (1.0 + 1e-9))
+            pt = outage.outage_point(_params(10.0 ** (db / 10.0)))
+            assert pt.p_noma_strong_asup <= pt.p_oma_strong * (1.0 + 1e-9)
 
     def test_survives_extreme_exponents(self):
         # the erfc closed form would need exp((2^6-3)^2/4) ~ e^930 here
-        v = outage.noma_outage_strong_asup(_params(1.0, r0=6.0))
+        v = outage.outage_point(_params(1.0, r0=6.0)).p_noma_strong_asup
         assert 0.999 < v <= 1.0
 
 
@@ -294,22 +297,16 @@ class TestProbabilityRange:
     def test_all_forms_in_unit_interval_on_grid(self):
         for r0 in np.linspace(0.1, 6.0, 9):
             for xi in np.geomspace(1.0, 1e6, 9):
-                p = _params(float(xi), r0=float(r0))
-                for v in (outage.oma_outage_weak(p),
-                          outage.oma_outage_strong(p),
-                          outage.noma_outage_weak_ainf(p),
-                          outage.noma_outage_strong_asup(p)):
+                pt = outage.outage_point(_params(float(xi), r0=float(r0)))
+                for v in (pt.p_oma_weak, pt.p_oma_strong,
+                          pt.p_noma_weak_ainf, pt.p_noma_strong_asup):
                     assert 0.0 <= v <= 1.0
 
     @pytest.mark.parametrize("r0", [600.0, 2000.0])
     def test_overflowing_rate_threshold_is_a_domain_error(self, r0):
         # 4**r0 - 1 is no double: refused before any power of r0 overflows
-        p = _params(10.0, r0=r0)
-        for op in (outage.oma_outage_weak, outage.oma_outage_strong,
-                   outage.noma_outage_weak_ainf,
-                   outage.noma_outage_strong_asup, outage.outage_point):
-            with pytest.raises(DomainError, match="r0"):
-                op(p)
+        with pytest.raises(DomainError, match="r0"):
+            outage.outage_point(_params(10.0, r0=r0))
         with pytest.raises(DomainError, match="r0"):
             simulate(SimConfig(trials=10, seed=1, xi_grid=(10.0,), r0=r0))
 
@@ -317,22 +314,24 @@ class TestProbabilityRange:
 class TestEmpiricalPolicies:
     def test_boundary_identities_via_mc(self):
         p = _params(1e3)
+        pt = outage.outage_point(p)
         m = _mc(p, 400_000, 13)
         pw = m["p_noma_weak_asup"]
-        assert abs(pw.mean - outage.oma_outage_weak(p)) < 3.0 * pw.std_error
+        assert abs(pw.mean - pt.p_oma_weak) < 3.0 * pw.std_error
         ps = m["p_noma_strong_ainf"]
-        assert abs(ps.mean - outage.oma_outage_strong(p)) < 3.0 * ps.std_error
+        assert abs(ps.mean - pt.p_oma_strong) < 3.0 * ps.std_error
 
     def test_mid_policy_between_endpoints(self):
         p = _params(1e3)
+        pt = outage.outage_point(p)
         m = _mc(p, 400_000, 17)
         pw_mid, ps_mid = m["p_noma_weak_mid"], m["p_noma_strong_mid"]
-        assert (outage.noma_outage_weak_ainf(p) - 3.0 * pw_mid.std_error
+        assert (pt.p_noma_weak_ainf - 3.0 * pw_mid.std_error
                 < pw_mid.mean
-                < outage.oma_outage_weak(p) + 3.0 * pw_mid.std_error)
-        assert (outage.noma_outage_strong_asup(p) - 3.0 * ps_mid.std_error
+                < pt.p_oma_weak + 3.0 * pw_mid.std_error)
+        assert (pt.p_noma_strong_asup - 3.0 * ps_mid.std_error
                 < ps_mid.mean
-                < outage.oma_outage_strong(p) + 3.0 * ps_mid.std_error)
+                < pt.p_oma_strong + 3.0 * ps_mid.std_error)
 
     def test_monotone_in_the_share_policy(self):
         # one table, one set of draws, so the sweep is paired per draw

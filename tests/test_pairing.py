@@ -174,11 +174,39 @@ class TestPoolOmaOracles:
                 assert abs(z) <= 4.5, (pt.k, pt.xi, name, z)
 
 
+# (E[C1_N(a_inf)], E[C2_N(a_sup)]) of the weakest and the strongest of K
+# i.i.d. Exp(1) users, keyed by (K, xi), computed once with scipy 1.17.1 by
+# helpers.noma_endpoint_oracle (integrate.dblquad, epsabs = epsrel = 1e-10).
+# The error estimates, in the table's order, were 9.61e-11, 9.44e-11;
+# 9.05e-11, 8.40e-11; 9.73e-11, 2.16e-10; 8.82e-11, 1.91e-9 (xi = 1);
+# 3.49e-10, 8.39e-10; 4.76e-10, 1.24e-9; 9.55e-11, 1.29e-10; 6.07e-10,
+# 5.85e-10 (xi = 100); 1.46e-9, 2.41e-9; 2.17e-9, 4.23e-9; 9.52e-11,
+# 2.47e-10; 6.23e-9, 1.03e-8 (xi = 1e5). Pinned because the 24 dblquads
+# take seconds; the (2, 1.0) entry is recomputed live.
+POOL_ENDPOINT_REFERENCE = {
+    (2, 1.0): (0.28628066950833325, 0.6851632348082617),
+    (3, 1.0): (0.2180078509418467, 0.8341267957100436),
+    (10, 1.0): (0.08484504478064052, 1.2401924635533668),
+    (30, 1.0): (0.03172775829742656, 1.5463869237472514),
+    (2, 100.0): (2.979365520464224, 4.175951337075651),
+    (3, 100.0): (2.9053479422694246, 4.775877970667188),
+    (10, 100.0): (2.328521287023942, 6.163125183440103),
+    (30, 100.0): (1.5584289491099876, 7.0599354162876224),
+    (2, 1e5): (8.346270550859794, 9.37987416798145),
+    (3, 1e5): (8.521240607149897, 10.083733800288506),
+    (10, 1e5): (8.761694289667966, 11.785328480833451),
+    (30, 1e5): (8.64121385471702, 13.061963911500639),
+}
+
+
 class TestPoolNomaOracles:
     def test_noma_endpoint_columns_match_quadrature(self):
         # the two NOMA endpoint columns figures 3 and 4 draw on, against a
         # 2-D integral over the (min, max) wedge. Seed, trials and bound were
         # fixed before the first run.
+        live = noma_endpoint_oracle(2, 1.0)
+        assert POOL_ENDPOINT_REFERENCE[2, 1.0] == pytest.approx(live,
+                                                                 rel=1e-9)
         points = simulate(SimConfig(trials=200_000, seed=102,
                                     xi_grid=(1.0, 100.0, 1e5),
                                     scenario="pair_minmax",
@@ -187,7 +215,8 @@ class TestPoolNomaOracles:
         assert len(points) == 12
         for pt in points:
             exact = dict(zip(("c1_noma_ainf", "c2_noma_asup"),
-                             noma_endpoint_oracle(pt.k, pt.xi)))
+                             live if (pt.k, pt.xi) == (2, 1.0)
+                             else POOL_ENDPOINT_REFERENCE[pt.k, pt.xi]))
             for name, want in exact.items():
                 r = pt.measures[name]
                 z = (r.mean - want) / r.std_error

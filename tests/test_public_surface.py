@@ -2,6 +2,11 @@
 
 A name joins or leaves ``fairnoma.__all__`` only by editing the list below,
 so every change of the public surface shows in a diff of this file.
+
+The rule for the list: a public name stays if the CLI, a figure or the
+benchmark calls it, or if it is the only statement of a paper result that a
+test pins. A name that restates another's result, such as one field of a
+point object that already holds the whole set, goes.
 """
 
 import ast
@@ -29,11 +34,8 @@ PUBLIC_NAMES = [
     "SystemParams",
     "allocation_bound",
     "ergodic_curve_point",
-    "ergodic_noma_strong_asup",
-    "ergodic_noma_weak_ainf",
     "ergodic_oma",
     "exp_integral_e1_scaled",
-    "expected_gain",
     "expected_gain_ainf_approx",
     "expected_gain_asup",
     "fair_region",
@@ -46,17 +48,12 @@ PUBLIC_NAMES = [
     "noma_capacity_k",
     "noma_capacity_strong",
     "noma_capacity_weak",
-    "noma_outage_strong_asup",
-    "noma_outage_weak_ainf",
     "oma_capacity",
     "oma_capacity_k",
-    "oma_outage_strong",
-    "oma_outage_weak",
     "outage_point",
     "simulate",
     "sum_rate",
     "verify_fairness",
-    "with_residual_to_strongest",
     "__version__",
 ]
 
