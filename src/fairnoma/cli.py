@@ -31,8 +31,8 @@ from . import __version__
 from .errors import (DomainError, QuadratureError, _is_integer, _is_real,
                      _require_int, _require_positive)
 from .ergodic import ergodic_curve_point, high_snr_ergodic_approx
-from .mcsim import (_SCENARIO_IDS, STREAM_VERSION, SimConfig,
-                    _ordered_gains, _substream, simulate)
+from .mcsim import (STREAM_VERSION, SimConfig, _ordered_gains, _substream,
+                    simulate)
 from .multiuser import (
     ChannelSet,
     full_alloc_a,
@@ -73,18 +73,14 @@ def _linear_to_db(xi: float) -> float:
     return 10.0 * math.log10(xi)
 
 
-def _parse_float_list(text: str) -> tuple:
-    try:
-        return tuple(float(tok) for tok in text.split(","))
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc))
-
-
-def _parse_int_list(text: str) -> tuple:
-    try:
-        return tuple(int(tok) for tok in text.split(","))
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc))
+def _list_of(kind: type) -> Callable[[str], tuple]:
+    """An argparse type: a comma list of ``kind`` values, as a tuple."""
+    def parse(text: str) -> tuple:
+        try:
+            return tuple(kind(tok) for tok in text.split(","))
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc))
+    return parse
 
 
 def _write_text(path: str, text: str) -> None:
@@ -414,7 +410,7 @@ def cmd_multiuser(args: argparse.Namespace) -> int:
             raise DomainError(f"need at least one user, got --k {k}")
         # the one trial of chunk 0 of figure 6's substream; xi scales the
         # gains only after the draw
-        rng = _substream((seed, _SCENARIO_IDS["multiuser"], 0))
+        rng = _substream(seed, "multiuser", 0)
         gains = tuple(_ordered_gains(rng, beta, np.empty((k, 1))).ravel())
         head += f", beta = {_txt(beta)}"
     channels = ChannelSet(gains=gains)
@@ -490,9 +486,9 @@ def _build_parser() -> argparse.ArgumentParser:
     figure.add_argument("--beta", type=float)
     figure.add_argument("--r0", type=float, help="target rate, figure 2")
     figure.add_argument("--k", type=int, help="user count, figures 4 and 6")
-    figure.add_argument("--k-grid", type=_parse_int_list, dest="k_grid",
+    figure.add_argument("--k-grid", type=_list_of(int), dest="k_grid",
                         help="comma list of K values, figures 3 and 5")
-    figure.add_argument("--xi-db", type=_parse_float_list, dest="xi_db",
+    figure.add_argument("--xi-db", type=_list_of(float), dest="xi_db",
                         help="comma list of SNR points in dB")
     figure.add_argument("--fixed-share", type=float, dest="fixed_share",
                         help="benchmark strong-user share, figures 4 and 5")
@@ -513,7 +509,7 @@ def _build_parser() -> argparse.ArgumentParser:
     snr.add_argument("--xi-db", type=float)
     snr.add_argument("--xi", type=float)
     gains = multi.add_mutually_exclusive_group(required=True)
-    gains.add_argument("--gains", type=_parse_float_list,
+    gains.add_argument("--gains", type=_list_of(float),
                        help="comma list of K channel gains")
     gains.add_argument("--random", action="store_true",
                        help="draw K exponential gains")

@@ -8,16 +8,16 @@ weakest and strongest of K, both served by one pair kernel; 'multiuser' is
 all K users in gain order. A sweep splits the trials into fixed 65536-draw
 chunks, and chunk ``ci`` draws its uniforms once from
 ``PCG64DXSM(SeedSequence((seed, scenario_id, ci)))``; ``_substream`` is the
-one place that names the generator. Neither xi nor K is in the key: the
-chunk's gains serve every grid point (xi, and K from ``k_grid``). So each
-trial's channel realization is a pure function of the configuration and
-its own index, and re-running a subset of the grid reproduces that subset's
-rows. SeedSequence's hashing makes the substreams independent, so the
-generator need not be counter-based: PCG64DXSM draws a uniform in about
-half the time Philox takes. This is stream version 4 (``STREAM_VERSION``),
-which the CLI records in its manifest; ``multiuser --random`` draws its K
-gains as the single trial of chunk 0 of the 'multiuser' substream, so they
-do not depend on its ``--xi``.
+one place that builds this key and its generator. Neither xi nor K is in
+the key: the chunk's gains serve every grid point (xi, and K from
+``k_grid``). So each trial's channel realization is a pure function of the
+configuration and its own index, and re-running a subset of the grid
+reproduces that subset's rows. SeedSequence's hashing makes the substreams
+independent, so the generator need not be counter-based: PCG64DXSM draws a
+uniform in about half the time Philox takes. This is stream version 4
+(``STREAM_VERSION``), which the CLI records in its manifest; ``multiuser
+--random`` draws its K gains as the single trial of chunk 0 of the
+'multiuser' substream, so they do not depend on its ``--xi``.
 
 The grid points of a sweep are common random numbers: every point is
 evaluated on the same draws. Each point's estimate and standard error are
@@ -231,11 +231,12 @@ def _map_chunks(fn: Callable[[int], dict], n_tasks: int,
         pool.shutdown(cancel_futures=True)
 
 
-def _substream(key: tuple) -> np.random.Generator:
-    """The generator of the substream ``key``, ``(seed, scenario_id, ci)``
-    for chunk ``ci``: the one place the stream names its bit generator."""
-    return np.random.Generator(
-        np.random.PCG64DXSM(np.random.SeedSequence(key)))
+def _substream(seed: int, scenario: str, ci: int) -> np.random.Generator:
+    """The generator of chunk ``ci`` of ``scenario``'s substream, keyed
+    ``(seed, scenario_id, ci)``: the one place the stream builds its key and
+    names its bit generator."""
+    return np.random.Generator(np.random.PCG64DXSM(
+        np.random.SeedSequence((seed, _SCENARIO_IDS[scenario], ci))))
 
 
 def _moment(v: np.ndarray) -> tuple[float, float]:
@@ -244,8 +245,9 @@ def _moment(v: np.ndarray) -> tuple[float, float]:
     return float(np.sum(v)), float(np.einsum("i,i->", v, v))
 
 
-def _reduce(parts: list, trials: int, seed: int) -> dict:
-    """Combine per-chunk partials (in chunk order) into SimResults."""
+def _reduce(parts: list, trials: int, seed: int, xi: float, k: int) -> dict:
+    """Combine per-chunk partials (in chunk order) of the point (xi, k) into
+    SimResults; DomainError if a moment's sum is not finite."""
     measures = {}
     for name in parts[0]:
         first = parts[0][name]
@@ -257,6 +259,10 @@ def _reduce(parts: list, trials: int, seed: int) -> dict:
         else:
             total = math.fsum(p[name][0] for p in parts)
             total_sq = math.fsum(p[name][1] for p in parts)
+            if not (math.isfinite(total) and math.isfinite(total_sq)):
+                raise DomainError(f"Monte Carlo {name} is not finite at"
+                                  f" xi = {xi!r}, K = {k}: xi times a drawn"
+                                  f" gain overflows a double")
             mean = total / trials
             if trials > 1:
                 var = max((total_sq - trials * mean * mean) / (trials - 1), 0.0)
@@ -269,12 +275,12 @@ def _reduce(parts: list, trials: int, seed: int) -> dict:
 
 def _sweep(config: SimConfig,
            draw: Callable[[np.random.Generator, np.ndarray, int], Iterator],
-           kernel: Callable[[np.ndarray, float, int, np.ndarray], dict],
+           kernel: Callable[[np.ndarray, float, np.ndarray], dict],
            workers: int | None, n_scratch: int) -> list:
     """One GridPoint per (xi, K) point of ``config``, xi-major. Each chunk
     is one task: ``draw(rng, ws, n)`` draws the chunk's n trials from
     ``rng`` once and yields ``(k, gains)`` for each K of ``config.k_grid``
-    in order, and ``kernel(gains, xi, k, ws)`` maps those gains at one xi to
+    in order, and ``kernel(gains, xi, ws)`` maps those gains at one xi to
     partial sums (``_moment`` pairs or integer counts), which are reduced
     per point in chunk order. ``ws`` is an (n_scratch, CHUNK_TRIALS)
     workspace that both may overwrite, reused by later chunks; n columns of
@@ -283,9 +289,6 @@ def _sweep(config: SimConfig,
     if workers is not None:
         _require_int("workers", workers)
     n_chunks = (config.trials + CHUNK_TRIALS - 1) // CHUNK_TRIALS
-    # no grid value in the key: every point sees the same draws, so a
-    # point's rows do not depend on which other points the grid holds
-    key = (config.seed, _SCENARIO_IDS[config.scenario])
     grid = [(xi, k) for xi in config.xi_grid for k in config.k_grid]
     n_k = len(config.k_grid)
     # idle workspaces; a task that finds none makes one, so there are never
@@ -302,10 +305,12 @@ def _sweep(config: SimConfig,
         try:
             n = min(CHUNK_TRIALS, config.trials - ci * CHUNK_TRIALS)
             parts = [None] * len(grid)
-            rng = _substream(key + (ci,))
-            for j, (k, gains) in enumerate(draw(rng, ws, n)):
+            # no grid value in the key: a point's rows do not depend on
+            # which other points the grid holds
+            rng = _substream(config.seed, config.scenario, ci)
+            for j, (_, gains) in enumerate(draw(rng, ws, n)):
                 for i, xi in enumerate(config.xi_grid):
-                    parts[i * n_k + j] = kernel(gains, xi, k, ws)
+                    parts[i * n_k + j] = kernel(gains, xi, ws)
             return parts
         finally:
             free.put(ws)
@@ -313,7 +318,7 @@ def _sweep(config: SimConfig,
     parts = _map_chunks(task, n_chunks, workers)
     return [GridPoint(xi=xi, k=k,
                       measures=_reduce([chunk[p] for chunk in parts],
-                                       config.trials, config.seed))
+                                       config.trials, config.seed, xi, k))
             for p, (xi, k) in enumerate(grid)]
 
 
@@ -384,31 +389,6 @@ def _ordered_gains(rng: np.random.Generator, beta: float,
     for prev, row in zip(g, g[1:]):
         np.add(prev, row, out=row)
     return g
-
-
-def _pair_sweep(config: SimConfig,
-                kernel: Callable[[np.ndarray, np.ndarray, np.ndarray], dict],
-                n_kernel: int, workers: int | None) -> list:
-    """``_sweep`` for the pair kernel: ``kernel(w1, w2, scratch)`` maps the
-    weak and strong SNRs of a chunk at one grid point to partial sums,
-    ``scratch`` being ``n_kernel`` vectors it may overwrite. The workspace
-    rows are the chunk's uniforms, then the gains of the current K if the
-    grid has several K (else the uniforms' rows), then w1 and w2 if it has
-    several xi (else the gains' rows, scaled in place), then the kernel's."""
-    gain_row = 2 if len(config.k_grid) > 1 else 0
-    snr_row = gain_row + 2 if len(config.xi_grid) > 1 else gain_row
-
-    def draw(rng, ws, n):
-        return _minmax_gains(rng, config.k_grid, config.beta, ws[:2, :n],
-                             ws[gain_row:gain_row + 2, :n])
-
-    def point(gains, xi: float, k: int, ws: np.ndarray) -> dict:
-        rows = ws[snr_row:, :gains.shape[1]]
-        # the instantaneous SNRs xi * g of (min, max)
-        w1, w2 = np.multiply(xi, gains, out=rows[:2])
-        return kernel(w1, w2, rows[2:])
-
-    return _sweep(config, draw, point, workers, snr_row + 2 + n_kernel)
 
 
 def _select(measures, common: tuple, tags: tuple, per_tag: tuple) -> tuple:
@@ -514,7 +494,7 @@ def _multiuser_power(config: SimConfig, workers: int | None,
     def draw(rng, ws, n):
         yield k, _ordered_gains(rng, config.beta, ws[:k, :n])
 
-    def point(g: np.ndarray, xi: float, k: int, ws: np.ndarray) -> dict:
+    def point(g: np.ndarray, xi: float, ws: np.ndarray) -> dict:
         n = g.shape[1]
         total = ws[k, :n]
         # rows k + 1 and k + 2 are contiguous: a block's K SNR vectors and
@@ -553,7 +533,8 @@ def simulate(config: SimConfig, workers: int | None = None,
     strong one at ``asup``; the other two are boundary identities.
 
     'multiuser' reports ``sum_b``, the minimum total NOMA power share that
-    matches OMA for every one of the K users.
+    matches OMA for every one of the K users. A moment that is not finite,
+    as where xi times a drawn gain overflows, raises DomainError.
     """
     if config.scenario == "multiuser":
         return _multiuser_power(config, workers, measures)
@@ -564,15 +545,28 @@ def simulate(config: SimConfig, workers: int | None = None,
         ("c1_noma", "c2_noma", "s_noma", "ds", "p_noma_weak", "p_noma_strong"))
     # at k = 2 first, which refuses an r0 whose thresholds overflow
     thresholds = (_rate_threshold(config.r0), _rate_threshold(config.r0, 1))
-
-    def kernel(w1: np.ndarray, w2: np.ndarray, scratch: np.ndarray) -> dict:
-        return _pair_measures(w1, w2, tags, config.fixed_share, thresholds,
-                              want, scratch)
-
-    # only the vectors _pair_measures touches: a workspace row never written
-    # can still cost resident memory where it shares a huge page; 'mid'
-    # needs both endpoints, and 'fixed' is a number, not a vector
+    # the workspace rows are the chunk's uniforms, then the gains of the
+    # current K if the grid has several K (else the uniforms' rows), then w1
+    # and w2 if it has several xi (else the gains' rows, scaled in place),
+    # then only the vectors _pair_measures touches: a workspace row never
+    # written can still cost resident memory where it shares a huge page;
+    # 'mid' needs both endpoints, and 'fixed' is a number, not a vector
+    gain_row = 2 if len(config.k_grid) > 1 else 0
+    snr_row = gain_row + 2 if len(config.xi_grid) > 1 else gain_row
     n_shares = len(set(tags).union(("ainf", "asup") if "mid" in tags else ())
                    - {"fixed"})
     sums = any(name.startswith(("s_", "ds_")) for name in want)
-    return _pair_sweep(config, kernel, 2 + n_shares + 2 * sums, workers)
+
+    def draw(rng, ws, n):
+        return _minmax_gains(rng, config.k_grid, config.beta, ws[:2, :n],
+                             ws[gain_row:gain_row + 2, :n])
+
+    def point(gains, xi: float, ws: np.ndarray) -> dict:
+        rows = ws[snr_row:, :gains.shape[1]]
+        # the instantaneous SNRs xi * g of (min, max)
+        w1, w2 = np.multiply(xi, gains, out=rows[:2])
+        return _pair_measures(w1, w2, tags, config.fixed_share, thresholds,
+                              want, rows[2:])
+
+    return _sweep(config, draw, point, workers,
+                  snr_row + 4 + n_shares + 2 * sums)

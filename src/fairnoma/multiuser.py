@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import (DomainError, _is_integer, _require_positive,
                      _require_rate, _require_real)
-from .twouser import _noma_rate, _oma_rate, _one
+from .twouser import _capacity, _oma_rate, _one, _sinr
 
 
 _ALLOC_KINDS = ("b_min", "a_full")
@@ -93,7 +93,7 @@ def _noma_rates(xi: float, channels: ChannelSet, coeffs) -> np.ndarray:
     if math.fsum(coeffs) > 1.0 + 1e-9:
         raise DomainError("coefficients exceed the power budget")
     rest = [math.fsum(coeffs[k:]) for k in range(1, channels.k + 1)]
-    return _noma_rate(np.multiply(xi, channels.gains), coeffs, rest)
+    return _capacity(_sinr(np.multiply(xi, channels.gains), coeffs, rest))
 
 
 def noma_capacity_k(xi: float, channels: ChannelSet, coeffs, k: int) -> float:

@@ -132,13 +132,6 @@ def _capacity(sinr: np.ndarray) -> np.ndarray:
     return np.divide(sinr, _LN2, out=sinr)
 
 
-def _noma_rate(w: np.ndarray, own, rest, out: np.ndarray | None = None,
-               tmp: np.ndarray | None = None) -> np.ndarray:
-    """NOMA capacity at share ``own`` under the undecoded share ``rest``;
-    ``out`` may be ``own``."""
-    return _capacity(_sinr(w, own, rest, out=out, tmp=tmp))
-
-
 def _strong_rate(w: np.ndarray, a, out: np.ndarray | None = None) -> np.ndarray:
     """The strong user's NOMA capacity after SIC: its SINR is ``a * w``."""
     return _capacity(np.multiply(a, w, out=out))
@@ -179,8 +172,7 @@ def noma_capacity_weak(xi: float, g1: float, a: float) -> float:
     interference; monotone decreasing in ``a``.
     """
     w = _require_positive("xi", xi) * _require_positive("g1", g1)
-    a = _check_share(a)
-    return _noma_rate(_one(w), 1.0 - a, a).item()
+    return _weak_rate(_one(w), _check_share(a), _one(0.0), _one(0.0)).item()
 
 
 def noma_capacity_strong(xi: float, g2: float, a: float) -> float:

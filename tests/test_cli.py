@@ -439,6 +439,26 @@ class TestFigureReproducibility:
             assert err.startswith("error: ") and err.count("\n") == 1, err
             assert not list(tmp_path.glob("figure*"))
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("figure,measures", [
+        (3, ("c1_oma", "c2_oma", "c1_noma_ainf", "c2_noma_ainf",
+             "c1_noma_asup", "c2_noma_asup")),
+        (4, ("s_oma", "s_noma_ainf", "s_noma_asup", "s_noma_fixed")),
+        (6, ("sum_b",))])
+    def test_overflowing_snr_product_exits_1(self, capsys, tmp_path, figure,
+                                             measures):
+        # xi = 1.6e308 is a double, but xi * g is not for a gain above about
+        # 1.1: the sweep refuses its inf or nan moment instead of writing it.
+        # numpy's RuntimeWarning lines may come first
+        code, out, err = run_cli(capsys, [
+            "figure", str(figure), "--xi-db", "3082", "--trials", "1000",
+            "--out-dir", str(tmp_path)])
+        assert code == 1 and out == ""
+        last = err.splitlines()[-1]
+        assert last.startswith("error: "), err
+        assert any(name in last for name in measures), last
+        assert not list(tmp_path.glob("figure*"))
+
     @pytest.mark.parametrize("figure,share", [(4, "1.5"), (5, "0")])
     def test_bad_fixed_share_exits_1_naming_it(self, capsys, tmp_path, figure,
                                                share):
@@ -560,8 +580,8 @@ class TestMultiuserCommand:
             printed.append(line.split(" = ")[1].split(","))
         vals = [float(v) for v in printed[0]]
         assert len(vals) == k and vals == sorted(vals)
-        want = mcsim._ordered_gains(mcsim._substream((7, 3, 0)), beta,
-                                    np.empty((k, 1)))
+        want = mcsim._ordered_gains(mcsim._substream(7, "multiuser", 0),
+                                    beta, np.empty((k, 1)))
         assert printed[0] == printed[1] == [cli._txt(g) for g in want.ravel()]
 
     @pytest.mark.parametrize("seed", ["-1", str(2 ** 64)])

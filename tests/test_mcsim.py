@@ -117,6 +117,22 @@ class TestConfigValidation:
         assert (cfg.trials, cfg.seed, cfg.k_grid) == (100, 7, (3, 5))
         assert all(type(n) is int for n in (cfg.trials, cfg.seed) + cfg.k_grid)
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("options,name", [
+        ({}, "c1_oma"), ({"scenario": "multiuser", "k_grid": (3,)}, "sum_b")])
+    def test_overflowing_snr_is_refused(self, options, name):
+        # xi * g overflows for any gain above about 1.06: an inf or nan
+        # moment is an error naming the measure and the point, not a result
+        with pytest.raises(DomainError) as info:
+            simulate(_cfg(trials=1000, xi_grid=(1e306, 1.7e308), **options))
+        message = str(info.value)
+        assert name in message and "xi = 1.7e+308" in message, message
+        k = options.get("k_grid", (2,))[0]
+        assert f"K = {k}" in message, message
+        # one step below, every moment is finite
+        point = simulate(_cfg(trials=1000, xi_grid=(1e306,), **options))[0]
+        assert all(math.isfinite(r.mean) for r in point.measures.values())
+
 
 class TestDeterminism:
     def test_repeat_run_is_bit_identical(self):
@@ -414,11 +430,11 @@ class TestSamplers:
         ws = np.empty((33, CHUNK_TRIALS))
         for n in (CHUNK_TRIALS, 12295, 1):
             for k in (2, 7, 30):
-                key = (1, 2, 0, k, 3)
-                u = mcsim._substream(key).random((k, n))
+                key = (1, "pair_minmax", k)
+                u = mcsim._substream(*key).random((k, n))
                 gaps = np.array([-(1.5 / (k - i)) * np.log1p(-u[i])
                                  for i in range(k)])
-                rng = mcsim._substream(key)
+                rng = mcsim._substream(*key)
                 got = mcsim._ordered_gains(rng, 1.5, ws[:k, :n])
                 assert np.array_equal(got, np.cumsum(gaps, axis=0))
 
@@ -429,12 +445,14 @@ class TestSamplers:
         for n in (CHUNK_TRIALS, 777):
             for k_grid in ((2, 3, 7, 30), (3, 4, 30), (2, 5)):
                 base, out = np.empty((2, n)), np.empty((2, n))
-                shared = mcsim._minmax_gains(mcsim._substream((4, 2, 1)),
-                                             k_grid, 1.5, base, out)
+                shared = mcsim._minmax_gains(
+                    mcsim._substream(4, "pair_minmax", 1), k_grid, 1.5, base,
+                    out)
                 for want_k, (k, gains) in zip(k_grid, shared, strict=True):
                     alone = np.empty((2, n))
                     _, single = next(mcsim._minmax_gains(
-                        mcsim._substream((4, 2, 1)), (k,), 1.5, alone, alone))
+                        mcsim._substream(4, "pair_minmax", 1), (k,), 1.5,
+                        alone, alone))
                     assert k == want_k
                     assert np.array_equal(gains, single), (n, k_grid, k)
 
