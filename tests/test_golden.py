@@ -10,12 +10,18 @@ version and fails on a skip. A deliberate change to the random stream or to
 a formula's operation order must update the table and say so in CHANGES.md.
 """
 
+import dataclasses
 import hashlib
 
 import numpy as np
 import pytest
 
 from fairnoma.cli import main
+from fairnoma.ergodic import ergodic_curve_point
+from fairnoma.multiuser import ChannelSet, full_alloc_a, min_alloc_b
+from fairnoma.outage import outage_point
+from fairnoma.pairing import expected_gain_asup
+from fairnoma.twouser import SystemParams
 
 RECORDED_NUMPY = "2.4.6"
 
@@ -66,3 +72,37 @@ def test_figure_csv_hash(figure, trials, extra, digest, tmp_path, capsys):
     assert code == 0
     data = (tmp_path / f"figure{figure}.csv").read_bytes()
     assert hashlib.sha256(data).hexdigest() == digest
+
+
+# SHA-256 over the float.hex lines of the closed forms below, recorded with
+# the same numpy; no figure CSV reaches these SNRs and betas, so this digest
+# is what pins the quadrature engine and the K-user recursion bit for bit
+CLOSED_FORM_DIGEST = "58fd6b96907bd590513ec9646382d0a6128e578c1a41448f5ef98fadfc3ab862"
+_XI_DB = range(-10, 130, 10)
+
+
+def _closed_form_lines():
+    xis = [10.0 ** (db / 10.0) for db in _XI_DB]
+    for beta in (0.5, 1.0, 2.0):
+        for xi in xis:
+            yield dataclasses.astuple(ergodic_curve_point(
+                SystemParams(xi=xi, beta=beta)))
+    for r0 in (0.5, 2.0, 8.0):
+        for xi in xis:
+            yield dataclasses.astuple(outage_point(SystemParams(xi=xi, r0=r0)))
+    yield tuple(expected_gain_asup(k) for k in (2, 3, 10, 30, 100, 512))
+    for k, seed in ((1, 1), (2, 2), (2, 3), (5, 4), (5, 5), (30, 6)):
+        gains = np.sort(np.random.default_rng(seed).exponential(size=k))
+        channels = ChannelSet(tuple(gains.tolist()))
+        for xi in (0.1, 10.0, 1e6):
+            for alloc in (min_alloc_b(xi, channels), full_alloc_a(xi, channels)):
+                yield alloc.coeffs + (alloc.residual,)
+
+
+def test_closed_form_digest():
+    if np.__version__ != RECORDED_NUMPY:
+        pytest.skip(f"golden hashes were recorded with numpy {RECORDED_NUMPY};"
+                    f" this is numpy {np.__version__}")
+    text = "\n".join(" ".join(float(v).hex() for v in line)
+                     for line in _closed_form_lines())
+    assert hashlib.sha256(text.encode()).hexdigest() == CLOSED_FORM_DIGEST
