@@ -6,10 +6,15 @@ harmonic numbers are exactly rounded sums, and region probabilities come
 from 2-D quadrature. Keeping the oracles independent is what gives the
 closed-form comparisons teeth. ``engine_minmax`` is not an
 oracle: it is the engine's own pool sampler, which the order-statistic tests
-check.
+check. ``run_probe`` runs a snippet in a fresh interpreter, for checks that
+need their own environment.
 """
 
 import math
+import os
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 from scipy import integrate
@@ -22,6 +27,19 @@ def e1_oracle(x: float) -> float:
     val, _ = integrate.quad(lambda t: math.exp(-t) / t, x, np.inf,
                             epsabs=1e-300, epsrel=1e-13, limit=400)
     return val
+
+
+def run_probe(probe: str, **env) -> str:
+    """stdout of ``probe`` run in a fresh interpreter that imports this
+    checkout's fairnoma, with ``env`` added to the environment."""
+    src = os.path.dirname(os.path.dirname(mcsim.__file__))
+    env = dict(os.environ, **env,
+               PYTHONPATH=os.pathsep.join(
+                   filter(None, (src, os.environ.get("PYTHONPATH")))))
+    proc = subprocess.run([sys.executable, "-c", textwrap.dedent(probe)],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
 
 
 def engine_minmax(k: int, beta: float, rng: np.random.Generator,

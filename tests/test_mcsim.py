@@ -1,10 +1,7 @@
 """Monte Carlo engine: determinism, paired draws, and statistical honesty."""
 
 import math
-import os
-import subprocess
 import sys
-import textwrap
 import time
 import warnings
 
@@ -14,25 +11,13 @@ import pytest
 from fairnoma import cli, ergodic, mcsim, multiuser, twouser
 from fairnoma.errors import DomainError
 from fairnoma.mcsim import CHUNK_TRIALS, SimConfig, SimResult, simulate
+from helpers import run_probe
 
 
 def _cfg(**kw):
     base = dict(trials=20_000, seed=5, xi_grid=(100.0,))
     base.update(kw)
     return SimConfig(**base)
-
-
-def _run_probe(probe: str, **env) -> str:
-    """stdout of ``probe`` run in a fresh interpreter that imports this
-    checkout's fairnoma, with ``env`` added to the environment."""
-    src = os.path.dirname(os.path.dirname(mcsim.__file__))
-    env = dict(os.environ, **env,
-               PYTHONPATH=os.pathsep.join(
-                   filter(None, (src, os.environ.get("PYTHONPATH")))))
-    proc = subprocess.run([sys.executable, "-c", textwrap.dedent(probe)],
-                          env=env, capture_output=True, text=True, timeout=300)
-    assert proc.returncode == 0, proc.stderr
-    return proc.stdout
 
 
 class TestConfigValidation:
@@ -170,7 +155,7 @@ class TestDeterminism:
                 for name, r in sorted(p.measures.items()):
                     print(p.xi, p.k, name, r.mean.hex(), r.std_error.hex())
             """
-        outputs = [_run_probe(probe, OPENBLAS_NUM_THREADS=threads)
+        outputs = [run_probe(probe, OPENBLAS_NUM_THREADS=threads)
                    for threads in ("1", "2")]
         assert outputs[0].count("\n") == 3 * 29 + 2
         assert outputs[0] == outputs[1]
@@ -356,7 +341,7 @@ class TestChunkMemory:
             simulate(config, {workers})
             print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
             """
-        faults_per_chunk = int(_run_probe(probe)) / 8
+        faults_per_chunk = int(run_probe(probe)) / 8
         assert faults_per_chunk < 100, faults_per_chunk
 
 
