@@ -39,26 +39,40 @@ inverse CDF as the minimum. A K grid shares the two uniforms: a chunk keeps
 The K-user kernel draws the K gaps of each trial into a K-major (K, n)
 array and adds the rows up in place, so its gains come out ascending.
 
-Each kernel returns partial sums, and the driver combines them in chunk
-order with ``math.fsum``, which is exactly rounded: results are
-bit-identical under any worker count. Second moments are ``einsum`` loops,
-not BLAS dot products, so standard errors do not depend on the machine's
-BLAS thread pool either, and no BLAS threads compete with the workers.
-The task is the chunk: it draws the chunk's gains once, then loops over the
-grid, K-major, and returns one partial per point. Workers are the threads
-of one pool per sweep, clamped to the chunk count and the CPU count, so a
-run of at most 65536 trials runs on one thread whatever its grid.
+Each kernel returns partial sums: the pair kernel a sum and a sum of
+squares per block of ``PAIR_BLOCK`` trials, and integer counts; the K-user
+kernel one sum and one sum of squares per chunk. The driver combines every
+(chunk, block) partial in order with ``math.fsum``, which is exactly
+rounded: results are bit-identical under any worker count. Sums of squares
+are numpy's own loops (``np.sum`` of the squares per block in the pair
+kernel, ``einsum`` in the K-user one), not BLAS dot products, so standard
+errors do not depend on the machine's BLAS thread pool either, and no BLAS
+threads compete with the workers. The task is the chunk: it draws the
+chunk's gains once, then loops over the grid, K-major, and returns one
+partial per point. Workers are the threads of one pool per sweep, clamped
+to the chunk count and the CPU count, so a run of at most 65536 trials runs
+on one thread whatever its grid.
 
-A chunk allocates no large arrays. Each sweep gives every worker a
-workspace of chunk-length vectors, which the sampler draws into with
-``Generator.random(out=...)`` and the kernels overwrite; the rows holding
-the draws are kept while the chunk's grid points are evaluated. Workspaces
-wait in a queue between chunks, so any thread may run any chunk with any
-free workspace, and all are dropped when the sweep returns. Fresh
-half-megabyte temporaries would each be mapped, zero-filled by the kernel
-and unmapped again. The K-user recursion runs over column blocks of the
-chunk, so a workspace holds K + 3 vectors, as many as it would without the
-kept draws.
+A chunk allocates no large arrays. Each sweep makes one workspace per
+worker thread, all in one allocation by the calling thread, and the kernels
+overwrite it. A pair workspace holds the chunk's uniforms and, when the
+grid has several K, the gains of the current K: its only chunk-length
+vectors, kept while the chunk's grid points are evaluated. On one thread,
+each point runs over blocks of ``PAIR_BLOCK`` trials, and a block's SNRs,
+squares, shares, rates and sums go into one small contiguous region of the
+workspace, at most ten vectors of 128 KB, which stays in a core's L2 cache
+from one numpy pass to the next; the same vectors a chunk long would not
+fit, and every pass would stream them from L3. On several threads each
+point runs over the whole chunk instead: every numpy call passes the
+interpreter lock, and four times as many calls cost the threads more in
+waiting for it than the cache saves. The moments are taken per block
+either way, and ``_moments`` gives a block the same bits in both, so the
+thread count moves no bit. Workspaces wait in a queue between chunks, so
+any thread may run any chunk with any free workspace, and all are dropped
+when the sweep returns. Fresh half-megabyte temporaries would each be
+mapped, zero-filled by the kernel and unmapped again. The K-user recursion
+runs over column blocks of the chunk, so its workspace holds K + 3
+chunk-length vectors, as many as it would without the kept draws.
 
 No bit depends on where a value sits: an elementwise ufunc rounds each
 element alike in a chunk, a row, a block or a one-element array. Each
@@ -66,9 +80,11 @@ point writes ``xi * g`` into scratch, as the scalar API does, so the
 per-draw physics (the fair share bound, the OMA and NOMA rates, the
 minimum-power recursion) is the array code of ``twouser`` and ``multiuser``
 that the scalar API runs too, and each draw's values equal the scalar API's
-at its gains bit for bit. Every measure is reduced by one ``np.sum`` and
-one ``einsum`` over its full chunk, and a buffer is overwritten only after
-its moments are taken.
+at its gains bit for bit, the rates in nats, before the scalar API converts
+them. The pair kernel takes each capacity's moments in nats, and
+``_reduce`` converts them once per point: the sum divided by ln 2, or by
+2 ln 2 for an OMA user's half share, and the sum of squares by the square
+of that. A buffer is overwritten only after its moments are taken.
 
 Outage is counted in the SINR domain, with no rate computed per draw: an
 OMA user is in outage when its SNR ``w < 4**r0 - 1`` (a half share), a
@@ -108,6 +124,7 @@ import numpy as np
 from .errors import (DomainError, _require_int, _require_positive,
                      _require_rate, _require_real)
 from .multiuser import _min_power_total
+from .specfun import _LN2
 from .twouser import (_oma_rate, _rate_threshold, _share_bound, _strong_rate,
                       _weak_rate, _weak_sinr)
 
@@ -115,11 +132,19 @@ from .twouser import (_oma_rate, _rate_threshold, _share_bound, _strong_rate,
 #: draws between substreams
 CHUNK_TRIALS = 1 << 16
 
+#: trials per block of the pair kernel: a block's SNR, share and rate
+#: vectors, at most ten, fit in a core's L2 cache where a chunk's would not
+PAIR_BLOCK = 1 << 14
+
 #: version of the map from a configuration to its draws: the substream key
 #: and the samplers; any change to either moves figure bytes and bumps it
 STREAM_VERSION = 4
 
 _SCENARIO_IDS = {"pair_iid": 1, "pair_minmax": 2, "multiuser": 3}
+
+# the per-tag measures of the pair scenarios
+_PER_TAG = ("c1_noma", "c2_noma", "s_noma", "ds", "p_noma_weak",
+            "p_noma_strong")
 
 
 def _require_grid(name: str, values, require: Callable) -> tuple:
@@ -212,6 +237,22 @@ class GridPoint:
 # ---------------------------------------------------------------------------
 # sweep driver
 
+def _chunks(trials: int) -> int:
+    """The number of chunks of ``trials`` trials."""
+    return (trials + CHUNK_TRIALS - 1) // CHUNK_TRIALS
+
+
+def _threads(n_tasks: int, workers: int | None) -> int:
+    """The threads ``_map_chunks`` runs ``n_tasks`` tasks on: at most
+    ``workers`` (None for one; DomainError for a count below 1), and never
+    more than tasks or than CPUs this process may run on."""
+    if workers is not None:
+        _require_int("workers", workers)
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    return min(workers or 1, n_tasks, cpus)
+
+
 def _map_chunks(fn: Callable[[int], dict], n_tasks: int,
                 workers: int | None) -> list:
     """``[fn(0), ..., fn(n_tasks - 1)]``, on one pool of at most ``workers``
@@ -219,9 +260,7 @@ def _map_chunks(fn: Callable[[int], dict], n_tasks: int,
     run on; a plain loop when that leaves one thread. A task that raises, or
     an interrupt, cancels the tasks not yet started instead of waiting for
     the rest of the sweep."""
-    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-            else os.cpu_count() or 1)
-    workers = min(workers or 1, n_tasks, cpus)
+    workers = _threads(n_tasks, workers)
     if workers <= 1:
         return [fn(i) for i in range(n_tasks)]
     pool = ThreadPoolExecutor(max_workers=workers)
@@ -245,9 +284,32 @@ def _moment(v: np.ndarray) -> tuple[float, float]:
     return float(np.sum(v)), float(np.einsum("i,i->", v, v))
 
 
-def _reduce(parts: list, trials: int, seed: int, xi: float, k: int) -> dict:
+def _moments(v: np.ndarray, tmp: np.ndarray) -> list:
+    """``(sum, sum of squares)`` of each block of ``PAIR_BLOCK`` trials of
+    ``v``, in order, the squares written into ``tmp``. ``np.sum`` along the
+    rows of a 2-D array sums each row as it sums that row alone, bit for
+    bit, so a vector of one block and one of several give the same pairs,
+    in three numpy calls (two more for a partial last block); einsum's loop
+    over the rows of a 2-D array rounds them otherwise than over one row,
+    so the squares are summed by ``np.sum`` too."""
+    n = len(v)
+    squares = np.square(v, out=tmp[:n])
+    full = n - n % PAIR_BLOCK
+    parts = [np.sum(x[:full].reshape(-1, PAIR_BLOCK), axis=1).tolist()
+             for x in (v, squares)]
+    if full < n:
+        for part, x in zip(parts, (v, squares)):
+            part.append(float(np.sum(x[full:])))
+    return list(zip(*parts))
+
+
+def _reduce(parts: list, trials: int, seed: int, xi: float, k: int,
+            units: dict) -> dict:
     """Combine per-chunk partials (in chunk order) of the point (xi, k) into
-    SimResults; DomainError if a moment's sum is not finite."""
+    SimResults: integer counts, or lists of (sum, sum of squares) pairs, one
+    per block of the chunk, which ``units[name]`` converts once, dividing
+    the sum by it and the sum of squares by its square; DomainError if a
+    moment's sum is not finite."""
     measures = {}
     for name in parts[0]:
         first = parts[0][name]
@@ -257,8 +319,10 @@ def _reduce(parts: list, trials: int, seed: int, xi: float, k: int) -> dict:
             se = math.sqrt(p_hat * (1.0 - p_hat) / trials)
             measures[name] = SimResult(p_hat, se, trials, seed)
         else:
-            total = math.fsum(p[name][0] for p in parts)
-            total_sq = math.fsum(p[name][1] for p in parts)
+            unit = units[name]
+            total = math.fsum(m[0] for p in parts for m in p[name]) / unit
+            total_sq = (math.fsum(m[1] for p in parts for m in p[name])
+                        / (unit * unit))
             if not (math.isfinite(total) and math.isfinite(total_sq)):
                 raise DomainError(f"Monte Carlo {name} is not finite at"
                                   f" xi = {xi!r}, K = {k}: xi times a drawn"
@@ -276,32 +340,33 @@ def _reduce(parts: list, trials: int, seed: int, xi: float, k: int) -> dict:
 def _sweep(config: SimConfig,
            draw: Callable[[np.random.Generator, np.ndarray, int], Iterator],
            kernel: Callable[[np.ndarray, float, np.ndarray], dict],
-           workers: int | None, n_scratch: int) -> list:
+           threads: int, ws_size: int, units: dict) -> list:
     """One GridPoint per (xi, K) point of ``config``, xi-major. Each chunk
     is one task: ``draw(rng, ws, n)`` draws the chunk's n trials from
     ``rng`` once and yields ``(k, gains)`` for each K of ``config.k_grid``
     in order, and ``kernel(gains, xi, ws)`` maps those gains at one xi to
-    partial sums (``_moment`` pairs or integer counts), which are reduced
-    per point in chunk order. ``ws`` is an (n_scratch, CHUNK_TRIALS)
-    workspace that both may overwrite, reused by later chunks; n columns of
-    each row are the chunk's. The chunk tasks run on one pool of at most
-    ``workers`` threads, clamped to the chunk count and the CPU count."""
-    if workers is not None:
-        _require_int("workers", workers)
-    n_chunks = (config.trials + CHUNK_TRIALS - 1) // CHUNK_TRIALS
+    partials (lists of (sum, sum of squares) pairs, or integer counts),
+    which are reduced per point in chunk order, each moment in ``units``.
+    ``ws`` is a workspace of ``ws_size`` doubles that both may overwrite,
+    reused by later chunks. The chunk tasks run on one pool of ``threads``
+    threads, from ``_threads``."""
+    n_chunks = _chunks(config.trials)
     grid = [(xi, k) for xi in config.xi_grid for k in config.k_grid]
     n_k = len(config.k_grid)
-    # idle workspaces; a task that finds none makes one, so there are never
-    # more workspaces than threads
+    # one workspace per thread, all in one allocation by this thread, whose
+    # memory the next sweep's allocation reuses whatever the two sizes;
+    # allocated by the worker threads, workspaces smaller than an earlier
+    # sweep's were kept in those threads' heaps, resident beside the next
+    # sweep's (figure 3's beside figure 6's, with glibc). From 4 MB on,
+    # numpy advises huge pages for it, so its first touch takes far fewer
+    # page faults. Idle workspaces wait in a queue, so a task always finds
+    # one.
     free = queue.SimpleQueue()
+    for ws in np.empty((threads, ws_size)):
+        free.put(ws)
 
     def task(ci: int) -> list:
-        try:
-            ws = free.get_nowait()
-        except queue.Empty:
-            # one allocation: from 4 MB on, numpy advises huge pages for it,
-            # so its first touch takes far fewer page faults
-            ws = np.empty((n_scratch, CHUNK_TRIALS))
+        ws = free.get()
         try:
             n = min(CHUNK_TRIALS, config.trials - ci * CHUNK_TRIALS)
             parts = [None] * len(grid)
@@ -315,10 +380,11 @@ def _sweep(config: SimConfig,
         finally:
             free.put(ws)
 
-    parts = _map_chunks(task, n_chunks, workers)
+    parts = _map_chunks(task, n_chunks, threads)
     return [GridPoint(xi=xi, k=k,
                       measures=_reduce([chunk[p] for chunk in parts],
-                                       config.trials, config.seed, xi, k))
+                                       config.trials, config.seed, xi, k,
+                                       units))
             for p, (xi, k) in enumerate(grid)]
 
 
@@ -394,13 +460,14 @@ def _ordered_gains(rng: np.random.Generator, beta: float,
 def _select(measures, common: tuple, tags: tuple, per_tag: tuple) -> tuple:
     """(names, tags) a kernel computes: ``measures``, or if it is None every
     name it produces (``common``, then ``<m>_<tag>`` for each m in
-    ``per_tag`` per tag of ``tags``, the share tags it reports), and the
-    tags they carry."""
+    ``per_tag`` per tag of ``tags``, the share tags it reports), in that
+    order, and the tags they carry."""
     produced = common + tuple(f"{m}_{tag}" for tag in tags for m in per_tag)
-    want = frozenset(produced if measures is None else measures)
-    if not want or not want <= set(produced):
+    asked = frozenset(produced if measures is None else measures)
+    if not asked or not asked <= set(produced):
         raise DomainError(f"measures must be a non-empty set of names from"
-                          f" {list(produced)}, got {sorted(want, key=str)}")
+                          f" {list(produced)}, got {sorted(asked, key=str)}")
+    want = tuple(name for name in produced if name in asked)
     return want, tuple(tag for tag in tags
                        if any(f"{m}_{tag}" in want for m in per_tag))
 
@@ -424,61 +491,74 @@ def _shares(w1: np.ndarray, w2: np.ndarray, tags, fixed,
     return shares
 
 
-def _pair_measures(w1: np.ndarray, w2: np.ndarray, tags: tuple, fixed,
-                   thresholds: tuple, want: frozenset,
-                   scratch: np.ndarray) -> dict:
-    """Partial sums of the measures in ``want`` for a chunk of weak and
-    strong SNRs ``w1`` and ``w2``: ``_moment`` pairs of the capacities and
-    integer counts of the outages. Each vector is computed only if one of
-    those needs it. ``thresholds`` are the OMA and NOMA SINR thresholds of
-    r0. ``scratch`` holds two rate or SINR vectors, the share vectors of
+def _pair_measures(want: tuple, tags: tuple, fixed,
+                   thresholds: tuple) -> Callable:
+    """The kernel of the pair scenarios: ``measures(w1, w2, scratch, out)``
+    adds the partials of the measures in ``want`` for a span of weak and
+    strong SNRs ``w1`` and ``w2`` to ``out``: the ``_moments`` pairs of
+    each capacity in nats, one per block of ``PAIR_BLOCK`` trials, appended
+    to the measure's list, and the span's count of each outage, added to
+    its integer. Which vectors a span computes is decided here, once per sweep:
+    each only if a measure in ``want`` needs it. ``thresholds`` are the OMA
+    and NOMA SINR thresholds of r0; at r0 = 0 both are 0.0, no SNR or SINR
+    lies below them, and no count is taken. ``scratch`` holds the squares of
+    ``_moments``, two rate or SINR vectors, the share vectors of
     ``_shares``, then two sum vectors only if ``want`` holds a sum (``s_*``
     or ``ds_*``)."""
     o_thresh, n_thresh = thresholds
-    c1, c2 = scratch[:2]
-    bufs = iter(scratch[2:])
-    shares = _shares(w1, w2, tags, fixed, bufs)
-    s_o, s = next(bufs, None), next(bufs, None)
-    out = {}
+    want = frozenset(want)
+    names = [(tag,) + tuple(f"{m}_{tag}" for m in _PER_TAG) for tag in tags]
+    # a sum needs both of its rates, and ds_<tag> both sums
+    need = set(want)
+    for _, c1, c2, s_n, ds, _, _ in names:
+        if s_n in want or ds in want:
+            need |= {c1, c2, s_n}
+    if "s_oma" in want or any(name.startswith("ds_") for name in want):
+        need |= {"c1_oma", "c2_oma", "s_oma"}
+    counted = {name for name in want if name.startswith("p_")
+               and (o_thresh if name.startswith("p_oma") else n_thresh)}
 
-    def keep(name: str, v: np.ndarray) -> None:
-        if name in want:
-            out[name] = _moment(v)
+    def measures(w1: np.ndarray, w2: np.ndarray, scratch: np.ndarray,
+                 out: dict) -> None:
+        tmp, c1, c2 = scratch[:3]
+        bufs = iter(scratch[3:])
+        shares = _shares(w1, w2, tags, fixed, bufs)
+        s_o, s = next(bufs, None), next(bufs, None)
 
-    def count(name: str, threshold: float,
-              sinr: Callable[[], np.ndarray]) -> None:
-        # at r0 = 0 the threshold is 0.0, and no SNR or SINR lies below it
-        out[name] = (int(np.count_nonzero(sinr() < threshold)) if threshold
-                     else 0)
+        def keep(name: str, v: np.ndarray) -> None:
+            if name in want:
+                out[name].extend(_moments(v, tmp))
 
-    sums = want & {"s_oma", *(f"ds_{tag}" for tag in tags)}
-    for name, w, c in (("c1_oma", w1, c1), ("c2_oma", w2, c2)):
-        if sums or name in want:
-            keep(name, _oma_rate(w, 2, c))
-    if sums:
-        keep("s_oma", np.add(c1, c2, out=s_o))
-    for name, w in (("p_oma_weak", w1), ("p_oma_strong", w2)):
-        if name in want:
-            count(name, o_thresh, lambda: w)
-    for tag in tags:
-        a = shares[tag]
-        sums = want & {f"s_noma_{tag}", f"ds_{tag}"}
-        if sums or f"c1_noma_{tag}" in want:
-            keep(f"c1_noma_{tag}", _weak_rate(w1, a, c1, c2))
-        if sums or f"c2_noma_{tag}" in want:
-            keep(f"c2_noma_{tag}", _strong_rate(w2, a, out=c2))
-        if sums:
-            keep(f"s_noma_{tag}", np.add(c1, c2, out=s))
-        if f"ds_{tag}" in want:
-            out[f"ds_{tag}"] = _moment(np.subtract(s, s_o, out=c1))
-        if f"p_noma_weak_{tag}" in want:
-            count(f"p_noma_weak_{tag}", n_thresh,
-                  lambda: _weak_sinr(w1, a, c1, c2))
-        if f"p_noma_strong_{tag}" in want:
-            # after SIC the strong user's SINR is a * w2
-            count(f"p_noma_strong_{tag}", n_thresh,
-                  lambda: np.multiply(a, w2, out=c2))
-    return out
+        def count(name: str, threshold: float, sinr: np.ndarray) -> None:
+            out[name] += int(np.count_nonzero(sinr < threshold))
+
+        for name, w, c in (("c1_oma", w1, c1), ("c2_oma", w2, c2)):
+            if name in need:
+                keep(name, _oma_rate(w, c))
+        if "s_oma" in need:
+            # a half share each, and halving is exact
+            np.add(c1, c2, out=s_o)
+            keep("s_oma", np.multiply(0.5, s_o, out=s_o))
+        for name, w in (("p_oma_weak", w1), ("p_oma_strong", w2)):
+            if name in counted:
+                count(name, o_thresh, w)
+        for tag, c1_n, c2_n, s_n, ds, p_weak, p_strong in names:
+            a = shares[tag]
+            if c1_n in need:
+                keep(c1_n, _weak_rate(w1, a, c1, c2))
+            if c2_n in need:
+                keep(c2_n, _strong_rate(w2, a, out=c2))
+            if s_n in need:
+                keep(s_n, np.add(c1, c2, out=s))
+            if ds in want:
+                keep(ds, np.subtract(s, s_o, out=c1))
+            if p_weak in counted:
+                count(p_weak, n_thresh, _weak_sinr(w1, a, c1, c2))
+            if p_strong in counted:
+                # after SIC the strong user's SINR is a * w2
+                count(p_strong, n_thresh, np.multiply(a, w2, out=c2))
+
+    return measures
 
 
 def _multiuser_power(config: SimConfig, workers: int | None,
@@ -492,14 +572,16 @@ def _multiuser_power(config: SimConfig, workers: int | None,
     block = 2 * CHUNK_TRIALS // (k + 2)
 
     def draw(rng, ws, n):
-        yield k, _ordered_gains(rng, config.beta, ws[:k, :n])
+        rows = ws.reshape(k + 3, CHUNK_TRIALS)
+        yield k, _ordered_gains(rng, config.beta, rows[:k, :n])
 
     def point(g: np.ndarray, xi: float, ws: np.ndarray) -> dict:
         n = g.shape[1]
-        total = ws[k, :n]
+        rows = ws.reshape(k + 3, CHUNK_TRIALS)
+        total = rows[k, :n]
         # rows k + 1 and k + 2 are contiguous: a block's K SNR vectors and
         # the recursion's two others
-        area = ws[k + 1:k + 3].reshape(-1)
+        area = rows[k + 1:k + 3].reshape(-1)
         w = area[:k * block].reshape(k, block)
         root, term = area[k * block:(k + 2) * block].reshape(2, block)
         for c0 in range(0, n, block):
@@ -507,10 +589,13 @@ def _multiuser_power(config: SimConfig, workers: int | None,
             wb = np.multiply(xi, g[:, c0:c0 + m], out=w[:, :m])
             # the transpose's columns are the rows of wb
             _min_power_total(wb.T, k, (total[c0:c0 + m], root[:m], term[:m]))
-        return {"sum_b": _moment(total)}
+        # one moment over the whole chunk
+        return {"sum_b": [_moment(total)]}
 
     # the K gains, the total, and two rows for the blocks
-    return _sweep(config, draw, point, workers, k + 3)
+    return _sweep(config, draw, point,
+                  _threads(_chunks(config.trials), workers),
+                  (k + 3) * CHUNK_TRIALS, {"sum_b": 1.0})
 
 
 # ---------------------------------------------------------------------------
@@ -541,32 +626,47 @@ def simulate(config: SimConfig, workers: int | None = None,
     fixed = () if config.fixed_share is None else ("fixed",)
     want, tags = _select(
         measures, ("c1_oma", "c2_oma", "s_oma", "p_oma_weak", "p_oma_strong"),
-        ("ainf", "asup", "mid") + fixed,
-        ("c1_noma", "c2_noma", "s_noma", "ds", "p_noma_weak", "p_noma_strong"))
+        ("ainf", "asup", "mid") + fixed, _PER_TAG)
     # at k = 2 first, which refuses an r0 whose thresholds overflow
     thresholds = (_rate_threshold(config.r0), _rate_threshold(config.r0, 1))
-    # the workspace rows are the chunk's uniforms, then the gains of the
-    # current K if the grid has several K (else the uniforms' rows), then w1
-    # and w2 if it has several xi (else the gains' rows, scaled in place),
-    # then only the vectors _pair_measures touches: a workspace row never
-    # written can still cost resident memory where it shares a huge page;
-    # 'mid' needs both endpoints, and 'fixed' is a number, not a vector
-    gain_row = 2 if len(config.k_grid) > 1 else 0
-    snr_row = gain_row + 2 if len(config.xi_grid) > 1 else gain_row
+    measure = _pair_measures(want, tags, config.fixed_share, thresholds)
+    threads = _threads(_chunks(config.trials), workers)
+    # one thread evaluates a point over blocks of PAIR_BLOCK trials, whose
+    # vectors stay in L2; several evaluate it over whole chunks, as each
+    # numpy call passes the interpreter lock and, with four times as many
+    # calls, two threads ran figure 1 slower than one. Moments are taken
+    # per block either way, so no bit depends on the choice
+    span = PAIR_BLOCK if threads == 1 else CHUNK_TRIALS
+    # the workspace holds the chunk's uniforms, then the gains of the
+    # current K if the grid has several K (else the uniforms' rows), each a
+    # chunk long; then a span's rows: w1 and w2, the squares, two rate or
+    # SINR vectors, and only the share and sum vectors measure touches
+    # ('mid' needs both endpoints, and 'fixed' is a number, not a vector)
+    chunk_rows = 4 if len(config.k_grid) > 1 else 2
     n_shares = len(set(tags).union(("ainf", "asup") if "mid" in tags else ())
                    - {"fixed"})
     sums = any(name.startswith(("s_", "ds_")) for name in want)
+    span_rows = 5 + n_shares + 2 * sums
 
     def draw(rng, ws, n):
-        return _minmax_gains(rng, config.k_grid, config.beta, ws[:2, :n],
-                             ws[gain_row:gain_row + 2, :n])
+        rows = ws[:chunk_rows * CHUNK_TRIALS].reshape(chunk_rows, CHUNK_TRIALS)
+        return _minmax_gains(rng, config.k_grid, config.beta, rows[:2, :n],
+                             rows[-2:, :n])
 
     def point(gains, xi: float, ws: np.ndarray) -> dict:
-        rows = ws[snr_row:, :gains.shape[1]]
-        # the instantaneous SNRs xi * g of (min, max)
-        w1, w2 = np.multiply(xi, gains, out=rows[:2])
-        return _pair_measures(w1, w2, tags, config.fixed_share, thresholds,
-                              want, rows[2:])
+        scratch = ws[chunk_rows * CHUNK_TRIALS:].reshape(span_rows, span)
+        out = {name: 0 if name.startswith("p_") else [] for name in want}
+        n = gains.shape[1]
+        for b0 in range(0, n, span):
+            m = min(span, n - b0)
+            # the instantaneous SNRs xi * g of (min, max)
+            w1, w2 = np.multiply(xi, gains[:, b0:b0 + m], out=scratch[:2, :m])
+            measure(w1, w2, scratch[2:, :m], out)
+        return out
 
-    return _sweep(config, draw, point, workers,
-                  snr_row + 4 + n_shares + 2 * sums)
+    # capacities in b/s/Hz: ln 2 nats per bit, and an OMA user has half the
+    # band
+    units = {name: 2.0 * _LN2 if name in ("c1_oma", "c2_oma") else _LN2
+             for name in want if not name.startswith("p_")}
+    return _sweep(config, draw, point, threads,
+                  chunk_rows * CHUNK_TRIALS + span_rows * span, units)

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import (DomainError, _is_integer, _require_positive,
                      _require_rate, _require_real)
-from .twouser import _capacity, _oma_rate, _one, _sinr
+from .twouser import _capacity, _oma_rate, _one, _sinr, _to_bits
 
 
 _ALLOC_KINDS = ("b_min", "a_full")
@@ -78,12 +78,13 @@ def oma_capacity_k(xi: float, channels: ChannelSet, k: int) -> float:
     """User k's rate under a 1/K orthogonal share (k is 1-based, SIC order)."""
     xi = _require_positive("xi", xi)
     _check_user_index(k, channels.k)
-    return _oma_rate(_one(xi * channels.gains[k - 1]), channels.k).item()
+    return _to_bits(_oma_rate(_one(xi * channels.gains[k - 1])),
+                    channels.k).item()
 
 
 def _noma_rates(xi: float, channels: ChannelSet, coeffs) -> np.ndarray:
-    """Every user's NOMA rate: own power over downstream (undecodable)
-    power. ``coeffs`` may be an AllocationVector."""
+    """Every user's NOMA rate in b/s/Hz: own power over downstream
+    (undecodable) power. ``coeffs`` may be an AllocationVector."""
     xi = _require_positive("xi", xi)
     if isinstance(coeffs, AllocationVector):
         coeffs = coeffs.coeffs
@@ -93,7 +94,8 @@ def _noma_rates(xi: float, channels: ChannelSet, coeffs) -> np.ndarray:
     if math.fsum(coeffs) > 1.0 + 1e-9:
         raise DomainError("coefficients exceed the power budget")
     rest = [math.fsum(coeffs[k:]) for k in range(1, channels.k + 1)]
-    return _capacity(_sinr(np.multiply(xi, channels.gains), coeffs, rest))
+    return _to_bits(_capacity(_sinr(np.multiply(xi, channels.gains), coeffs,
+                                    rest)))
 
 
 def noma_capacity_k(xi: float, channels: ChannelSet, coeffs, k: int) -> float:
@@ -177,5 +179,5 @@ def verify_fairness(xi: float, channels: ChannelSet, alloc) -> tuple:
     the actual sum of downstream coefficients).
     """
     noma = _noma_rates(xi, channels, alloc)
-    oma = _oma_rate(np.multiply(xi, channels.gains), channels.k)
+    oma = _to_bits(_oma_rate(np.multiply(xi, channels.gains)), channels.k)
     return tuple((noma - oma).tolist())

@@ -2,14 +2,17 @@
 
 Instantaneous OMA/NOMA capacities for an ordered pair of channel SNR gains,
 the fair power-allocation region [a_inf, a_sup] in which NOMA beats OMA for
-both users simultaneously, and the high-SNR capacity approximations. All
-rates are in b/s/Hz; the transmit SNR ``xi`` is linear (dB conversion happens
-only at the CLI boundary).
+both users simultaneously, and the high-SNR capacity approximations. The
+public functions return rates in b/s/Hz; the transmit SNR ``xi`` is linear
+(dB conversion happens only at the CLI boundary).
 
 Each per-draw formula is written once, on arrays of instantaneous SNRs
-``w = xi*g``, each step into ``out`` (and ``tmp``) when given. The scalar API
-evaluates it on a one-element array, the Monte Carlo kernels on whole
-chunks: the same ufuncs in the same order, so both give the same bits.
+``w = xi*g``, each step into ``out`` (and ``tmp``) when given. The rate
+helpers return nats, the capacity of the whole band: the scalar API
+evaluates them on a one-element array and converts with ``_to_bits``, the
+Monte Carlo kernels on blocks of a chunk, whose moments are converted once
+per grid point. The same ufuncs run in the same order, so both give the
+same per-draw bits.
 """
 
 from __future__ import annotations
@@ -94,11 +97,17 @@ def _share_bound(w: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return np.divide(1.0, out, out=out)
 
 
-def _oma_rate(w: np.ndarray, k: int, out: np.ndarray | None = None) -> np.ndarray:
-    """``np.log1p(w) / (k * _LN2)``: the capacity of a 1/k orthogonal share
-    (at k = 2 exactly ``0.5 * np.log1p(w) / _LN2``, as 2 * _LN2 is exact)."""
-    out = np.log1p(w, out=out)
-    return np.divide(out, k * _LN2, out=out)
+def _oma_rate(w: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """``np.log1p(w)``: the capacity of the whole band at SNR w, in nats; a
+    1/k orthogonal share has 1/k of it."""
+    return np.log1p(w, out=out)
+
+
+def _to_bits(nats: np.ndarray, k: int = 1) -> np.ndarray:
+    """``nats / (k * _LN2)``, in place: the rate in b/s/Hz of a 1/k share of
+    a band whose capacity is ``nats`` (at k = 2 exactly ``0.5 * nats /
+    _LN2``, as 2 * _LN2 is exact)."""
+    return np.divide(nats, k * _LN2, out=nats)
 
 
 def _rate_threshold(r0: float, k: int = 2) -> float:
@@ -127,13 +136,13 @@ def _sinr(w: np.ndarray, own, rest, out: np.ndarray | None = None,
 
 
 def _capacity(sinr: np.ndarray) -> np.ndarray:
-    """``np.log1p(sinr) / _LN2``, in place: the capacity at that SINR."""
-    np.log1p(sinr, out=sinr)
-    return np.divide(sinr, _LN2, out=sinr)
+    """``np.log1p(sinr)``, in place: the capacity at that SINR, in nats."""
+    return np.log1p(sinr, out=sinr)
 
 
 def _strong_rate(w: np.ndarray, a, out: np.ndarray | None = None) -> np.ndarray:
-    """The strong user's NOMA capacity after SIC: its SINR is ``a * w``."""
+    """The strong user's NOMA capacity after SIC, in nats: its SINR is
+    ``a * w``."""
     return _capacity(np.multiply(a, w, out=out))
 
 
@@ -147,15 +156,15 @@ def _weak_sinr(w: np.ndarray, a, out: np.ndarray,
 
 def _weak_rate(w: np.ndarray, a, out: np.ndarray,
                tmp: np.ndarray) -> np.ndarray:
-    """The weak user's NOMA capacity under strong-user share ``a``, written
-    into ``out``; ``tmp`` is overwritten."""
+    """The weak user's NOMA capacity under strong-user share ``a``, in nats,
+    written into ``out``; ``tmp`` is overwritten."""
     return _capacity(_weak_sinr(w, a, out, tmp))
 
 
 def oma_capacity(xi: float, g: float) -> float:
     """Half-bandwidth orthogonal-access capacity, (1/2) log2(1 + xi*g)."""
     w = _require_positive("xi", xi) * _require_positive("g", g)
-    return _oma_rate(_one(w), 2).item()
+    return _to_bits(_oma_rate(_one(w)), 2).item()
 
 
 def _check_share(a) -> float:
@@ -172,13 +181,14 @@ def noma_capacity_weak(xi: float, g1: float, a: float) -> float:
     interference; monotone decreasing in ``a``.
     """
     w = _require_positive("xi", xi) * _require_positive("g1", g1)
-    return _weak_rate(_one(w), _check_share(a), _one(0.0), _one(0.0)).item()
+    return _to_bits(_weak_rate(_one(w), _check_share(a), _one(0.0),
+                               _one(0.0))).item()
 
 
 def noma_capacity_strong(xi: float, g2: float, a: float) -> float:
     """Strong-user NOMA capacity log2(1 + a xi g2), interference-free after SIC."""
     w = _require_positive("xi", xi) * _require_positive("g2", g2)
-    return _strong_rate(_one(w), _check_share(a)).item()
+    return _to_bits(_strong_rate(_one(w), _check_share(a))).item()
 
 
 def allocation_bound(xi: float, x: float) -> float:

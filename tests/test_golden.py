@@ -28,18 +28,20 @@ RECORDED_NUMPY = "2.4.6"
 # (figure, trials, extra flags) -> SHA-256 of figureN.csv on its default grid,
 # recorded for stream version 4 (mcsim.STREAM_VERSION) and the array
 # Gauss-Kronrod quadrature of the closed forms (figures 1, 2 and 5); figure
-# 2's hashes since its NOMA outage columns integrate the outage region
+# 2's hashes since its NOMA outage columns integrate the outage region, and
+# those of figures 1, 3, 4 and 5 since the pair kernel sums its capacities
+# in nats per block
 GOLDEN = [
-    (1, 3000, [], "117218845f376608db82d7e378375b6dc3d2cf497fc8a8d99d59859ad50748fa"),
+    (1, 3000, [], "f3f5c027246d1c3c0adb681acb130518f87b1085c328404f18d7b5cb5b2b9771"),
     (2, 3000, [], "8079b2ddec42469c97740a4f77882c755885679fbae754b94004a97c5a7849c8"),
-    (3, 3000, [], "26cfda43641edfc53ee85532b18d77ba3db87d1c6b485f601371078814df735d"),
-    (4, 3000, [], "06d8b06293d7eacbf6cc08100c7379b98efb65963afdf7219a7de180d48f4f77"),
-    (5, 3000, [], "aa8bd7be2270eb7a122fc164ee5a92ed242c55b2e559be8dd69596ac5843f836"),
+    (3, 3000, [], "56302d8fc2b42ae924f7d7d95a18637d422f9b9068315ab37ac10538a133c7b1"),
+    (4, 3000, [], "1dcfccb276311577cd8a94b8009fd63ea6cbaecebe9af493d2a19f834250771f"),
+    (5, 3000, [], "67ac2b2663620a2fa2f94322f61b128d2f50ccb576bf448b5c385b899eb4c367"),
     (6, 3000, ["--workers", "2"],
      "b0fe3faa4f8d8db746cfcdc8bcfb54acb0b659aaccb3ffe602319f9036934eab"),
     # two chunk tasks, so the parallel path really splits work
     (1, 70000, ["--workers", "2"],
-     "7c860a1ff22f35e2809d71ad92fcd7607f6752580bc6a40aa148e09ce58074df"),
+     "3875cfd1253159a2002d2279296fada1190bf1eb2b2dcab724114675486a10b3"),
 ]
 
 # three full chunks and a partial fourth, each drawn once for the whole
@@ -47,11 +49,11 @@ GOLDEN = [
 # points and threads are covered
 _MULTI_CHUNK = [
     (1, ["--xi-db", "0,30,60"],
-     "398161a1e86a2e61bd34b2b8bb9c1fdcdc0660c511a27ea9595972a23eb5c1e9"),
+     "302faa5303aaa69b09bfcc0e00a731dcf68947bd3dc9746b08c846fd61ca3512"),
     (2, ["--xi-db", "0,30,60"],
      "172711964d767cb38ec7c248f06a34c5b678cb484c52bf9923797e605456207a"),
     (3, ["--k-grid", "2,7,30"],
-     "df0228ec67b8bada73889351060d9586da4dc494f113fe6d8ad8e293e96a2dab"),
+     "f3c6f09e185b5bfbe475602455206a8d31f8072703d00be888ec6db2ca69e3c5"),
     (6, ["--xi-db", "0,30,60"],
      "ee84fd36953ed9c033e8326073896336c16789b353945f5712f20ceb13a9a2d8"),
 ]

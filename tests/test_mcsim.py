@@ -579,7 +579,7 @@ class TestScalarApiIsTheEngine:
     of the per-draw physics, so the API reproduces every value a kernel
     reduces, bit for bit. The kernels' intermediate vectors are recorded by
     wrapping the engine's samplers (``_minmax_gains`` and
-    ``_ordered_gains``), ``_shares`` and ``_moment``."""
+    ``_ordered_gains``), ``_shares``, and ``_moment`` and ``_moments``."""
 
     XI_GRID = (0.1, 3.7, 1e2, 1e4, 1e6, 1e9)
 
@@ -587,7 +587,8 @@ class TestScalarApiIsTheEngine:
     def _record(monkeypatch) -> dict:
         seen = {"gains": [], "shares": [], "moments": []}
         minmax, ordered = mcsim._minmax_gains, mcsim._ordered_gains
-        shares, moment = mcsim._shares, mcsim._moment
+        shares, moment, moments = (mcsim._shares, mcsim._moment,
+                                   mcsim._moments)
 
         def record_minmax(*args):
             for k, out in minmax(*args):
@@ -601,17 +602,22 @@ class TestScalarApiIsTheEngine:
 
         def record_shares(*args, **kwargs):
             out = shares(*args, **kwargs)
-            seen["shares"].append({tag: a.copy() for tag, a in out.items()})
+            seen["shares"].append({tag: np.copy(a) for tag, a in out.items()})
             return out
 
         def record_moment(v):
             seen["moments"].append(v.copy())
             return moment(v)
 
+        def record_moments(v, tmp):
+            seen["moments"].append(v.copy())
+            return moments(v, tmp)
+
         monkeypatch.setattr(mcsim, "_minmax_gains", record_minmax)
         monkeypatch.setattr(mcsim, "_ordered_gains", record_ordered)
         monkeypatch.setattr(mcsim, "_shares", record_shares)
         monkeypatch.setattr(mcsim, "_moment", record_moment)
+        monkeypatch.setattr(mcsim, "_moments", record_moments)
         return seen
 
     @staticmethod
@@ -628,15 +634,26 @@ class TestScalarApiIsTheEngine:
         simulate(_cfg(trials=CHUNK_TRIALS + 37, beta=beta,
                       xi_grid=self.XI_GRID))
         assert len(seen["gains"]) == 2
+        # per block: the shares, then c1_oma, c2_oma, s_oma, and c1, c2, s,
+        # ds per share, each in nats
+        blocks = iter([(shares, seen["moments"][15 * b:15 * b + 15])
+                       for b, shares in enumerate(seen["shares"])])
         checked = []
-        for j, (chunk, xi) in enumerate(
-                (chunk, xi) for chunk in (0, 1) for xi in self.XI_GRID):
+        for chunk, xi in ((chunk, xi) for chunk in (0, 1)
+                          for xi in self.XI_GRID):
             weak, strong = seen["gains"][chunk]
-            shares = seen["shares"][j]
-            assert list(shares) == ["ainf", "asup", "mid"]
-            # c1_oma, c2_oma, s_oma, then c1, c2, s, ds per share
-            moments = seen["moments"][15 * j:15 * j + 15]
             n = len(weak)
+            recorded = [next(blocks) for _ in range(0, n, mcsim.PAIR_BLOCK)]
+            assert all(list(shares) == ["ainf", "asup", "mid"]
+                       for shares, _ in recorded)
+            shares = {tag: np.concatenate([r[0][tag] for r in recorded])
+                      for tag in ("ainf", "asup")}
+            nats = [np.concatenate([r[1][m] for r in recorded])
+                    for m in range(15)]
+            assert len(nats[0]) == n
+            # each converted to b/s/Hz as the scalar API converts its own
+            rates = [twouser._to_bits(v.copy(), 2 if m < 2 else 1)
+                     for m, v in enumerate(nats)]
             for i in range(0, n, 97) if chunk == 0 else range(n):
                 g1, g2 = float(weak[i]), float(strong[i])
                 region = twouser.fair_region(twouser.SystemParams(xi=xi),
@@ -644,17 +661,52 @@ class TestScalarApiIsTheEngine:
                 checked += [
                     ("a_inf", region.a_inf, shares["ainf"][i]),
                     ("a_sup", region.a_sup, shares["asup"][i]),
-                    ("c1_oma", twouser.oma_capacity(xi, g1), moments[0][i]),
-                    ("c2_oma", twouser.oma_capacity(xi, g2), moments[1][i])]
+                    ("c1_oma", twouser.oma_capacity(xi, g1), rates[0][i]),
+                    ("c2_oma", twouser.oma_capacity(xi, g2), rates[1][i])]
                 for j, a in enumerate((region.a_inf, region.a_sup)):
                     checked += [
                         ("c1_noma", twouser.noma_capacity_weak(xi, g1, a),
-                         moments[3 + 4 * j][i]),
+                         rates[3 + 4 * j][i]),
                         ("c2_noma", twouser.noma_capacity_strong(xi, g2, a),
-                         moments[4 + 4 * j][i])]
-        assert len(seen["moments"]) == 15 * 2 * len(self.XI_GRID)
+                         rates[4 + 4 * j][i])]
+        assert next(blocks, None) is None
         bad = self._mismatches(checked)
         assert not bad, (len(bad), len(checked), bad[:5])
+
+    def test_every_pair_mean_is_the_api_mean(self, monkeypatch):
+        # the kernel takes its moments in nats and converts each measure's
+        # sum once, by its own unit; the mean of the scalar API's b/s/Hz
+        # values on the same draws pins that unit for every measure. One
+        # chunk, whose last block ends mid-block
+        seen = self._record(monkeypatch)
+        trials, xi = mcsim.PAIR_BLOCK + 1234, 1e3
+        [point] = simulate(_cfg(trials=trials, fixed_share=0.3,
+                                xi_grid=(xi,)))
+        [(weak, strong)] = seen["gains"]
+        values = {name: [] for name in point.measures
+                  if not name.startswith("p_")}
+        assert len(values) == 3 + 4 * 4
+        for g1, g2 in zip(weak.tolist(), strong.tolist()):
+            region = twouser.fair_region(twouser.SystemParams(xi=xi),
+                                         twouser.ChannelPair(g1, g2))
+            c1_oma = twouser.oma_capacity(xi, g1)
+            c2_oma = twouser.oma_capacity(xi, g2)
+            draw = {"c1_oma": c1_oma, "c2_oma": c2_oma,
+                    "s_oma": c1_oma + c2_oma}
+            for tag, a in (("ainf", region.a_inf), ("asup", region.a_sup),
+                           ("mid", 0.5 * (region.a_inf + region.a_sup)),
+                           ("fixed", 0.3)):
+                c1 = twouser.noma_capacity_weak(xi, g1, a)
+                c2 = twouser.noma_capacity_strong(xi, g2, a)
+                draw.update({f"c1_noma_{tag}": c1, f"c2_noma_{tag}": c2,
+                             f"s_noma_{tag}": c1 + c2,
+                             f"ds_{tag}": c1 + c2 - (c1_oma + c2_oma)})
+            for name, v in draw.items():
+                values[name].append(v)
+        for name, v in values.items():
+            api = math.fsum(v) / trials
+            assert point.measures[name].mean == pytest.approx(
+                api, rel=1e-13, abs=0.0), name
 
     @staticmethod
     def _gains_at(monkeypatch, theta: float) -> None:
