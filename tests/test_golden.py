@@ -56,6 +56,14 @@ _MULTI_CHUNK = [
      "f3c6f09e185b5bfbe475602455206a8d31f8072703d00be888ec6db2ca69e3c5"),
     (6, ["--xi-db", "0,30,60"],
      "ee84fd36953ed9c033e8326073896336c16789b353945f5712f20ceb13a9a2d8"),
+    # the K-user kernel away from its default K = 5: at K = 1 each user's
+    # root is its SNR itself, and K = 30 draws 30 gain rows per chunk
+    (6, ["--k", "1", "--xi-db", "0,30,60"],
+     "9fba7c1629e5798242708c04311fb021f32420387280378ec6b1c56ab34734c3"),
+    (6, ["--k", "2", "--xi-db", "0,30,60"],
+     "68deebf91d9b041488d4db88bd98db038e8dce42ec990a0cbcbaccf9030f9ab9"),
+    (6, ["--k", "30", "--xi-db", "0,30,60"],
+     "7be814ea57e1e26fbbd1f02bdb197c770166e4d94e1c365a3a46435f1db7fa3b"),
 ]
 GOLDEN += [(figure, 200000, grid + ["--workers", workers], digest)
            for figure, grid, digest in _MULTI_CHUNK for workers in ("1", "2")]
