@@ -70,9 +70,14 @@ either way, and ``_moments`` gives a block the same bits in both, so the
 thread count moves no bit. Workspaces wait in a queue between chunks, so
 any thread may run any chunk with any free workspace, and all are dropped
 when the sweep returns. Fresh half-megabyte temporaries would each be
-mapped, zero-filled by the kernel and unmapped again. The K-user recursion
-runs over column blocks of the chunk, so its workspace holds K + 3
-chunk-length vectors, as many as it would without the kept draws.
+mapped, zero-filled by the kernel and unmapped again. The K-user kernel
+runs its recursion over whole chunk rows, one user at a time, strongest
+first: one row receives each user's SNR ``xi * g`` just before that user's
+step, which overwrites it with the user's share. Its workspace holds K + 4
+chunk-length vectors (the K gains, that row, the total and two
+temporaries). Each point makes about 9K numpy calls per chunk, each over
+the whole chunk: every call passes the interpreter lock, and a few long
+calls let several threads overlap where many short ones would queue.
 
 No bit depends on where a value sits: an elementwise ufunc rounds each
 element alike in a chunk, a row, a block or a one-element array. Each
@@ -566,36 +571,25 @@ def _multiuser_power(config: SimConfig, workers: int | None,
     """``simulate`` for scenario 'multiuser'."""
     _select(measures, ("sum_b",), (), ())
     k = config.k_grid[0]
-    # the widest block whose K + 2 vectors fit in two chunk rows: each numpy
-    # call releases the interpreter lock, and narrower blocks, with more
-    # calls, measured slower on two workers than on one
-    block = 2 * CHUNK_TRIALS // (k + 2)
 
     def draw(rng, ws, n):
-        rows = ws.reshape(k + 3, CHUNK_TRIALS)
+        rows = ws.reshape(k + 4, CHUNK_TRIALS)
         yield k, _ordered_gains(rng, config.beta, rows[:k, :n])
 
     def point(g: np.ndarray, xi: float, ws: np.ndarray) -> dict:
-        n = g.shape[1]
-        rows = ws.reshape(k + 3, CHUNK_TRIALS)
-        total = rows[k, :n]
-        # rows k + 1 and k + 2 are contiguous: a block's K SNR vectors and
-        # the recursion's two others
-        area = rows[k + 1:k + 3].reshape(-1)
-        w = area[:k * block].reshape(k, block)
-        root, term = area[k * block:(k + 2) * block].reshape(2, block)
-        for c0 in range(0, n, block):
-            m = min(block, n - c0)
-            wb = np.multiply(xi, g[:, c0:c0 + m], out=w[:, :m])
-            # the transpose's columns are the rows of wb
-            _min_power_total(wb.T, k, (total[c0:c0 + m], root[:m], term[:m]))
-        # one moment over the whole chunk
+        # rows k..k+3: the SNR row, the total and the recursion's two others,
+        # each a chunk long, so every numpy call spans the whole chunk
+        w, total, root, term = ws.reshape(k + 4, CHUNK_TRIALS)[k:, :g.shape[1]]
+        # user j's SNR xi * g[j], strongest first, written into w just
+        # before its step, which overwrites it with the user's share
+        snrs = (np.multiply(xi, row, out=w) for row in g[::-1])
+        _min_power_total(snrs, k, (total, root, term))
         return {"sum_b": [_moment(total)]}
 
-    # the K gains, the total, and two rows for the blocks
+    # the K gains and four rows for the recursion
     return _sweep(config, draw, point,
                   _threads(_chunks(config.trials), workers),
-                  (k + 3) * CHUNK_TRIALS, {"sum_b": 1.0})
+                  (k + 4) * CHUNK_TRIALS, {"sum_b": 1.0})
 
 
 # ---------------------------------------------------------------------------

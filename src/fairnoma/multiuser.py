@@ -115,22 +115,28 @@ def _root_minus_one(w: np.ndarray, k: int,
     return np.expm1(out, out=out)
 
 
-def _min_power_total(w: np.ndarray, k: int, scratch=None) -> np.ndarray:
-    """Sum of the minimum per-user shares that replicate OMA capacities:
-    ``total = total + t * (1.0 + w * total) / w`` over the users K..1 of an
-    (n, K) array of ascending SNRs, ``t`` from ``_root_minus_one``. Each SNR
-    column is overwritten by its user's share. ``scratch`` holds three
-    vectors of length n (fresh ones when None); returns the first."""
+def _min_power_total(snrs, k: int, scratch=None) -> np.ndarray:
+    """Sum of the minimum per-user shares that replicate OMA capacities over
+    the K users of ``snrs``, an iterable of K SNR vectors of length n taken
+    one at a time, strongest user first: ``total = t / w`` for the
+    strongest, then ``total = total + t * (1.0 + w * total) / w``, ``t``
+    from ``_root_minus_one``; the first step equals the second's form at
+    ``total = 0`` bit for bit (NaN at w = 0 and w = inf either way). Each
+    SNR vector is overwritten by its user's share before the next is taken.
+    ``scratch`` holds three vectors of length n (fresh ones when None);
+    returns the first."""
+    snrs = iter(snrs)
+    w = next(snrs)
     total, root, term = np.empty((3, len(w))) if scratch is None else scratch
-    total.fill(0.0)
-    for j in range(k - 1, -1, -1):
-        wj = w[:, j]
-        t = _root_minus_one(wj, k, out=root)
-        np.multiply(wj, total, out=term)
+    np.divide(_root_minus_one(w, k, out=root), w, out=total)
+    np.copyto(w, total)
+    for w in snrs:
+        t = _root_minus_one(w, k, out=root)
+        np.multiply(w, total, out=term)
         np.add(1.0, term, out=term)
         np.multiply(t, term, out=term)
-        np.divide(term, wj, out=wj)
-        np.add(total, wj, out=total)
+        np.divide(term, w, out=w)
+        np.add(total, w, out=total)
     return total
 
 
@@ -143,7 +149,8 @@ def min_alloc_b(xi: float, channels: ChannelSet) -> AllocationVector:
     """
     xi = _require_positive("xi", xi)
     b = np.multiply(xi, [channels.gains])
-    _min_power_total(b, channels.k)
+    # the columns of b, strongest user first
+    _min_power_total(b.T[::-1], channels.k)
     coeffs = tuple(b[0].tolist())
     return AllocationVector(coeffs=coeffs, residual=1.0 - math.fsum(coeffs),
                             kind="b_min")

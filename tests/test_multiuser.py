@@ -14,6 +14,8 @@ from fairnoma.mcsim import SimConfig, simulate
 from fairnoma.multiuser import (
     AllocationVector,
     ChannelSet,
+    _min_power_total,
+    _root_minus_one,
     full_alloc_a,
     min_alloc_b,
     noma_capacity_k,
@@ -176,6 +178,68 @@ class TestMinAllocB:
         v = min_alloc_b(1e3, ChannelSet(gains=gains))
         assert math.fsum(v.coeffs) < 1.0
         assert v.residual > 0.0
+
+
+def _hex(values) -> list:
+    return [float(v).hex() for v in np.ravel(values)]
+
+
+class TestOneRecursion:
+    """``_min_power_total`` serves the scalar API, which passes the columns
+    of a (1, K) array, and the Monte Carlo kernel, which passes one chunk
+    row rewritten per user; both give the bits of the recursion that starts
+    from a total of 0 for every user, shares and totals alike."""
+
+    XI = 1e3
+
+    @staticmethod
+    def _reference(w: np.ndarray, k: int) -> tuple:
+        # the recursion from a zero total, strongest user first, on an
+        # (n, K) array of ascending SNRs
+        w = w.copy()
+        total = np.zeros(len(w))
+        for j in range(k - 1, -1, -1):
+            t = _root_minus_one(w[:, j].copy(), k)
+            w[:, j] = t * (1.0 + w[:, j] * total) / w[:, j]
+            total = total + w[:, j]
+        return total, w
+
+    @staticmethod
+    def _gains(k: int) -> np.ndarray:
+        # (K, n) ascending gains: trial 0's weakest is 0, and xi times trial
+        # 1's strongest (and at K > 1 its second strongest) overflows
+        g = np.sort(np.random.default_rng(k).exponential(1.0, (64, k)), axis=1)
+        g[0, 0] = 0.0
+        g[1, -2:] = (1e306, 2e306)[-k:]
+        return g.T.copy()
+
+    @pytest.mark.parametrize("k", [1, 2, 5, 30, 64])
+    def test_columns_and_chunk_rows_match_the_zero_start(self, k):
+        g = self._gains(k)
+        with np.errstate(all="ignore"):
+            want_total, want_shares = self._reference(self.XI * g.T, k)
+            # the scalar API's way: the columns of a (1, K) array per trial
+            totals, shares = [], []
+            for gains in g.T:
+                b = np.multiply(self.XI, [gains])
+                totals.append(_min_power_total(b.T[::-1], k)[0])
+                shares.append(b[0])
+            # the kernel's way: one chunk row, recomputed for each user
+            w = np.empty(g.shape[1])
+            row_shares = np.empty_like(g)
+
+            def snrs():
+                for j in range(k - 1, -1, -1):
+                    yield np.multiply(self.XI, g[j], out=w)
+                    row_shares[j] = w
+
+            row_total = _min_power_total(snrs(), k)
+        assert np.isnan(want_total[:2]).all()
+        assert np.isfinite(want_total[2:]).all()
+        assert _hex(totals) == _hex(want_total)
+        assert _hex(shares) == _hex(want_shares)
+        assert _hex(row_total) == _hex(want_total)
+        assert _hex(row_shares.T) == _hex(want_shares)
 
 
 # E[helpers.min_power_sum] over the ordered gains of K = 3 i.i.d. Exp(1)
