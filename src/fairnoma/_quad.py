@@ -82,15 +82,12 @@ def integrate_semi_infinite(f: Callable[[np.ndarray], np.ndarray],
     return _integrate(mapped, rel_tol, abs_tol)
 
 
-def integrate_interval(f: Callable[[np.ndarray], np.ndarray], a: float,
-                       b: float, rel_tol: float = 1e-10,
-                       abs_tol: float = 1e-13) -> tuple:
-    """Adaptive quadrature on [a, b] with the same error contract; [0, 1]
-    itself is integrated without a map."""
-    def mapped(u: np.ndarray) -> np.ndarray:
-        return f(a + (b - a) * u) * (b - a)
-
-    return _integrate(f if (a, b) == (0.0, 1.0) else mapped, rel_tol, abs_tol)
+def integrate_unit_interval(f: Callable[[np.ndarray], np.ndarray],
+                            rel_tol: float = 1e-10,
+                            abs_tol: float = 0.0) -> tuple:
+    """Integrate ``f`` over [0, 1], with no map, under :func:`_integrate`'s
+    error contract."""
+    return _integrate(f, rel_tol, abs_tol)
 
 
 def _integrate(f: Callable[[np.ndarray], np.ndarray], rel_tol: float,
@@ -105,7 +102,7 @@ def _integrate(f: Callable[[np.ndarray], np.ndarray], rel_tol: float,
     rather than each other, so a wrapper around one of them (as perfbench's
     tracer installs) sees each integral once.
     """
-    lo, hi, x, half = _first_round()
+    lo, hi, x, half = _FIRST_ROUND
     shape, res = _gk21(f, x, half)
     for rounds in range(_MAX_ROUNDS + 1):
         value, estimate = res.sum(axis=2)
@@ -141,22 +138,17 @@ def _nodes(lo: np.ndarray, hi: np.ndarray) -> tuple:
     return x.ravel(), half
 
 
-# the first round, built once for the _START array it came from
-_first = (None, ())
-
-
-def _first_round() -> tuple:
-    """``(lo, hi, abscissae, half-widths)`` of the ``_START`` panels, shared
-    by every call and read-only."""
-    global _first
-    start, first = _first
-    if start is not _START:
-        lo, hi = _START[:-1], _START[1:]
-        first = (lo, hi) + _nodes(lo, hi)
-        for array in first:
-            array.flags.writeable = False
-        _first = (_START, first)
+def _first_round(start: np.ndarray) -> tuple:
+    """``(lo, hi, abscissae, half-widths)`` of the panels between successive
+    points of ``start``, read-only."""
+    first = (start[:-1], start[1:]) + _nodes(start[:-1], start[1:])
+    for array in first:
+        array.flags.writeable = False
     return first
+
+
+# the first round of every integral, shared by every call
+_FIRST_ROUND = _first_round(_START)
 
 
 def _gk21(f: Callable[[np.ndarray], np.ndarray], x: np.ndarray,

@@ -401,8 +401,8 @@ def cmd_multiuser(args: argparse.Namespace) -> int:
             raise _Usage(f"--gains lists {len(args.gains)} values but --k is {k}")
         gains = tuple(sorted(args.gains))
     else:
-        seed = 12345 if args.seed is None else args.seed
-        beta = 1.0 if args.beta is None else args.beta
+        seed = _COMMON_DEFAULTS["seed"] if args.seed is None else args.seed
+        beta = _COMMON_DEFAULTS["beta"] if args.beta is None else args.beta
         # checked here, as numpy's own ValueError would escape main
         _require_int("seed", seed, 0, 2 ** 64)
         _require_positive("beta", beta)
@@ -513,8 +513,9 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="comma list of K channel gains")
     gains.add_argument("--random", action="store_true",
                        help="draw K exponential gains")
-    multi.add_argument("--seed", type=int, help="--random only; default 12345")
-    multi.add_argument("--beta", type=float, help="--random only; default 1")
+    for flag, kind in (("seed", int), ("beta", float)):
+        multi.add_argument(f"--{flag}", type=kind, help="--random only;"
+                           f" default {_COMMON_DEFAULTS[flag]}")
     multi.set_defaults(func=cmd_multiuser)
 
     return parser

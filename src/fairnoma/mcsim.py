@@ -39,26 +39,24 @@ inverse CDF as the minimum. A K grid shares the two uniforms: a chunk keeps
 The K-user kernel draws the K gaps of each trial into a K-major (K, n)
 array and adds the rows up in place, so its gains come out ascending.
 
-Each kernel returns partial sums: the pair kernel a sum and a sum of
-squares per block of ``PAIR_BLOCK`` trials, and integer counts; the K-user
-kernel one sum and one sum of squares per chunk. The driver combines every
-(chunk, block) partial in order with ``math.fsum``, which is exactly
-rounded: results are bit-identical under any worker count. Sums of squares
-are numpy's own loops (``np.sum`` of the squares per block in the pair
-kernel, ``einsum`` in the K-user one), not BLAS dot products, so standard
-errors do not depend on the machine's BLAS thread pool either, and no BLAS
-threads compete with the workers. The task is the chunk: it draws the
-chunk's gains once, then loops over the grid, K-major, and returns one
-partial per point. Workers are the threads of one pool per sweep, clamped
-to the chunk count and the CPU count, so a run of at most 65536 trials runs
-on one thread whatever its grid.
+Each kernel returns partial sums: integer counts, and for every moment
+one (sum, sum of squares) pair per block of ``BLOCK_TRIALS`` trials, the
+squares summed by ``np.sum``, numpy's own loop, not a BLAS dot product.
+The driver combines the pairs of every (chunk, block) in order with
+``math.fsum``, which is exactly rounded: results are bit-identical under
+any worker count, standard errors do not depend on the machine's BLAS
+thread pool, and no BLAS threads compete with the workers. The task is the
+chunk: it draws the chunk's gains once, then loops over the grid, K-major,
+and returns one partial per point. Workers are the threads of one pool per
+sweep, clamped to the chunk count and the CPU count, so a run of at most
+65536 trials runs on one thread whatever its grid.
 
 A chunk allocates no large arrays. Each sweep makes one workspace per
 worker thread, all in one allocation by the calling thread, and the kernels
 overwrite it. A pair workspace holds the chunk's uniforms and, when the
 grid has several K, the gains of the current K: its only chunk-length
 vectors, kept while the chunk's grid points are evaluated. On one thread,
-each point runs over blocks of ``PAIR_BLOCK`` trials, and a block's SNRs,
+each point runs over blocks of ``BLOCK_TRIALS`` trials, and a block's SNRs,
 squares, shares, rates and sums go into one small contiguous region of the
 workspace, at most ten vectors of 128 KB, which stays in a core's L2 cache
 from one numpy pass to the next; the same vectors a chunk long would not
@@ -75,9 +73,10 @@ runs its recursion over whole chunk rows, one user at a time, strongest
 first: one row receives each user's SNR ``xi * g`` just before that user's
 step, which overwrites it with the user's share. Its workspace holds K + 4
 chunk-length vectors (the K gains, that row, the total and two
-temporaries). Each point makes about 9K numpy calls per chunk, each over
-the whole chunk: every call passes the interpreter lock, and a few long
-calls let several threads overlap where many short ones would queue.
+temporaries, one of which takes the total's squares). Each point makes
+about 9K numpy calls per chunk, each over the whole chunk: every call
+passes the interpreter lock, and a few long calls let several threads
+overlap where many short ones would queue.
 
 No bit depends on where a value sits: an elementwise ufunc rounds each
 element alike in a chunk, a row, a block or a one-element array. Each
@@ -137,9 +136,9 @@ from .twouser import (_oma_rate, _rate_threshold, _share_bound, _strong_rate,
 #: draws between substreams
 CHUNK_TRIALS = 1 << 16
 
-#: trials per block of the pair kernel: a block's SNR, share and rate
-#: vectors, at most ten, fit in a core's L2 cache where a chunk's would not
-PAIR_BLOCK = 1 << 14
+#: trials per moment block; one thread runs the pair kernel block by block,
+#: as a block's vectors, at most ten, fit in a core's L2 cache
+BLOCK_TRIALS = 1 << 14
 
 #: version of the map from a configuration to its draws: the substream key
 #: and the samplers; any change to either moves figure bytes and bumps it
@@ -283,14 +282,8 @@ def _substream(seed: int, scenario: str, ci: int) -> np.random.Generator:
         np.random.SeedSequence((seed, _SCENARIO_IDS[scenario], ci))))
 
 
-def _moment(v: np.ndarray) -> tuple[float, float]:
-    # einsum's own loop, not BLAS ddot: no thread pool, and the same
-    # rounding whatever the machine's BLAS thread count
-    return float(np.sum(v)), float(np.einsum("i,i->", v, v))
-
-
 def _moments(v: np.ndarray, tmp: np.ndarray) -> list:
-    """``(sum, sum of squares)`` of each block of ``PAIR_BLOCK`` trials of
+    """``(sum, sum of squares)`` of each block of ``BLOCK_TRIALS`` trials of
     ``v``, in order, the squares written into ``tmp``. ``np.sum`` along the
     rows of a 2-D array sums each row as it sums that row alone, bit for
     bit, so a vector of one block and one of several give the same pairs,
@@ -299,8 +292,8 @@ def _moments(v: np.ndarray, tmp: np.ndarray) -> list:
     so the squares are summed by ``np.sum`` too."""
     n = len(v)
     squares = np.square(v, out=tmp[:n])
-    full = n - n % PAIR_BLOCK
-    parts = [np.sum(x[:full].reshape(-1, PAIR_BLOCK), axis=1).tolist()
+    full = n - n % BLOCK_TRIALS
+    parts = [np.sum(x[:full].reshape(-1, BLOCK_TRIALS), axis=1).tolist()
              for x in (v, squares)]
     if full < n:
         for part, x in zip(parts, (v, squares)):
@@ -311,10 +304,11 @@ def _moments(v: np.ndarray, tmp: np.ndarray) -> list:
 def _reduce(parts: list, trials: int, seed: int, xi: float, k: int,
             units: dict) -> dict:
     """Combine per-chunk partials (in chunk order) of the point (xi, k) into
-    SimResults: integer counts, or lists of (sum, sum of squares) pairs, one
-    per block of the chunk, which ``units[name]`` converts once, dividing
-    the sum by it and the sum of squares by its square; DomainError if a
-    moment's sum is not finite."""
+    SimResults. A partial is an integer count or a moment: one (sum, sum of
+    squares) pair per block, from ``_moments``. The pairs of every chunk are
+    combined in order by ``math.fsum``, and ``units[name]`` converts them
+    once, dividing the sum by it and the sum of squares by its square;
+    DomainError if either is not finite."""
     measures = {}
     for name in parts[0]:
         first = parts[0][name]
@@ -348,8 +342,8 @@ def _sweep(config: SimConfig,
            threads: int, ws_size: int, units: dict) -> list:
     """One GridPoint per (xi, K) point of ``config``, xi-major. Each chunk
     is one task: ``draw(rng, ws, n)`` draws the chunk's n trials from
-    ``rng`` once and yields ``(k, gains)`` for each K of ``config.k_grid``
-    in order, and ``kernel(gains, xi, ws)`` maps those gains at one xi to
+    ``rng`` once and yields its gains for each K of ``config.k_grid`` in
+    order, and ``kernel(gains, xi, ws)`` maps those gains at one xi to
     partials (lists of (sum, sum of squares) pairs, or integer counts),
     which are reduced per point in chunk order, each moment in ``units``.
     ``ws`` is a workspace of ``ws_size`` doubles that both may overwrite,
@@ -378,7 +372,7 @@ def _sweep(config: SimConfig,
             # no grid value in the key: a point's rows do not depend on
             # which other points the grid holds
             rng = _substream(config.seed, config.scenario, ci)
-            for j, (_, gains) in enumerate(draw(rng, ws, n)):
+            for j, gains in enumerate(draw(rng, ws, n)):
                 for i, xi in enumerate(config.xi_grid):
                     parts[i * n_k + j] = kernel(gains, xi, ws)
             return parts
@@ -408,11 +402,11 @@ def _gains(u: np.ndarray, scale: float,
 
 def _minmax_gains(rng: np.random.Generator, k_grid: tuple, beta: float,
                   base: np.ndarray, out: np.ndarray) -> Iterator:
-    """Yield ``(k, out)`` for each k of the ascending ``k_grid`` (each
-    k >= 2), ``out`` a (2, n) array holding (min, max) of k i.i.d.
-    Exp(beta) gains per trial, every K from one draw of two uniforms per
-    trial into the (2, n) array ``base``, which may be ``out`` itself when
-    ``k_grid`` holds one K. The minimum is Exp(beta/k), ``-(beta/k) *
+    """Yield ``out`` for each k of the ascending ``k_grid`` (each k >= 2),
+    a (2, n) array holding (min, max) of k i.i.d. Exp(beta) gains per
+    trial, every K from one draw of two uniforms per trial into the (2, n)
+    array ``base``, which may be ``out`` itself when ``k_grid`` holds one
+    K. The minimum is Exp(beta/k), ``-(beta/k) *
     log1p(-u1)``; the maximum is the minimum plus the largest of k-1 i.i.d.
     Exp(beta) gaps, whose CDF ``(1 - exp(-x/beta))**(k-1)`` is inverted
     through expm1 and ``log(u2)`` so that uniforms near 1 keep their tail;
@@ -444,7 +438,7 @@ def _minmax_gains(rng: np.random.Generator, k_grid: tuple, beta: float,
             np.log(hi, out=hi)
             np.multiply(beta, hi, out=hi)
             np.subtract(lo, hi, out=hi)
-        yield k, out
+        yield out
 
 
 def _ordered_gains(rng: np.random.Generator, beta: float,
@@ -501,7 +495,7 @@ def _pair_measures(want: tuple, tags: tuple, fixed,
     """The kernel of the pair scenarios: ``measures(w1, w2, scratch, out)``
     adds the partials of the measures in ``want`` for a span of weak and
     strong SNRs ``w1`` and ``w2`` to ``out``: the ``_moments`` pairs of
-    each capacity in nats, one per block of ``PAIR_BLOCK`` trials, appended
+    each capacity in nats, one per block of ``BLOCK_TRIALS`` trials, appended
     to the measure's list, and the span's count of each outage, added to
     its integer. Which vectors a span computes is decided here, once per sweep:
     each only if a measure in ``want`` needs it. ``thresholds`` are the OMA
@@ -574,7 +568,7 @@ def _multiuser_power(config: SimConfig, workers: int | None,
 
     def draw(rng, ws, n):
         rows = ws.reshape(k + 4, CHUNK_TRIALS)
-        yield k, _ordered_gains(rng, config.beta, rows[:k, :n])
+        yield _ordered_gains(rng, config.beta, rows[:k, :n])
 
     def point(g: np.ndarray, xi: float, ws: np.ndarray) -> dict:
         # rows k..k+3: the SNR row, the total and the recursion's two others,
@@ -584,7 +578,7 @@ def _multiuser_power(config: SimConfig, workers: int | None,
         # before its step, which overwrites it with the user's share
         snrs = (np.multiply(xi, row, out=w) for row in g[::-1])
         _min_power_total(snrs, k, (total, root, term))
-        return {"sum_b": [_moment(total)]}
+        return {"sum_b": _moments(total, root)}
 
     # the K gains and four rows for the recursion
     return _sweep(config, draw, point,
@@ -625,12 +619,12 @@ def simulate(config: SimConfig, workers: int | None = None,
     thresholds = (_rate_threshold(config.r0), _rate_threshold(config.r0, 1))
     measure = _pair_measures(want, tags, config.fixed_share, thresholds)
     threads = _threads(_chunks(config.trials), workers)
-    # one thread evaluates a point over blocks of PAIR_BLOCK trials, whose
+    # one thread evaluates a point over blocks of BLOCK_TRIALS trials, whose
     # vectors stay in L2; several evaluate it over whole chunks, as each
     # numpy call passes the interpreter lock and, with four times as many
     # calls, two threads ran figure 1 slower than one. Moments are taken
     # per block either way, so no bit depends on the choice
-    span = PAIR_BLOCK if threads == 1 else CHUNK_TRIALS
+    span = BLOCK_TRIALS if threads == 1 else CHUNK_TRIALS
     # the workspace holds the chunk's uniforms, then the gains of the
     # current K if the grid has several K (else the uniforms' rows), each a
     # chunk long; then a span's rows: w1 and w2, the squares, two rate or

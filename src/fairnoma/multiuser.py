@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import (DomainError, _is_integer, _require_positive,
                      _require_rate, _require_real)
-from .twouser import _capacity, _oma_rate, _one, _sinr, _to_bits
+from .twouser import _capacity, _oma_rate, _sinr, _to_bits
 
 
 _ALLOC_KINDS = ("b_min", "a_full")
@@ -74,18 +74,26 @@ def _check_user_index(k: int, n_users: int) -> None:
         raise IndexError(f"user index must be in 1..{n_users}, got {k!r}")
 
 
+def _snrs(xi: float, channels: ChannelSet) -> np.ndarray:
+    """Every user's SNR ``xi * g``; DomainError unless the weakest and the
+    strongest, so all, are positive and finite."""
+    xi = _require_positive("xi", xi)
+    for g in (channels.gains[0], channels.gains[-1]):
+        _require_positive("xi * gains", xi * g)
+    return np.multiply(xi, channels.gains)
+
+
 def oma_capacity_k(xi: float, channels: ChannelSet, k: int) -> float:
     """User k's rate under a 1/K orthogonal share (k is 1-based, SIC order)."""
-    xi = _require_positive("xi", xi)
+    w = _snrs(xi, channels)
     _check_user_index(k, channels.k)
-    return _to_bits(_oma_rate(_one(xi * channels.gains[k - 1])),
-                    channels.k).item()
+    return _to_bits(_oma_rate(w[k - 1:k]), channels.k).item()
 
 
 def _noma_rates(xi: float, channels: ChannelSet, coeffs) -> np.ndarray:
     """Every user's NOMA rate in b/s/Hz: own power over downstream
     (undecodable) power. ``coeffs`` may be an AllocationVector."""
-    xi = _require_positive("xi", xi)
+    w = _snrs(xi, channels)
     if isinstance(coeffs, AllocationVector):
         coeffs = coeffs.coeffs
     coeffs = tuple(_require_rate("coefficients", c) for c in coeffs)
@@ -94,8 +102,7 @@ def _noma_rates(xi: float, channels: ChannelSet, coeffs) -> np.ndarray:
     if math.fsum(coeffs) > 1.0 + 1e-9:
         raise DomainError("coefficients exceed the power budget")
     rest = [math.fsum(coeffs[k:]) for k in range(1, channels.k + 1)]
-    return _to_bits(_capacity(_sinr(np.multiply(xi, channels.gains), coeffs,
-                                    rest)))
+    return _to_bits(_capacity(_sinr(w, coeffs, rest)))
 
 
 def noma_capacity_k(xi: float, channels: ChannelSet, coeffs, k: int) -> float:
@@ -147,8 +154,7 @@ def min_alloc_b(xi: float, channels: ChannelSet) -> AllocationVector:
     so every user's rate matches its 1/K orthogonal rate exactly and the
     total spend stays at or below the budget.
     """
-    xi = _require_positive("xi", xi)
-    b = np.multiply(xi, [channels.gains])
+    b = _snrs(xi, channels)[None]
     # the columns of b, strongest user first
     _min_power_total(b.T[::-1], channels.k)
     coeffs = tuple(b[0].tolist())
@@ -163,14 +169,13 @@ def full_alloc_a(xi: float, channels: ChannelSet) -> AllocationVector:
     k sizes its share against the remaining-power level A_{k-1}. The
     residual is the final ladder level A_K >= 0.
     """
-    xi = _require_positive("xi", xi)
+    snrs = _snrs(xi, channels)
     n = channels.k
     if n == 1:
         return AllocationVector(coeffs=(1.0,), residual=0.0, kind="a_full")
     # at A_0 = 1 this is a_1 = (1 + w - (1+w)^{(K-1)/K})/w, without the power
     coeffs = []
     level = 1.0
-    snrs = np.multiply(xi, channels.gains)
     for w, t in zip(snrs.tolist(), _root_minus_one(snrs, n).tolist()):
         a = (1.0 + level * w) * t / (w * (1.0 + t))
         coeffs.append(a)
@@ -186,5 +191,5 @@ def verify_fairness(xi: float, channels: ChannelSet, alloc) -> tuple:
     the actual sum of downstream coefficients).
     """
     noma = _noma_rates(xi, channels, alloc)
-    oma = _to_bits(_oma_rate(np.multiply(xi, channels.gains)), channels.k)
+    oma = _to_bits(_oma_rate(_snrs(xi, channels)), channels.k)
     return tuple((noma - oma).tolist())

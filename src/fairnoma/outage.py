@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._quad import integrate_interval
+from ._quad import integrate_unit_interval
 from .errors import DomainError
 from .twouser import SystemParams, _rate_threshold
 
@@ -94,7 +94,7 @@ def _noma_endpoints(params: SystemParams) -> tuple[float, float]:
                     out=out[1])
         return out
 
-    (weak, strong), _ = integrate_interval(integrand, 0.0, 1.0, abs_tol=0.0)
+    (weak, strong), _ = integrate_unit_interval(integrand)
     p_weak = math.expm1(-y_lo) ** 2 - 4.0 * c / bx * math.exp(-y_lo) * weak
     return min(float(p_weak), 1.0), min(float(-4.0 * m / bx * strong), 1.0)
 

@@ -161,9 +161,15 @@ def _weak_rate(w: np.ndarray, a, out: np.ndarray,
     return _capacity(_weak_sinr(w, a, out, tmp))
 
 
+def _snr(xi: float, g: float, name: str = "g") -> float:
+    """``xi * g``; DomainError unless both and it are positive and finite."""
+    return _require_positive(f"xi * {name}", _require_positive("xi", xi)
+                             * _require_positive(name, g))
+
+
 def oma_capacity(xi: float, g: float) -> float:
     """Half-bandwidth orthogonal-access capacity, (1/2) log2(1 + xi*g)."""
-    w = _require_positive("xi", xi) * _require_positive("g", g)
+    w = _snr(xi, g)
     return _to_bits(_oma_rate(_one(w)), 2).item()
 
 
@@ -180,14 +186,14 @@ def noma_capacity_weak(xi: float, g1: float, a: float) -> float:
     The weak user decodes while treating the strong user's share ``a`` as
     interference; monotone decreasing in ``a``.
     """
-    w = _require_positive("xi", xi) * _require_positive("g1", g1)
+    w = _snr(xi, g1, "g1")
     return _to_bits(_weak_rate(_one(w), _check_share(a), _one(0.0),
                                _one(0.0))).item()
 
 
 def noma_capacity_strong(xi: float, g2: float, a: float) -> float:
     """Strong-user NOMA capacity log2(1 + a xi g2), interference-free after SIC."""
-    w = _require_positive("xi", xi) * _require_positive("g2", g2)
+    w = _snr(xi, g2, "g2")
     return _to_bits(_strong_rate(_one(w), _check_share(a))).item()
 
 
@@ -197,7 +203,7 @@ def allocation_bound(xi: float, x: float) -> float:
     Evaluated as 1/(1 + sqrt(1 + xi*x)), which is cancellation-free and makes
     the xi*x -> 0 limit of 1/2 exact.
     """
-    w = _require_positive("xi", xi) * _require_positive("x", x)
+    w = _snr(xi, x, "x")
     return _share_bound(_one(w)).item()
 
 

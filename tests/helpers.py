@@ -47,7 +47,7 @@ def engine_minmax(k: int, beta: float, rng: np.random.Generator,
     """(min, max) gains of n pools of k i.i.d. Exp(beta) users, drawn the way
     the Monte Carlo engine draws them: its pair sampler at a single K."""
     out = np.empty((2, n))
-    _, (mn, mx) = next(mcsim._minmax_gains(rng, (k,), beta, out, out))
+    mn, mx = next(mcsim._minmax_gains(rng, (k,), beta, out, out))
     return mn, mx
 
 

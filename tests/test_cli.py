@@ -118,6 +118,19 @@ class TestRegion:
         assert code == 1 and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1, err
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("argv", [
+        ["region", "--xi", "1e300", "--g1", "1", "--g2", "1e10"],
+        ["multiuser", "--k", "2", "--xi", "1e300", "--gains", "1,1e10"],
+        ["multiuser", "--k", "2", "--xi", "1e-200", "--gains", "1e-200,1"]],
+        ids=["region", "multiuser", "multiuser-underflow"])
+    def test_snr_beyond_a_double_exits_1(self, capsys, argv):
+        # xi and each gain are doubles, but xi times a gain is not: one
+        # error line naming the product, before any rate is computed
+        code, out, err = run_cli(capsys, argv)
+        assert code == 1 and out == ""
+        assert err.startswith("error: xi * ") and err.count("\n") == 1, err
+
 
 class TestFigureOutputs:
     def test_figure1_schema_and_values(self, capsys, tmp_path):
@@ -506,7 +519,8 @@ class TestFigureReproducibility:
     def test_quadrature_failure_exits_one(self, capsys, tmp_path, monkeypatch,
                                           argv):
         # one starting panel and no bisection round cannot meet the target
-        monkeypatch.setattr(_quad, "_START", np.array([0.0, 1.0]))
+        monkeypatch.setattr(_quad, "_FIRST_ROUND",
+                            _quad._first_round(np.array([0.0, 1.0])))
         monkeypatch.setattr(_quad, "_MAX_ROUNDS", 0)
         code, _, err = run_cli(capsys, argv + ["--out-dir", str(tmp_path)])
         assert code == 1
@@ -637,7 +651,7 @@ class TestMultiuserCommand:
         assert out == ""
         assert err.startswith("usage error: ") and err.count("\n") == 1, err
 
-    def test_random_draw_defaults(self, capsys):
+    def test_random_draw_defaults(self, capsys, monkeypatch):
         argv = ["multiuser", "--k", "4", "--xi-db", "20", "--random"]
         code, out, _ = run_cli(capsys, argv)
         assert code == 0
@@ -645,6 +659,11 @@ class TestMultiuserCommand:
                        )[1] == out
         assert run_cli(capsys, argv + ["--seed", "5"])[1] != out
         assert run_cli(capsys, argv + ["--beta", "2"])[1] != out
+        # one table of defaults: the draw follows the figures' seed and beta
+        changed = run_cli(capsys, argv + ["--seed", "5", "--beta", "2"])[1]
+        monkeypatch.setitem(cli._COMMON_DEFAULTS, "seed", 5)
+        monkeypatch.setitem(cli._COMMON_DEFAULTS, "beta", 2.0)
+        assert run_cli(capsys, argv)[1] == changed
 
 
 def test_cli_import_leaves_scipy_unloaded():

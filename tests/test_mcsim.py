@@ -10,7 +10,8 @@ import pytest
 
 from fairnoma import cli, ergodic, mcsim, multiuser, twouser
 from fairnoma.errors import DomainError
-from fairnoma.mcsim import CHUNK_TRIALS, SimConfig, SimResult, simulate
+from fairnoma.mcsim import (BLOCK_TRIALS, CHUNK_TRIALS, SimConfig, SimResult,
+                            simulate)
 from helpers import run_probe
 
 
@@ -128,13 +129,20 @@ class TestDeterminism:
             assert p.measures == q.measures
 
     def test_worker_count_cannot_change_results(self):
-        # spans several chunks so parallel partitioning is actually exercised
-        cfg = _cfg(trials=3 * CHUNK_TRIALS + 17, xi_grid=(10.0, 1000.0))
-        serial = simulate(cfg, workers=None)
-        parallel = simulate(cfg, workers=4)
-        for p, q in zip(serial, parallel):
-            for name in p.measures:
-                assert p.measures[name] == q.measures[name]
+        # spans several chunks so parallel partitioning is actually
+        # exercised; the K-user chunks are a full one and a partial one of
+        # two full blocks and a partial third
+        blocks = CHUNK_TRIALS + 2 * BLOCK_TRIALS + 37
+        cases = [{"trials": 3 * CHUNK_TRIALS + 17}] + [
+            {"trials": blocks, "scenario": "multiuser", "k_grid": (k,)}
+            for k in (1, 2, 30)]
+        for options in cases:
+            cfg = _cfg(xi_grid=(10.0, 1000.0), **options)
+            serial = simulate(cfg, workers=None)
+            parallel = simulate(cfg, workers=4)
+            # whole SimResults: mean and std_error alike
+            assert ([p.measures for p in serial]
+                    == [q.measures for q in parallel]), options
 
     def test_worker_count_cannot_change_counts(self):
         cfg = _cfg(trials=2 * CHUNK_TRIALS + 5, r0=1.0)
@@ -433,12 +441,11 @@ class TestSamplers:
                 shared = mcsim._minmax_gains(
                     mcsim._substream(4, "pair_minmax", 1), k_grid, 1.5, base,
                     out)
-                for want_k, (k, gains) in zip(k_grid, shared, strict=True):
+                for k, gains in zip(k_grid, shared, strict=True):
                     alone = np.empty((2, n))
-                    _, single = next(mcsim._minmax_gains(
+                    single = next(mcsim._minmax_gains(
                         mcsim._substream(4, "pair_minmax", 1), (k,), 1.5,
                         alone, alone))
-                    assert k == want_k
                     assert np.array_equal(gains, single), (n, k_grid, k)
 
     def test_extreme_uniforms_give_finite_gains_silently(self):
@@ -449,7 +456,7 @@ class TestSamplers:
             with np.errstate(all="raise"):
                 for k in (2, 5, 30):
                     out = np.empty((2, 6))
-                    _, (lo, hi) = next(mcsim._minmax_gains(
+                    lo, hi = next(mcsim._minmax_gains(
                         _EdgeUniforms(), (k,), 2.0, out, out))
                     g = mcsim._ordered_gains(_EdgeUniforms(), 2.0,
                                              np.empty((k, 6)))
@@ -579,7 +586,7 @@ class TestScalarApiIsTheEngine:
     of the per-draw physics, so the API reproduces every value a kernel
     reduces, bit for bit. The kernels' intermediate vectors are recorded by
     wrapping the engine's samplers (``_minmax_gains`` and
-    ``_ordered_gains``), ``_shares``, and ``_moment`` and ``_moments``."""
+    ``_ordered_gains``), ``_shares`` and ``_moments``."""
 
     XI_GRID = (0.1, 3.7, 1e2, 1e4, 1e6, 1e9)
 
@@ -587,13 +594,12 @@ class TestScalarApiIsTheEngine:
     def _record(monkeypatch) -> dict:
         seen = {"gains": [], "shares": [], "moments": []}
         minmax, ordered = mcsim._minmax_gains, mcsim._ordered_gains
-        shares, moment, moments = (mcsim._shares, mcsim._moment,
-                                   mcsim._moments)
+        shares, moments = mcsim._shares, mcsim._moments
 
         def record_minmax(*args):
-            for k, out in minmax(*args):
+            for out in minmax(*args):
                 seen["gains"].append(tuple(g.copy() for g in out))
-                yield k, out
+                yield out
 
         def record_ordered(*args):
             g = ordered(*args)
@@ -605,10 +611,6 @@ class TestScalarApiIsTheEngine:
             seen["shares"].append({tag: np.copy(a) for tag, a in out.items()})
             return out
 
-        def record_moment(v):
-            seen["moments"].append(v.copy())
-            return moment(v)
-
         def record_moments(v, tmp):
             seen["moments"].append(v.copy())
             return moments(v, tmp)
@@ -616,7 +618,6 @@ class TestScalarApiIsTheEngine:
         monkeypatch.setattr(mcsim, "_minmax_gains", record_minmax)
         monkeypatch.setattr(mcsim, "_ordered_gains", record_ordered)
         monkeypatch.setattr(mcsim, "_shares", record_shares)
-        monkeypatch.setattr(mcsim, "_moment", record_moment)
         monkeypatch.setattr(mcsim, "_moments", record_moments)
         return seen
 
@@ -643,7 +644,7 @@ class TestScalarApiIsTheEngine:
                           for xi in self.XI_GRID):
             weak, strong = seen["gains"][chunk]
             n = len(weak)
-            recorded = [next(blocks) for _ in range(0, n, mcsim.PAIR_BLOCK)]
+            recorded = [next(blocks) for _ in range(0, n, mcsim.BLOCK_TRIALS)]
             assert all(list(shares) == ["ainf", "asup", "mid"]
                        for shares, _ in recorded)
             shares = {tag: np.concatenate([r[0][tag] for r in recorded])
@@ -679,7 +680,7 @@ class TestScalarApiIsTheEngine:
         # values on the same draws pins that unit for every measure. One
         # chunk, whose last block ends mid-block
         seen = self._record(monkeypatch)
-        trials, xi = mcsim.PAIR_BLOCK + 1234, 1e3
+        trials, xi = mcsim.BLOCK_TRIALS + 1234, 1e3
         [point] = simulate(_cfg(trials=trials, fixed_share=0.3,
                                 xi_grid=(xi,)))
         [(weak, strong)] = seen["gains"]
@@ -715,11 +716,11 @@ class TestScalarApiIsTheEngine:
         minmax = mcsim._minmax_gains
 
         def at_threshold(*args):
-            for k, out in minmax(*args):
+            for out in minmax(*args):
                 for g in out:
                     g[0::2] = theta
                     g[1::2] = np.nextafter(theta, 0.0)
-                yield k, out
+                yield out
 
         monkeypatch.setattr(mcsim, "_minmax_gains", at_threshold)
 

@@ -119,6 +119,20 @@ class TestOrthogonalCapacity:
         with pytest.raises(IndexError):
             oma_capacity_k(10.0, ch, True)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_domain_errors(self):
+        # xi and every gain are doubles, but xi times the strongest gain
+        # overflows, or xi times the weakest underflows to 0
+        for xi, gains in ((1e300, (1.0, 1e10)), (1e-200, (1e-200, 1.0))):
+            ch = ChannelSet(gains=gains)
+            for op in (lambda: oma_capacity_k(xi, ch, 2),
+                       lambda: noma_capacity_k(xi, ch, (0.5, 0.5), 2),
+                       lambda: min_alloc_b(xi, ch),
+                       lambda: full_alloc_a(xi, ch),
+                       lambda: verify_fairness(xi, ch, (0.5, 0.5))):
+                with pytest.raises(DomainError, match=r"xi \* gains"):
+                    op()
+
 
 class TestNomaCapacity:
     def test_last_user_interference_free(self):

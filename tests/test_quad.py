@@ -24,17 +24,18 @@ def test_components_share_one_node_set():
 
 
 def test_scalar_integrand_gives_scalar_results():
-    value, est = _quad.integrate_interval(np.cos, 0.0, math.pi / 2.0)
+    value, est = _quad.integrate_unit_interval(np.cos)
     assert value.shape == est.shape == ()
-    assert float(value) == pytest.approx(1.0, rel=1e-14)
+    assert float(value) == pytest.approx(math.sin(1.0), rel=1e-14)
     assert 0.0 < float(est) <= 1e-10
 
 
 def test_round_cap_raises_with_value_and_estimate(monkeypatch):
-    monkeypatch.setattr(_quad, "_START", np.array([0.0, 1.0]))
+    monkeypatch.setattr(_quad, "_FIRST_ROUND",
+                        _quad._first_round(np.array([0.0, 1.0])))
     monkeypatch.setattr(_quad, "_MAX_ROUNDS", 1)
     with pytest.raises(QuadratureError, match=r"bisection rounds: 1\)") as info:
-        _quad.integrate_interval(np.sqrt, 0.0, 1.0, rel_tol=1e-14)
+        _quad.integrate_unit_interval(np.sqrt, rel_tol=1e-14)
     assert abs(info.value.value - 2.0 / 3.0) < 1e-4
     assert info.value.estimate > 1e-14
 
@@ -47,7 +48,7 @@ def test_nan_integrand_raises_at_once():
         return np.full_like(x, np.nan)
 
     with pytest.raises(QuadratureError, match=r"bisection rounds: 0\)"):
-        _quad.integrate_interval(f, 0.0, 1.0)
+        _quad.integrate_unit_interval(f)
     assert len(calls) == 1
 
 
@@ -86,7 +87,8 @@ def _qk21(f, lo, hi):
     np.zeros_like,
 ], ids=["smooth", "peaked", "constant", "zero"])
 def test_panel_estimates_match_qk21(f):
-    lo, hi, x, half = _quad._first_round()
+    lo, hi, x, half = _quad._FIRST_ROUND
+    assert not any(a.flags.writeable for a in (lo, hi, x, half))
     _, res = _quad._gk21(f, x, half)
     for p, (a, b) in enumerate(zip(lo.tolist(), hi.tolist())):
         value, estimate = _qk21(f, a, b)

@@ -67,11 +67,19 @@ class TestCapacities:
         assert tu.noma_capacity_strong(1.0, 8.0, 1.0) == pytest.approx(
             2.0 * tu.oma_capacity(1.0, 8.0), rel=1e-15)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_domain_errors(self):
         with pytest.raises(DomainError):
             tu.oma_capacity(0.0, 1.0)
         with pytest.raises(DomainError):
             tu.oma_capacity(1.0, -1.0)
+        # xi and g are doubles, xi * g is not: it overflows or underflows
+        for xi, g in ((1e300, 1e10), (1e-200, 1e-200)):
+            for capacity in (tu.oma_capacity,
+                             lambda xi, g: tu.noma_capacity_weak(xi, g, 0.5),
+                             lambda xi, g: tu.noma_capacity_strong(xi, g, 0.5)):
+                with pytest.raises(DomainError, match=r"xi \* g"):
+                    capacity(xi, g)
         with pytest.raises(DomainError):
             tu.noma_capacity_weak(1.0, 1.0, -0.01)
         with pytest.raises(DomainError):
@@ -103,11 +111,16 @@ class TestAllocationBound:
     def test_half_limit_is_exact(self):
         assert tu.allocation_bound(1e-12, 1e-12) == pytest.approx(0.5, abs=1e-16)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_domain_errors(self):
         with pytest.raises(DomainError):
             tu.allocation_bound(1.0, 0.0)
         with pytest.raises(DomainError):
             tu.allocation_bound(-1.0, 1.0)
+        # at xi * x = inf the bound would be 0, outside (0, 1/2)
+        for xi, x in ((1e300, 1e10), (1e-200, 1e-200)):
+            with pytest.raises(DomainError, match=r"xi \* x"):
+                tu.allocation_bound(xi, x)
 
 
 class TestFairRegion:
