@@ -2,10 +2,13 @@
 the package.
 
 ``simulate`` is the one entry point, and ``SimConfig.scenario`` is the one
-statement of which users a trial draws, so it alone picks the kernel:
+statement of which users a trial draws, so it alone picks the plan:
 'pair_iid' is a random pair of two i.i.d. users and 'pair_minmax' the
-weakest and strongest of K, both served by one pair kernel; 'multiuser' is
-all K users in gain order. A sweep splits the trials into fixed 65536-draw
+weakest and strongest of K, both planned by ``_pair_plan``; 'multiuser' is
+all K users in gain order, planned by ``_multiuser_plan``. A plan returns
+what the one sweep driver ``_sweep`` runs: the chunk's draw, the kernel of
+a grid point, the workspace size and the unit of each moment. A sweep
+splits the trials into fixed 65536-draw
 chunks, and chunk ``ci`` draws its uniforms once from
 ``PCG64DXSM(SeedSequence((seed, scenario_id, ci)))``; ``_substream`` is the
 one place that builds this key and its generator. Neither xi nor K is in
@@ -109,7 +112,9 @@ independent runs would give.
 
 ``simulate`` computes only the measures in its ``measures`` set (all if
 None), and a share, rate or SINR vector only if one of those needs it, by
-the same operations on the same draws whatever else is asked for. A boundary
+the same operations on the same draws whatever else is asked for;
+``_pair_plan`` decides this once per sweep, with the units and the
+workspace's rows and span. A boundary
 identity, such as ``c2_noma_ainf`` (``c2_oma`` in exact arithmetic), stays
 a computed value, never a copy of the OMA vector.
 """
@@ -208,13 +213,16 @@ class SimConfig:
                                                    _require_int)
         for name, value in checked.items():
             object.__setattr__(self, name, value)
-        # a K the scenario would ignore is an error, not a no-op
+        # a K, r0 or share the scenario would ignore is an error, not a no-op
         if self.scenario == "pair_iid" and k_grid != (2,):
             raise DomainError(
                 f"scenario 'pair_iid' has 2 users, got k_grid={k_grid}")
-        if self.scenario == "multiuser" and len(k_grid) != 1:
+        if self.scenario == "multiuser" and (len(k_grid) != 1 or self.r0
+                                             or self.fixed_share is not None):
             raise DomainError(
-                f"scenario 'multiuser' takes a single K, got k_grid={k_grid}")
+                f"scenario 'multiuser' takes a single K and no r0 or"
+                f" fixed_share, got k_grid={k_grid}, r0={self.r0!r},"
+                f" fixed_share={self.fixed_share!r}")
         if self.scenario == "pair_minmax" and k_grid[0] < 2:
             raise DomainError("pair_minmax requires at least 2 users per point")
 
@@ -339,7 +347,7 @@ def _reduce(parts: list, trials: int, seed: int, xi: float, k: int,
 def _sweep(config: SimConfig,
            draw: Callable[[np.random.Generator, np.ndarray, int], Iterator],
            kernel: Callable[[np.ndarray, float, np.ndarray], dict],
-           threads: int, ws_size: int, units: dict) -> list:
+           ws_size: int, units: dict, threads: int) -> list:
     """One GridPoint per (xi, K) point of ``config``, xi-major. Each chunk
     is one task: ``draw(rng, ws, n)`` draws the chunk's n trials from
     ``rng`` once and yields its gains for each K of ``config.k_grid`` in
@@ -456,19 +464,15 @@ def _ordered_gains(rng: np.random.Generator, beta: float,
     return g
 
 
-def _select(measures, common: tuple, tags: tuple, per_tag: tuple) -> tuple:
-    """(names, tags) a kernel computes: ``measures``, or if it is None every
-    name it produces (``common``, then ``<m>_<tag>`` for each m in
-    ``per_tag`` per tag of ``tags``, the share tags it reports), in that
-    order, and the tags they carry."""
-    produced = common + tuple(f"{m}_{tag}" for tag in tags for m in per_tag)
+def _select(measures, produced: tuple) -> tuple:
+    """The names of ``produced`` that ``measures`` asks for (all if it is
+    None), in ``produced``'s order; DomainError unless ``measures`` is a
+    non-empty set of them."""
     asked = frozenset(produced if measures is None else measures)
     if not asked or not asked <= set(produced):
         raise DomainError(f"measures must be a non-empty set of names from"
                           f" {list(produced)}, got {sorted(asked, key=str)}")
-    want = tuple(name for name in produced if name in asked)
-    return want, tuple(tag for tag in tags
-                       if any(f"{m}_{tag}" in want for m in per_tag))
+    return tuple(name for name in produced if name in asked)
 
 
 def _shares(w1: np.ndarray, w2: np.ndarray, tags, fixed,
@@ -490,23 +494,29 @@ def _shares(w1: np.ndarray, w2: np.ndarray, tags, fixed,
     return shares
 
 
-def _pair_measures(want: tuple, tags: tuple, fixed,
-                   thresholds: tuple) -> Callable:
-    """The kernel of the pair scenarios: ``measures(w1, w2, scratch, out)``
-    adds the partials of the measures in ``want`` for a span of weak and
-    strong SNRs ``w1`` and ``w2`` to ``out``: the ``_moments`` pairs of
-    each capacity in nats, one per block of ``BLOCK_TRIALS`` trials, appended
-    to the measure's list, and the span's count of each outage, added to
-    its integer. Which vectors a span computes is decided here, once per sweep:
-    each only if a measure in ``want`` needs it. ``thresholds`` are the OMA
-    and NOMA SINR thresholds of r0; at r0 = 0 both are 0.0, no SNR or SINR
-    lies below them, and no count is taken. ``scratch`` holds the squares of
-    ``_moments``, two rate or SINR vectors, the share vectors of
-    ``_shares``, then two sum vectors only if ``want`` holds a sum (``s_*``
-    or ``ds_*``)."""
-    o_thresh, n_thresh = thresholds
-    want = frozenset(want)
-    names = [(tag,) + tuple(f"{m}_{tag}" for m in _PER_TAG) for tag in tags]
+# ---------------------------------------------------------------------------
+# one plan per scenario
+
+def _pair_plan(config: SimConfig, measures, threads: int) -> tuple:
+    """The plan of the pair scenarios. Per point, each span of weak and
+    strong SNRs ``w1`` and ``w2`` appends the ``_moments`` pairs of each
+    capacity in nats to its list, and adds its count of each outage. A
+    vector is computed only if an asked measure needs it. At r0 = 0 both
+    SINR thresholds are 0.0, nothing lies below them, and nothing is
+    counted."""
+    fixed = config.fixed_share
+    names = [(tag,) + tuple(f"{m}_{tag}" for m in _PER_TAG)
+             for tag in ("ainf", "asup", "mid")
+             + (() if fixed is None else ("fixed",))]
+    want = _select(measures, ("c1_oma", "c2_oma", "s_oma", "p_oma_weak",
+                              "p_oma_strong")
+                   + tuple(name for row in names for name in row[1:]))
+    # only the share tags that an asked measure carries
+    names = [row for row in names if any(name in want for name in row[1:])]
+    tags = tuple(row[0] for row in names)
+    # at k = 2 first, which refuses an r0 whose thresholds overflow
+    o_thresh, n_thresh = (_rate_threshold(config.r0),
+                          _rate_threshold(config.r0, 1))
     # a sum needs both of its rates, and ds_<tag> both sums
     need = set(want)
     for _, c1, c2, s_n, ds, _, _ in names:
@@ -514,56 +524,91 @@ def _pair_measures(want: tuple, tags: tuple, fixed,
             need |= {c1, c2, s_n}
     if "s_oma" in want or any(name.startswith("ds_") for name in want):
         need |= {"c1_oma", "c2_oma", "s_oma"}
-    counted = {name for name in want if name.startswith("p_")
+    # capacities in b/s/Hz: ln 2 nats per bit, and an OMA user has half the
+    # band; the outage frequencies are counts
+    units = {name: 2.0 * _LN2 if name in ("c1_oma", "c2_oma") else _LN2
+             for name in want if not name.startswith("p_")}
+    counted = {name for name in want if name not in units
                and (o_thresh if name.startswith("p_oma") else n_thresh)}
+    # one thread evaluates a point over blocks of BLOCK_TRIALS trials, whose
+    # vectors stay in L2; several evaluate it over whole chunks, as each
+    # numpy call passes the interpreter lock and, with four times as many
+    # calls, two threads ran figure 1 slower than one. Moments are taken
+    # per block either way, so no bit depends on the choice
+    span = BLOCK_TRIALS if threads == 1 else CHUNK_TRIALS
+    # the workspace holds the chunk's uniforms, then the gains of the
+    # current K if the grid has several K (else the uniforms' rows), each a
+    # chunk long; then a span's rows: w1 and w2, the squares, two rate or
+    # SINR vectors, and only the share and sum vectors the kernel touches
+    # ('mid' needs both endpoints, and 'fixed' is a number, not a vector)
+    chunk_rows = 4 if len(config.k_grid) > 1 else 2
+    n_shares = len(set(tags).union(("ainf", "asup") if "mid" in tags else ())
+                   - {"fixed"})
+    sums = any(name.startswith("s_") for name in need)
+    span_rows = 5 + n_shares + 2 * sums
 
-    def measures(w1: np.ndarray, w2: np.ndarray, scratch: np.ndarray,
-                 out: dict) -> None:
-        tmp, c1, c2 = scratch[:3]
-        bufs = iter(scratch[3:])
-        shares = _shares(w1, w2, tags, fixed, bufs)
-        s_o, s = next(bufs, None), next(bufs, None)
+    def draw(rng, ws, n):
+        rows = ws[:chunk_rows * CHUNK_TRIALS].reshape(chunk_rows, CHUNK_TRIALS)
+        return _minmax_gains(rng, config.k_grid, config.beta, rows[:2, :n],
+                             rows[-2:, :n])
+
+    def point(gains, xi: float, ws: np.ndarray) -> dict:
+        scratch = ws[chunk_rows * CHUNK_TRIALS:].reshape(span_rows, span)
+        # the asked measures, each a list of moments or a count
+        out = {name: [] if name in units else 0 for name in want}
 
         def keep(name: str, v: np.ndarray) -> None:
-            if name in want:
-                out[name].extend(_moments(v, tmp))
+            if name in out:
+                out[name].extend(_moments(v, scratch[2]))
 
         def count(name: str, threshold: float, sinr: np.ndarray) -> None:
             out[name] += int(np.count_nonzero(sinr < threshold))
 
-        for name, w, c in (("c1_oma", w1, c1), ("c2_oma", w2, c2)):
-            if name in need:
-                keep(name, _oma_rate(w, c))
-        if "s_oma" in need:
-            # a half share each, and halving is exact
-            np.add(c1, c2, out=s_o)
-            keep("s_oma", np.multiply(0.5, s_o, out=s_o))
-        for name, w in (("p_oma_weak", w1), ("p_oma_strong", w2)):
-            if name in counted:
-                count(name, o_thresh, w)
-        for tag, c1_n, c2_n, s_n, ds, p_weak, p_strong in names:
-            a = shares[tag]
-            if c1_n in need:
-                keep(c1_n, _weak_rate(w1, a, c1, c2))
-            if c2_n in need:
-                keep(c2_n, _strong_rate(w2, a, out=c2))
-            if s_n in need:
-                keep(s_n, np.add(c1, c2, out=s))
-            if ds in want:
-                keep(ds, np.subtract(s, s_o, out=c1))
-            if p_weak in counted:
-                count(p_weak, n_thresh, _weak_sinr(w1, a, c1, c2))
-            if p_strong in counted:
-                # after SIC the strong user's SINR is a * w2
-                count(p_strong, n_thresh, np.multiply(a, w2, out=c2))
+        n = gains.shape[1]
+        for b0 in range(0, n, span):
+            m = min(span, n - b0)
+            # the instantaneous SNRs xi * g of (min, max)
+            w1, w2 = np.multiply(xi, gains[:, b0:b0 + m], out=scratch[:2, :m])
+            # row 2 takes the squares of _moments
+            c1, c2, *rows = scratch[3:, :m]
+            bufs = iter(rows)
+            shares = _shares(w1, w2, tags, fixed, bufs)
+            s_o, s = next(bufs, None), next(bufs, None)
+            for name, w, c in (("c1_oma", w1, c1), ("c2_oma", w2, c2)):
+                if name in need:
+                    keep(name, _oma_rate(w, c))
+            if "s_oma" in need:
+                # a half share each, and halving is exact
+                np.add(c1, c2, out=s_o)
+                keep("s_oma", np.multiply(0.5, s_o, out=s_o))
+            for name, w in (("p_oma_weak", w1), ("p_oma_strong", w2)):
+                if name in counted:
+                    count(name, o_thresh, w)
+            for tag, c1_n, c2_n, s_n, ds, p_weak, p_strong in names:
+                a = shares[tag]
+                if c1_n in need:
+                    keep(c1_n, _weak_rate(w1, a, c1, c2))
+                if c2_n in need:
+                    keep(c2_n, _strong_rate(w2, a, out=c2))
+                if s_n in need:
+                    keep(s_n, np.add(c1, c2, out=s))
+                if ds in out:
+                    keep(ds, np.subtract(s, s_o, out=c1))
+                if p_weak in counted:
+                    count(p_weak, n_thresh, _weak_sinr(w1, a, c1, c2))
+                if p_strong in counted:
+                    # after SIC the strong user's SINR is a * w2
+                    count(p_strong, n_thresh, np.multiply(a, w2, out=c2))
+        return out
 
-    return measures
+    return (draw, point, chunk_rows * CHUNK_TRIALS + span_rows * span,
+            units)
 
 
-def _multiuser_power(config: SimConfig, workers: int | None,
-                     measures) -> list:
-    """``simulate`` for scenario 'multiuser'."""
-    _select(measures, ("sum_b",), (), ())
+def _multiuser_plan(config: SimConfig, measures, threads: int) -> tuple:
+    """The plan of scenario 'multiuser': all K users of a trial, drawn in
+    gain order, and the minimum total power share of each point's draws."""
+    _select(measures, ("sum_b",))
     k = config.k_grid[0]
 
     def draw(rng, ws, n):
@@ -581,9 +626,7 @@ def _multiuser_power(config: SimConfig, workers: int | None,
         return {"sum_b": _moments(total, root)}
 
     # the K gains and four rows for the recursion
-    return _sweep(config, draw, point,
-                  _threads(_chunks(config.trials), workers),
-                  (k + 4) * CHUNK_TRIALS, {"sum_b": 1.0})
+    return draw, point, (k + 4) * CHUNK_TRIALS, {"sum_b": 1.0}
 
 
 # ---------------------------------------------------------------------------
@@ -609,52 +652,6 @@ def simulate(config: SimConfig, workers: int | None = None,
     matches OMA for every one of the K users. A moment that is not finite,
     as where xi times a drawn gain overflows, raises DomainError.
     """
-    if config.scenario == "multiuser":
-        return _multiuser_power(config, workers, measures)
-    fixed = () if config.fixed_share is None else ("fixed",)
-    want, tags = _select(
-        measures, ("c1_oma", "c2_oma", "s_oma", "p_oma_weak", "p_oma_strong"),
-        ("ainf", "asup", "mid") + fixed, _PER_TAG)
-    # at k = 2 first, which refuses an r0 whose thresholds overflow
-    thresholds = (_rate_threshold(config.r0), _rate_threshold(config.r0, 1))
-    measure = _pair_measures(want, tags, config.fixed_share, thresholds)
     threads = _threads(_chunks(config.trials), workers)
-    # one thread evaluates a point over blocks of BLOCK_TRIALS trials, whose
-    # vectors stay in L2; several evaluate it over whole chunks, as each
-    # numpy call passes the interpreter lock and, with four times as many
-    # calls, two threads ran figure 1 slower than one. Moments are taken
-    # per block either way, so no bit depends on the choice
-    span = BLOCK_TRIALS if threads == 1 else CHUNK_TRIALS
-    # the workspace holds the chunk's uniforms, then the gains of the
-    # current K if the grid has several K (else the uniforms' rows), each a
-    # chunk long; then a span's rows: w1 and w2, the squares, two rate or
-    # SINR vectors, and only the share and sum vectors measure touches
-    # ('mid' needs both endpoints, and 'fixed' is a number, not a vector)
-    chunk_rows = 4 if len(config.k_grid) > 1 else 2
-    n_shares = len(set(tags).union(("ainf", "asup") if "mid" in tags else ())
-                   - {"fixed"})
-    sums = any(name.startswith(("s_", "ds_")) for name in want)
-    span_rows = 5 + n_shares + 2 * sums
-
-    def draw(rng, ws, n):
-        rows = ws[:chunk_rows * CHUNK_TRIALS].reshape(chunk_rows, CHUNK_TRIALS)
-        return _minmax_gains(rng, config.k_grid, config.beta, rows[:2, :n],
-                             rows[-2:, :n])
-
-    def point(gains, xi: float, ws: np.ndarray) -> dict:
-        scratch = ws[chunk_rows * CHUNK_TRIALS:].reshape(span_rows, span)
-        out = {name: 0 if name.startswith("p_") else [] for name in want}
-        n = gains.shape[1]
-        for b0 in range(0, n, span):
-            m = min(span, n - b0)
-            # the instantaneous SNRs xi * g of (min, max)
-            w1, w2 = np.multiply(xi, gains[:, b0:b0 + m], out=scratch[:2, :m])
-            measure(w1, w2, scratch[2:, :m], out)
-        return out
-
-    # capacities in b/s/Hz: ln 2 nats per bit, and an OMA user has half the
-    # band
-    units = {name: 2.0 * _LN2 if name in ("c1_oma", "c2_oma") else _LN2
-             for name in want if not name.startswith("p_")}
-    return _sweep(config, draw, point, threads,
-                  chunk_rows * CHUNK_TRIALS + span_rows * span, units)
+    plan = _multiuser_plan if config.scenario == "multiuser" else _pair_plan
+    return _sweep(config, *plan(config, measures, threads), threads)

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import (DomainError, _is_integer, _require_positive,
                      _require_rate, _require_real)
-from .twouser import _capacity, _oma_rate, _sinr, _to_bits
+from .twouser import _capacity, _oma_rate, _sinr, _snr, _to_bits
 
 
 _ALLOC_KINDS = ("b_min", "a_full")
@@ -79,7 +79,7 @@ def _snrs(xi: float, channels: ChannelSet) -> np.ndarray:
     strongest, so all, are positive and finite."""
     xi = _require_positive("xi", xi)
     for g in (channels.gains[0], channels.gains[-1]):
-        _require_positive("xi * gains", xi * g)
+        _snr(xi, g, "gains")
     return np.multiply(xi, channels.gains)
 
 

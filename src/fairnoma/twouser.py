@@ -213,8 +213,10 @@ def fair_region(params: SystemParams, ch: ChannelPair) -> FairRegion:
     The lower endpoint makes the strong user indifferent
     (C2_N(a_inf) = C2_O), the upper one the weak user (C1_N(a_sup) = C1_O).
     """
-    return FairRegion(a_inf=allocation_bound(params.xi, ch.g2),
-                      a_sup=allocation_bound(params.xi, ch.g1))
+    # the strong user's SNR bounds a_inf, the weak one's a_sup
+    w = np.array([_snr(params.xi, ch.g2, "g2"), _snr(params.xi, ch.g1, "g1")])
+    a_inf, a_sup = _share_bound(w).tolist()
+    return FairRegion(a_inf=a_inf, a_sup=a_sup)
 
 
 def sum_rate(xi: float, ch: ChannelPair, a: float) -> float:

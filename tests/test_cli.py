@@ -110,6 +110,15 @@ class TestRegion:
         # the instantaneous region has no fading mean to take
         assert run_cli(capsys, ["region", "--xi", "1", "--g1", "1",
                                 "--g2", "2", "--beta", "7"])[0] == 2
+        # an SNR beyond a double names the gain the user gave, in either
+        # order of the flags
+        for gains in (["--g1", "1", "--g2", "1e10"],
+                      ["--g2", "1e10", "--g1", "1"]):
+            code, out, err = run_cli(capsys, ["region", "--xi", "1e300"]
+                                     + gains)
+            assert code == 1 and out == ""
+            assert err == ("error: xi * g2 must be positive and finite,"
+                           " got inf\n"), err
 
     def test_overflowing_xi_db_exits_1(self, capsys):
         # 10**400 is no double: one error line, not an OverflowError traceback

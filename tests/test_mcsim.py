@@ -62,6 +62,10 @@ class TestConfigValidation:
                                  ("multiuser", (2, 3)), ("multiuser", (3, 5))):
             with pytest.raises(DomainError):
                 _cfg(scenario=scenario, k_grid=k_grid)
+        # so is an outage threshold or a fixed share the K users never see
+        for options in ({"r0": 2.0}, {"fixed_share": 0.3}):
+            with pytest.raises(DomainError, match="multiuser"):
+                _cfg(scenario="multiuser", k_grid=(3,), **options)
 
     @pytest.mark.parametrize("field,options", [
         ("trials", {"trials": True}),
