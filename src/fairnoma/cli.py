@@ -22,6 +22,7 @@ import datetime
 import json
 import math
 import os
+import platform
 import sys
 from typing import Callable, NamedTuple
 
@@ -31,8 +32,8 @@ from . import __version__
 from .errors import (DomainError, QuadratureError, _is_integer, _is_real,
                      _require_int, _require_positive)
 from .ergodic import ergodic_curve_point, high_snr_ergodic_approx
-from .mcsim import (STREAM_VERSION, SimConfig, _ordered_gains, _substream,
-                    simulate)
+from .mcsim import (STREAM_VERSION, SimConfig, _ordered_gains, _require_grid,
+                    _substream, simulate)
 from .multiuser import (
     ChannelSet,
     full_alloc_a,
@@ -63,10 +64,17 @@ def _txt(x: float) -> str:
 
 
 def _db_to_linear(db: float) -> float:
+    """The linear SNR of ``db`` decibels, or DomainError naming the dB value
+    unless it is finite and its linear SNR a positive double."""
+    if not math.isfinite(db):
+        raise DomainError(f"SNR in dB must be finite, got {db!r}")
     try:
-        return 10.0 ** (db / 10.0)
+        xi = 10.0 ** (db / 10.0)
     except OverflowError:
         raise DomainError(f"SNR of {db!r} dB overflows a double") from None
+    if xi == 0.0:
+        raise DomainError(f"SNR of {db!r} dB underflows to 0")
+    return xi
 
 
 def _linear_to_db(xi: float) -> float:
@@ -81,6 +89,20 @@ def _list_of(kind: type) -> Callable[[str], tuple]:
         except ValueError as exc:
             raise argparse.ArgumentTypeError(str(exc))
     return parse
+
+
+def _simd_class() -> str:
+    """The class of loops numpy dispatches in this process, which with
+    numpy's version fixes the last bits of a figure: on x86-64, its AVX-512
+    (``X86_V4``) loops or its baseline ones (turning off ``X86_V3`` as well
+    moved no bit of figure 1); on any other architecture, the machine's
+    name."""
+    machine = platform.machine()
+    if machine not in ("x86_64", "AMD64"):
+        return machine
+    from numpy._core._multiarray_umath import __cpu_features__
+    return ("x86_64-avx512_skx" if __cpu_features__.get("X86_V4")
+            else "x86_64-baseline")
 
 
 def _write_text(path: str, text: str) -> None:
@@ -252,6 +274,15 @@ def _resolve_figure_params(args: argparse.Namespace) -> dict:
                 raise _Usage(f"manifest {args.config} was drawn from random "
                              f"stream version {found}, but this build draws "
                              f"stream version {STREAM_VERSION}")
+            # its bytes also depend on these two, but only in the last bits
+            running = (np.__version__, _simd_class())
+            recorded = (data.get("numpy", running[0]),
+                        data.get("simd_class", running[1]))
+            if recorded != running:
+                print(f"warning: manifest {args.config} was written with numpy"
+                      f" {recorded[0]} and SIMD class {recorded[1]}; this is"
+                      f" numpy {running[0]} and SIMD class {running[1]}, so"
+                      f" the last bits may differ", file=sys.stderr)
             data = data.get("config", {})
         if not isinstance(data, dict):
             raise _Usage(f"config file {args.config} must hold a JSON object,"
@@ -309,9 +340,11 @@ def _figure_rows(fig: _Figure, p: dict, workers) -> tuple:
         fields["k_grid"] = (p["k"],)
     # looked up as a module global on every call, so a wrapper put in its
     # place sees the figure's sweep
-    points = simulate(SimConfig(
-        xi_grid=tuple(_db_to_linear(d) for d in p["xi_db"]),
-        scenario=fig.scenario, **fields), workers,
+    # the grid is checked here too, so its errors name xi_db and its values
+    xi_grid = _require_grid("xi_db", p["xi_db"],
+                            lambda _, db: _db_to_linear(db))
+    points = simulate(
+        SimConfig(xi_grid=xi_grid, scenario=fig.scenario, **fields), workers,
         measures={src for name, src in fig.columns if name.endswith("_mc")})
     x = "k" if "k_grid" in fig.defaults else "xi_db"
     rows = []
@@ -373,6 +406,8 @@ def cmd_figure(args: argparse.Namespace) -> int:
                    for k, v in sorted(p.items())},
         "tool_version": __version__,
         "stream_version": STREAM_VERSION,
+        "numpy": np.__version__,
+        "simd_class": _simd_class(),
         "timestamp": datetime.datetime.now(
             datetime.timezone.utc).isoformat(timespec="seconds"),
         "output_paths": outputs,

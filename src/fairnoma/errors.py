@@ -12,14 +12,12 @@ class DomainError(ValueError):
 
 
 class QuadratureError(RuntimeError):
-    """A numerical approximation could not meet its error target: adaptive
-    quadrature, or a special function's continued fraction that ran out of
-    iterations.
+    """Adaptive quadrature could not meet its error target.
 
-    Carries the best available value (for a continued fraction, its last
-    iterate; for a multi-component integral, a list with one per component)
-    and the achieved absolute-error estimate in the same form, so callers
-    can decide whether the result is still usable.
+    Carries the best available value (for a multi-component integral, a
+    list with one per component) and the achieved absolute-error estimate
+    in the same form, so callers can decide whether the result is still
+    usable.
     """
 
     def __init__(self, message: str, value: float | list | None = None,

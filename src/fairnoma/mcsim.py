@@ -163,7 +163,8 @@ def _require_grid(name: str, values, require: Callable) -> tuple:
     if not grid:
         raise DomainError(f"{name} must be non-empty")
     if any(a >= b for a, b in zip(grid, grid[1:])):
-        raise DomainError(f"{name} must be strictly increasing")
+        raise DomainError(f"{name} must be strictly increasing,"
+                          f" got {list(values)}")
     return grid
 
 

@@ -10,7 +10,7 @@ import sys
 import numpy as np
 import pytest
 
-from fairnoma import _quad, cli, mcsim, specfun
+from fairnoma import _quad, cli, mcsim
 from fairnoma.cli import main
 from fairnoma.outage import outage_point
 from fairnoma.twouser import SystemParams
@@ -126,6 +126,17 @@ class TestRegion:
                                           "--g1", "1", "--g2", "2"])
         assert code == 1 and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1, err
+
+    @pytest.mark.parametrize("db,message", [
+        ("-4000", "SNR of -4000.0 dB underflows to 0"),
+        ("-inf", "SNR in dB must be finite, got -inf"),
+        ("nan", "SNR in dB must be finite, got nan")])
+    def test_xi_db_of_no_positive_snr_exits_1_naming_it(self, capsys, db,
+                                                         message):
+        code, out, err = run_cli(capsys, ["region", f"--xi-db={db}",
+                                          "--g1", "1", "--g2", "2"])
+        assert code == 1 and out == ""
+        assert err == f"error: {message}\n"
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("argv", [
@@ -310,12 +321,33 @@ class TestFigureReproducibility:
         assert manifest["tool_version"]
         assert manifest["timestamp"]
         assert manifest["stream_version"] == mcsim.STREAM_VERSION == 4
-        code, _, _ = run_cli(capsys, [
+        assert manifest["numpy"] == np.__version__
+        assert manifest["simd_class"] == cli._simd_class()
+        code, _, err = run_cli(capsys, [
             "figure", "--config", str(first / "figure5_manifest.json"),
             "--out-dir", str(rerun)])
-        assert code == 0
+        assert code == 0 and err == ""
         assert ((first / "figure5.csv").read_bytes()
                 == (rerun / "figure5.csv").read_bytes())
+
+    @pytest.mark.parametrize("key", ["numpy", "simd_class"])
+    def test_manifest_of_another_numpy_or_class_warns_and_runs(
+            self, capsys, tmp_path, key):
+        # its numbers are valid; only their last bits may differ
+        code, _, _ = run_cli(capsys, ["figure", "6", "--trials", "10",
+                                      "--xi-db", "20",
+                                      "--out-dir", str(tmp_path / "first")])
+        assert code == 0
+        path = tmp_path / "first" / "figure6_manifest.json"
+        manifest = json.loads(path.read_text(encoding="utf-8"))
+        manifest[key] = "other"
+        path.write_text(json.dumps(manifest), encoding="utf-8")
+        code, out, err = run_cli(capsys, ["figure", "--config", str(path),
+                                          "--out-dir", str(tmp_path / "rerun")])
+        assert code == 0 and out.startswith("wrote ")
+        assert err.startswith("warning: ") and err.count("\n") == 1, err
+        assert "other" in err and "last bits may differ" in err
+        assert (tmp_path / "rerun" / "figure6.csv").exists()
 
     @pytest.mark.parametrize("stream", [1, 2, 3, None],
                              ids=["v1", "v2", "v3", "unrecorded"])
@@ -461,6 +493,28 @@ class TestFigureReproducibility:
             assert err.startswith("error: ") and err.count("\n") == 1, err
             assert not list(tmp_path.glob("figure*"))
 
+    @pytest.mark.parametrize("grid,message", [
+        ("0,-inf", "SNR in dB must be finite, got -inf"),
+        ("0,nan", "SNR in dB must be finite, got nan"),
+        ("0,-4000", "SNR of -4000.0 dB underflows to 0"),
+        ("10,5", "xi_db must be strictly increasing, got [10.0, 5.0]"),
+        ([], "xi_db must be non-empty")])
+    def test_bad_xi_db_grid_exits_1_naming_it(self, capsys, tmp_path, grid,
+                                              message):
+        # the errors name the dB values the user gave, not the linear
+        # xi_grid the sweep is given
+        if isinstance(grid, str):
+            argv = ["figure", "1", "--trials", "10", f"--xi-db={grid}"]
+        else:   # no flag can give an empty grid, a config file can
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({"figure": 1, "trials": 10,
+                                       "xi_db": grid}), encoding="utf-8")
+            argv = ["figure", "--config", str(cfg)]
+        code, out, err = run_cli(capsys, argv + ["--out-dir", str(tmp_path)])
+        assert code == 1 and out == ""
+        assert err == f"error: {message}\n"
+        assert not list(tmp_path.glob("figure*"))
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("figure,measures", [
         (3, ("c1_oma", "c2_oma", "c1_noma_ainf", "c2_noma_ainf",
@@ -545,17 +599,6 @@ class TestFigureReproducibility:
         cf = [row[i] for row in rows for i, name in enumerate(header)
               if name.endswith("_cf")]
         assert cf and all(math.isfinite(v) for v in cf)
-
-    def test_continued_fraction_failure_exits_one(self, capsys, tmp_path,
-                                                  monkeypatch):
-        # at 0 dB the ergodic closed form needs e^x E1(x) at x = 2, which
-        # takes the continued fraction
-        monkeypatch.setattr(specfun, "_MAX_ITER", 3)
-        code, _, err = run_cli(capsys, ["figure", "1", "--trials", "10",
-                                        "--xi-db", "0",
-                                        "--out-dir", str(tmp_path)])
-        assert code == 1
-        assert err.startswith("error: ") and "continued fraction" in err
 
 
 class TestMultiuserCommand:

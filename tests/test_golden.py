@@ -16,12 +16,11 @@ must update the table and say so in CHANGES.md.
 
 import dataclasses
 import hashlib
-import platform
 
 import numpy as np
 import pytest
 
-from fairnoma.cli import main
+from fairnoma.cli import _simd_class, main
 from fairnoma.ergodic import ergodic_curve_point
 from fairnoma.multiuser import ChannelSet, full_alloc_a, min_alloc_b
 from fairnoma.outage import outage_point
@@ -29,19 +28,8 @@ from fairnoma.pairing import expected_gain_asup
 from fairnoma.twouser import SystemParams
 
 RECORDED_NUMPY = "2.4.6"
+# the two x86-64 classes, as fairnoma.cli._simd_class names them
 AVX512, BASELINE = "x86_64-avx512_skx", "x86_64-baseline"
-
-
-def simd_class() -> str:
-    """The class of loops numpy dispatches on this process: on x86-64, its
-    AVX-512 (``X86_V4``) loops or its baseline ones (turning off ``X86_V3``
-    as well moved no bit of figure 1); on any other architecture, the
-    machine's name."""
-    machine = platform.machine()
-    if machine not in ("x86_64", "AMD64"):
-        return machine
-    from numpy._core._multiarray_umath import __cpu_features__
-    return AVX512 if __cpu_features__.get("X86_V4") else BASELINE
 
 
 def _recorded(digests: dict) -> str:
@@ -50,7 +38,7 @@ def _recorded(digests: dict) -> str:
     if np.__version__ != RECORDED_NUMPY:
         pytest.skip(f"golden hashes were recorded with numpy {RECORDED_NUMPY};"
                     f" this is numpy {np.__version__}")
-    simd = simd_class()
+    simd = _simd_class()
     if simd not in digests:
         pytest.skip(f"no golden hashes recorded for SIMD class {simd}")
     return digests[simd]
@@ -67,13 +55,14 @@ def _same(digest: str) -> dict:
 # figure 2's hashes since its NOMA outage columns integrate the outage
 # region, and those of figures 1, 3, 4 and 5 since the pair kernel sums its
 # capacities in nats per block; figure 6's at K = 2 since the K-user kernel
-# sums per block too. The baseline set was recorded under
+# sums per block too, and figure 1's since e^x E1(x) has one formula per
+# range for scalar and array callers. The baseline set was recorded under
 # NPY_DISABLE_CPU_FEATURES="AVX512_SPR AVX512_ICL X86_V4" on a machine with
 # AVX-512
 GOLDEN = [
     (1, 3000, [], {
-        AVX512: "f3f5c027246d1c3c0adb681acb130518f87b1085c328404f18d7b5cb5b2b9771",
-        BASELINE: "0260cea55e6c1eb1aa974c532034215291b5ba4d068b5e5b8ffff0a55ed22450"}),
+        AVX512: "7a36a018815f20e5d29a0af32cfeb2f998f65658e3a52d74e8b17d89465d927a",
+        BASELINE: "3c291e09829a2f21de1507b7d321bead6be145d5d2266a36485d0e01e5281427"}),
     (2, 3000, [], {
         AVX512: "8079b2ddec42469c97740a4f77882c755885679fbae754b94004a97c5a7849c8",
         BASELINE: "3f4f48a0133fc0b275bc83bcc464b71d9e522b05415a4f2c9644a4d3c3755629"}),
@@ -91,8 +80,8 @@ GOLDEN = [
         BASELINE: "61e88a0b73fd479a27f4fd33026ac0c821c8d97fb575110fd1306ba096800aa7"}),
     # two chunk tasks, so the parallel path really splits work
     (1, 70000, ["--workers", "2"], {
-        AVX512: "3875cfd1253159a2002d2279296fada1190bf1eb2b2dcab724114675486a10b3",
-        BASELINE: "d006666f06e18307edbd0db56900314c3fb56044a4563b1c4455b2c449bb320a"}),
+        AVX512: "d199928e884a1c994ae147e19a7b0d77fc58f5d448d7260ac3ed7fddc6a51a9a",
+        BASELINE: "90793c7edbbf32ffb90598b336dd622bdebc1e03ca6be5c85a645c384c78e18e"}),
 ]
 
 # three full chunks and a partial fourth, each drawn once for the whole
@@ -100,8 +89,8 @@ GOLDEN = [
 # points and threads are covered
 _MULTI_CHUNK = [
     (1, ["--xi-db", "0,30,60"], {
-        AVX512: "302faa5303aaa69b09bfcc0e00a731dcf68947bd3dc9746b08c846fd61ca3512",
-        BASELINE: "59d6a8e4bead3ff74a6b3c33ffa42a2df94fdec6461a465b5d0c6a38afff5c7a"}),
+        AVX512: "4a76341c5f66eb241bb727960233606697c178b15df5fda2128eefe6be50841b",
+        BASELINE: "551e2940fc4e385eb893b0c2f0acc950fdb261d016c63582b9e7bc29d047573a"}),
     (2, ["--xi-db", "0,30,60"], _same(
         "172711964d767cb38ec7c248f06a34c5b678cb484c52bf9923797e605456207a")),
     (3, ["--k-grid", "2,7,30"], _same(
@@ -140,8 +129,8 @@ def test_figure_csv_hash(figure, trials, extra, digests, tmp_path, capsys):
 # betas, so this digest is what pins the quadrature engine and the K-user
 # recursion bit for bit
 CLOSED_FORM_DIGEST = {
-    AVX512: "58fd6b96907bd590513ec9646382d0a6128e578c1a41448f5ef98fadfc3ab862",
-    BASELINE: "091c809bbe3730da1bbd7234c1b1715396131e4ce777c13d8aad42086d95efa5"}
+    AVX512: "744afe3e49290e0bf02ebe5d9d4c85f3e229e10275a95cf461a95cd31a9482b5",
+    BASELINE: "7431a9fd456bac4325122850cc77688faca7d2b5cf098e9aa44629566823e05a"}
 _XI_DB = range(-10, 130, 10)
 
 

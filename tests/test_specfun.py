@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from fairnoma import specfun as sf
-from fairnoma.errors import DomainError, QuadratureError
+from fairnoma.errors import DomainError
 from helpers import e1_oracle
 
 
@@ -13,7 +13,49 @@ def _e1_scaled_oracle(x: float) -> float:
     return math.exp(x) * e1_oracle(x)
 
 
+# (x, e^x E1(x)), computed once with mpmath at 40 digits at the double x:
+# points on each side of every switch between the series, the Chebyshev
+# octaves and the continued fraction, the worst points of a 3000-point scan
+# of each range, and x = 1.0385, 1.1355 and 1.158, where an earlier forward
+# continued fraction was off by up to 1.1e-14
+E1S_REFERENCE = [
+    (1e-300, 6.9019831223331217232e+2),
+    (1e-10, 2.244863526738378747e+1),
+    (0.001, 6.3378740703254879563),
+    (0.25, 1.3408854448313933526),
+    (0.7679506871546828, 7.0968506088386625395e-1),
+    (0.9999999999999999, 5.9634736232319411916e-1),
+    (1.0, 5.9634736232319407434e-1),
+    (1.0385, 5.8123576095747827802e-1),
+    (1.1355, 5.4660291508079987804e-1),
+    (1.158, 5.3919645196420533826e-1),
+    (1.5, 4.4825666929158295392e-1),
+    (1.9999999999999998, 3.6132861688822261549e-1),
+    (2.0, 3.613286168882225847e-1),
+    (3.0, 2.6208374025531849619e-1),
+    (5.5, 1.5682943358012753129e-1),
+    (8.0, 1.1227963925349931183e-1),
+    (12.0, 7.7326133138919230607e-2),
+    (15.995, 5.9025568271474382013e-2),
+    (15.999999999999998, 5.9008103608556442389e-2),
+    (16.0, 5.9008103608556436187e-2),
+    (16.5, 5.7312454022601481473e-2),
+    (63.88, 1.5416626270893339852e-2),
+    (1000.0, 9.99001994023880715e-4),
+    (1e10, 9.9999999990000000002e-11),
+    (1e300, 9.999999999999999475e-301),
+]
+
+
 class TestExpIntegralE1:
+    @pytest.mark.parametrize("x,want", E1S_REFERENCE,
+                             ids=[repr(x) for x, _ in E1S_REFERENCE])
+    def test_against_reference_values(self, x, want):
+        for got in (sf.exp_integral_e1_scaled(x),
+                    sf.exp_integral_e1_scaled_array(np.array([x]))[0]):
+            assert abs(got - want) <= 3e-15 * want
+
+
     def test_frozen_examples(self):
         assert math.exp(-1.0) * sf.exp_integral_e1_scaled(1.0) == pytest.approx(
             0.2193839344, abs=1e-10)
@@ -29,8 +71,8 @@ class TestExpIntegralE1:
                 pytest.approx(oracle, rel=1e-8)
 
     def test_crossover_is_seamless(self):
-        # series/continued-fraction handoff at x = 1: both sides track the
-        # oracle, so the seam introduces no jump beyond the true slope
+        # series/Chebyshev handoff at x = 1: both sides track the oracle, so
+        # the seam introduces no jump beyond the true slope
         for x in (1.0 - 1e-9, 1.0, 1.0 + 1e-9):
             assert sf.exp_integral_e1_scaled(x) == pytest.approx(
                 _e1_scaled_oracle(x), rel=5e-12)
@@ -56,12 +98,13 @@ class TestExpIntegralE1:
         # the four Chebyshev octaves and the continued fraction
         edges = [np.nextafter(b, side) for b in (1.0, 2.0, 4.0, 8.0, 16.0)
                  for side in (0.0, np.inf)]
-        x = np.concatenate((np.geomspace(1e-12, 1e12, 2401),
+        x = np.concatenate((np.geomspace(1e-300, 1e300, 4001),
                             [1.0, 2.0, 4.0, 8.0, 16.0], edges))
         got = sf.exp_integral_e1_scaled_array(x)
         want = np.array([sf.exp_integral_e1_scaled(float(v)) for v in x])
         assert got.shape == x.shape
-        np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
+        # the same formula on each range, so the same bits
+        np.testing.assert_array_equal(got, want)
 
     def test_scaled_variant_matches_product(self):
         for x in np.geomspace(1e-6, 500.0, 40):
@@ -76,17 +119,3 @@ class TestExpIntegralE1:
             assert 0.0 < v < 1.0 / x
             assert v == pytest.approx(1.0 / x, rel=2.0 / x)
 
-
-class TestContinuedFractionFailure:
-    @pytest.mark.parametrize("fn, x, exact", [
-        (sf.exp_integral_e1_scaled, 2.0, math.exp(2.0) * 0.04890051070806112),
-    ])
-    def test_raises_quadrature_error_with_last_iterate(self, monkeypatch,
-                                                       fn, x, exact):
-        monkeypatch.setattr(sf, "_MAX_ITER", 3)
-        with pytest.raises(QuadratureError, match="continued fraction") as info:
-            fn(x)
-        # the last iterate is close, and its estimate is the right size
-        err = info.value
-        assert 0.0 < err.estimate < 0.1 * exact
-        assert abs(err.value - exact) < 10.0 * err.estimate
