@@ -51,13 +51,16 @@ def _require_int(name: str, value, low: int = 1,
 
 
 def _require_real(name: str, value) -> float:
-    """``value`` as a float if it is a real number; a float, the common
-    case, is returned as it is, with no further call."""
+    """``value`` as a float if it is a real number a double can hold; a
+    float, the common case, is returned as it is, with no further call."""
     if type(value) is float:
         return value
     if not _is_real(value):
         raise DomainError(f"{name} must be a real number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:   # an integer whose repr may be too long to print
+        raise DomainError(f"{name} must be within a double's range") from None
 
 
 def _require_positive(name: str, value) -> float:

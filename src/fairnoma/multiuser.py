@@ -6,8 +6,9 @@ vectors are built here: the minimum-power b-vector, which reproduces each
 user's orthogonal capacity exactly while spending strictly less than the
 full budget, and the full a-vector, which spends the budget except for a
 nonnegative ladder residual and gives every user at least the orthogonal
-capacity. Fractional powers of 1+w go through expm1/log1p so large w and K
-lose no precision.
+capacity. Each rate function returns all K rates, weakest user first.
+Fractional powers of 1+w go through expm1/log1p so large w and K lose no
+precision.
 """
 
 from __future__ import annotations
@@ -17,8 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (DomainError, _is_integer, _require_positive,
-                     _require_rate, _require_real)
+from .errors import DomainError, _require_positive, _require_rate, _require_real
 from .twouser import _capacity, _oma_rate, _sinr, _snr, _to_bits
 
 
@@ -69,11 +69,6 @@ class AllocationVector:
         object.__setattr__(self, "residual", residual)
 
 
-def _check_user_index(k: int, n_users: int) -> None:
-    if not _is_integer(k) or not 1 <= k <= n_users:
-        raise IndexError(f"user index must be in 1..{n_users}, got {k!r}")
-
-
 def _snrs(xi: float, channels: ChannelSet) -> np.ndarray:
     """Every user's SNR ``xi * g``; DomainError unless the weakest and the
     strongest, so all, are positive and finite."""
@@ -83,16 +78,13 @@ def _snrs(xi: float, channels: ChannelSet) -> np.ndarray:
     return np.multiply(xi, channels.gains)
 
 
-def oma_capacity_k(xi: float, channels: ChannelSet, k: int) -> float:
-    """User k's rate under a 1/K orthogonal share (k is 1-based, SIC order)."""
-    w = _snrs(xi, channels)
-    _check_user_index(k, channels.k)
-    return _to_bits(_oma_rate(w[k - 1:k]), channels.k).item()
+def oma_capacity_k(xi: float, channels: ChannelSet) -> tuple:
+    """Every user's rate under a 1/K orthogonal share, weakest user first."""
+    return tuple(_to_bits(_oma_rate(_snrs(xi, channels)), channels.k).tolist())
 
 
 def _noma_rates(xi: float, channels: ChannelSet, coeffs) -> np.ndarray:
-    """Every user's NOMA rate in b/s/Hz: own power over downstream
-    (undecodable) power. ``coeffs`` may be an AllocationVector."""
+    """``noma_capacity_k`` as an array."""
     w = _snrs(xi, channels)
     if isinstance(coeffs, AllocationVector):
         coeffs = coeffs.coeffs
@@ -105,10 +97,10 @@ def _noma_rates(xi: float, channels: ChannelSet, coeffs) -> np.ndarray:
     return _to_bits(_capacity(_sinr(w, coeffs, rest)))
 
 
-def noma_capacity_k(xi: float, channels: ChannelSet, coeffs, k: int) -> float:
-    """User k's NOMA rate: own power over downstream (undecodable) power."""
-    _check_user_index(k, channels.k)
-    return _noma_rates(xi, channels, coeffs)[k - 1].item()
+def noma_capacity_k(xi: float, channels: ChannelSet, coeffs) -> tuple:
+    """Every user's NOMA rate, weakest user first: own power over downstream
+    (undecodable) power. ``coeffs`` may be an AllocationVector."""
+    return tuple(_noma_rates(xi, channels, coeffs).tolist())
 
 
 def _root_minus_one(w: np.ndarray, k: int,
@@ -190,6 +182,5 @@ def verify_fairness(xi: float, channels: ChannelSet, alloc) -> tuple:
     (its construction assumes ladder interference, which is never less than
     the actual sum of downstream coefficients).
     """
-    noma = _noma_rates(xi, channels, alloc)
     oma = _to_bits(_oma_rate(_snrs(xi, channels)), channels.k)
-    return tuple((noma - oma).tolist())
+    return tuple((_noma_rates(xi, channels, alloc) - oma).tolist())

@@ -10,7 +10,7 @@ import sys
 import numpy as np
 import pytest
 
-from fairnoma import _quad, cli, mcsim
+from fairnoma import _quad, cli, mcsim, multiuser
 from fairnoma.cli import main
 from fairnoma.outage import outage_point
 from fairnoma.twouser import SystemParams
@@ -98,8 +98,10 @@ class TestRegion:
                  for line in out.splitlines()
                  if "=" not in line
                  and line.startswith(("oma", "a_inf", "a_sup"))}
-        assert table["a_sup"][0] == pytest.approx(table["oma"][0], rel=1e-12)
-        assert table["a_inf"][1] == pytest.approx(table["oma"][1], rel=1e-12)
+        assert table["a_sup"][0] == pytest.approx(
+            table["oma"][0], rel=1e-12, abs=0.0)
+        assert table["a_inf"][1] == pytest.approx(
+            table["oma"][1], rel=1e-12, abs=0.0)
 
     def test_exit_codes(self, capsys):
         assert run_cli(capsys, ["region", "--xi", "1", "--g1", "-2",
@@ -180,7 +182,7 @@ class TestFigureOutputs:
         for row in rows:
             expected = outage_point(
                 SystemParams(xi=10.0 ** (row[0] / 10.0), r0=2.0)).p_oma_weak
-            assert row[i] == pytest.approx(expected, rel=1e-12)
+            assert row[i] == pytest.approx(expected, rel=1e-12, abs=0.0)
 
     def test_k_sweep_figures(self, capsys, tmp_path):
         for fig, lead in ((3, "k"), (5, "k")):
@@ -493,6 +495,23 @@ class TestFigureReproducibility:
             assert err.startswith("error: ") and err.count("\n") == 1, err
             assert not list(tmp_path.glob("figure*"))
 
+    @pytest.mark.parametrize("figure,key,value", [
+        (1, "xi_db", [0, 10 ** 400]), (6, "beta", 10 ** 400),
+        (2, "r0", 10 ** 400), (5, "fixed_share", -10 ** 400)],
+        ids=["xi_db", "beta", "r0", "fixed_share"])
+    def test_config_integer_beyond_a_double_exits_1_naming_it(
+            self, capsys, tmp_path, figure, key, value):
+        # JSON integers are Python ints of any size: one error line, not an
+        # OverflowError traceback, and no file written
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"figure": figure, "trials": 10,
+                                   key: value}), encoding="utf-8")
+        code, out, err = run_cli(capsys, ["figure", "--config", str(cfg),
+                                          "--out-dir", str(tmp_path)])
+        assert code == 1 and out == ""
+        assert err == f"error: {key} must be within a double's range\n", err
+        assert not list(tmp_path.glob("figure*"))
+
     @pytest.mark.parametrize("grid,message", [
         ("0,-inf", "SNR in dB must be finite, got -inf"),
         ("0,nan", "SNR in dB must be finite, got nan"),
@@ -702,6 +721,20 @@ class TestMultiuserCommand:
         assert code == 2
         assert out == ""
         assert err.startswith("usage error: ") and err.count("\n") == 1, err
+
+    def test_each_rate_vector_taken_once(self, capsys, monkeypatch):
+        # the table is three whole vectors: OMA, and NOMA under b and under
+        # a; one rate per user and column made the command cubic in K
+        calls = {"_oma_rate": 0, "_noma_rates": 0}
+        for name in calls:
+            def counted(*args, _name=name, _rates=getattr(multiuser, name)):
+                calls[_name] += 1
+                return _rates(*args)
+            monkeypatch.setattr(multiuser, name, counted)
+        code, out, _ = run_cli(capsys, ["multiuser", "--k", "50", "--random",
+                                        "--xi", "100"])
+        assert code == 0 and out.count("\n") == 58
+        assert calls == {"_oma_rate": 1, "_noma_rates": 2}
 
     def test_random_draw_defaults(self, capsys, monkeypatch):
         argv = ["multiuser", "--k", "4", "--xi-db", "20", "--random"]

@@ -47,7 +47,7 @@ class TestErgodicOma:
     def test_beta_xi_product_is_what_matters(self):
         a = erg.ergodic_oma(SystemParams(xi=50.0, beta=0.2))
         b = erg.ergodic_oma(SystemParams(xi=10.0, beta=1.0))
-        assert a == pytest.approx(b, rel=1e-14)
+        assert a == pytest.approx(b, rel=1e-14, abs=0.0)
 
     def test_zero_snr_limit(self):
         e_c1, e_c2, e_s = erg.ergodic_oma(SystemParams(xi=1e-8, beta=1.0))
@@ -58,7 +58,7 @@ class TestErgodicOma:
     def test_sum_identity(self):
         for xi in (0.5, 7.0, 1e3, 1e6):
             e_c1, e_c2, e_s = erg.ergodic_oma(SystemParams(xi=xi, beta=1.0))
-            assert e_c1 + e_c2 == pytest.approx(e_s, rel=1e-12)
+            assert e_c1 + e_c2 == pytest.approx(e_s, rel=1e-12, abs=0.0)
             assert 0.0 < e_c1 < e_c2
 
 

@@ -1,7 +1,7 @@
 """One input contract for every public entry point that takes a count or a
 real: a numpy scalar is accepted and gives the same bits as the Python
-number it equals, while a bool or a numeric string raises DomainError (a
-user index raises IndexError)."""
+number it equals, while a bool, a numeric string or an integer beyond a
+double's range raises DomainError."""
 
 import numpy as np
 import pytest
@@ -17,8 +17,6 @@ ENTRY_POINTS = {
     "pool size": (pairing.expected_gain_asup, 5, DomainError),
     "pool size of the joint cdf":
         (lambda k: pairing.minmax_joint_cdf(0.5, 1.0, k), 3, DomainError),
-    "user index":
-        (lambda k: multiuser.oma_capacity_k(10.0, CHANNELS, k), 2, IndexError),
     "share a of the weak user":
         (lambda a: twouser.noma_capacity_weak(10.0, 0.5, a), 0.25,
          DomainError),
@@ -33,7 +31,7 @@ ENTRY_POINTS = {
         (lambda g: multiuser.ChannelSet(gains=(g, 2.0)).gains, 0.5,
          DomainError),
     "allocation coefficients":
-        (lambda c: multiuser.noma_capacity_k(10.0, CHANNELS, (c, 0.25), 1),
+        (lambda c: multiuser.noma_capacity_k(10.0, CHANNELS, (c, 0.25)),
          0.5, DomainError),
     "AllocationVector coefficients":
         (lambda c: multiuser.AllocationVector(coeffs=(c, 0.25), residual=0.25,
@@ -54,3 +52,14 @@ def test_one_contract_for_counts_and_reals(name):
     numpy_scalar = (np.int64 if type(good) is int else np.float32)(good)
     # repr tells float from np.float64 and gives every bit of a double
     assert repr(call(numpy_scalar)) == repr(call(good))
+
+
+@pytest.mark.parametrize("call", [
+    lambda x: twouser.SystemParams(xi=x),
+    lambda x: twouser.oma_capacity(x, 1.0)],
+    ids=["SystemParams", "oma_capacity"])
+def test_integer_beyond_a_double_is_a_domain_error(call):
+    # float(10**400) raises OverflowError; the check turns it into the
+    # contract's error, naming the argument
+    with pytest.raises(DomainError, match="xi must be within a double's range"):
+        call(10 ** 400)

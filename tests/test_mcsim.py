@@ -499,7 +499,8 @@ class TestStatisticalHonesty:
         assert len(probabilities) == 8
         for sr in probabilities:
             assert sr.std_error == pytest.approx(
-                math.sqrt(sr.mean * (1.0 - sr.mean) / sr.trials), rel=1e-12)
+                math.sqrt(sr.mean * (1.0 - sr.mean) / sr.trials),
+                rel=1e-12, abs=0.0)
             assert 0.0 <= sr.mean <= 1.0
 
 

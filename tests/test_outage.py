@@ -80,12 +80,12 @@ def weak_outage_quad_oracle(params):
 class TestOmaForms:
     def test_weak_frozen_value(self):
         got = outage.outage_point(_params(100.0)).p_oma_weak
-        assert got == pytest.approx(1.0 - math.exp(-0.3), rel=1e-15)
+        assert got == pytest.approx(1.0 - math.exp(-0.3), rel=1e-15, abs=0.0)
 
     def test_strong_frozen_value(self):
         got = outage.outage_point(_params(100.0)).p_oma_strong
         want = 1.0 + math.exp(-0.3) - 2.0 * math.exp(-0.15)
-        assert got == pytest.approx(want, rel=1e-12)
+        assert got == pytest.approx(want, rel=1e-12, abs=0.0)
 
     def test_zero_rate_never_in_outage(self):
         pt = outage.outage_point(_params(50.0, r0=0.0))

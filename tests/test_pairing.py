@@ -37,7 +37,8 @@ GAIN_ASUP_REFERENCE = [
 class TestJointCdf:
     def test_frozen_value(self):
         want = (1.0 - math.exp(-2.0)) ** 2 - (math.exp(-1.0) - math.exp(-2.0)) ** 2
-        assert pairing.minmax_joint_cdf(1.0, 2.0, 2) == pytest.approx(want, rel=1e-15)
+        assert pairing.minmax_joint_cdf(1.0, 2.0, 2) == pytest.approx(
+            want, rel=1e-15, abs=0.0)
         assert pairing.minmax_joint_cdf(1.0, 2.0, 2) == pytest.approx(0.6935682870, abs=1e-9)
 
     def test_zero_min_bound_gives_zero(self):
@@ -45,7 +46,8 @@ class TestJointCdf:
             assert pairing.minmax_joint_cdf(0.0, 3.0, k) == 0.0
 
     def test_total_mass(self):
-        assert pairing.minmax_joint_cdf(700.0, 700.0, 3) == pytest.approx(1.0, rel=1e-12)
+        assert pairing.minmax_joint_cdf(700.0, 700.0, 3) == pytest.approx(
+            1.0, rel=1e-12, abs=0.0)
 
     def test_matches_quadrature_of_pdf(self):
         for k in (2, 4, 7):
@@ -67,7 +69,7 @@ class TestJointCdf:
     def test_scale_parameter(self):
         a = pairing.minmax_joint_cdf(1.0, 2.0, 3, beta=2.0)
         b = pairing.minmax_joint_cdf(0.5, 1.0, 3, beta=1.0)
-        assert a == pytest.approx(b, rel=1e-14)
+        assert a == pytest.approx(b, rel=1e-14, abs=0.0)
 
     def test_domain_errors(self):
         with pytest.raises(DomainError):
@@ -86,7 +88,8 @@ class TestJointPdf:
     def test_two_user_case_is_ordered_pair_density(self):
         for x0, xm in ((0.3, 0.7), (1.0, 2.0), (0.1, 5.0)):
             got = pairing.minmax_joint_pdf(x0, xm, 2)
-            assert got == pytest.approx(2.0 * math.exp(-(x0 + xm)), rel=1e-14)
+            assert got == pytest.approx(
+                2.0 * math.exp(-(x0 + xm)), rel=1e-14, abs=0.0)
 
     def test_normalizes_over_the_wedge(self):
         for k in (3, 6):
@@ -268,8 +271,10 @@ class TestPoolFixedShareOracle:
 class TestUpperEndpointGain:
     def test_small_pools_exact(self):
         assert pairing.expected_gain_asup(1) == 0.0
-        assert pairing.expected_gain_asup(2) == pytest.approx(1.0, rel=1e-14)
-        assert pairing.expected_gain_asup(3) == pytest.approx(1.5, rel=1e-12)
+        assert pairing.expected_gain_asup(2) == pytest.approx(
+            1.0, rel=1e-14, abs=0.0)
+        assert pairing.expected_gain_asup(3) == pytest.approx(
+            1.5, rel=1e-12, abs=0.0)
 
     def test_matches_mpmath_reference_table(self):
         for k, want in GAIN_ASUP_REFERENCE:
@@ -355,7 +360,7 @@ class TestLowerEndpointApprox:
                 surd = math.log2(1.0 + (math.sqrt(1.0 + xi * h_k) - 1.0) / (k * h_k))
                 e1_term = pairing.expected_gain_ainf_approx(k, SystemParams(xi=xi))
                 direct = exp_integral_e1_scaled(k / xi) / math.log(4.0) - surd
-                assert e1_term == pytest.approx(direct, rel=1e-12)
+                assert e1_term == pytest.approx(direct, rel=1e-12, abs=0.0)
 
     def test_requires_pool_of_two(self):
         with pytest.raises(DomainError):

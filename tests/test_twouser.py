@@ -50,22 +50,22 @@ class TestCapacities:
     def test_oma_exact_points(self):
         assert tu.oma_capacity(1.0, 3.0) == 1.0
         assert tu.oma_capacity(100.0, 0.5) == pytest.approx(0.5 * math.log2(51.0),
-                                                            rel=1e-15)
+                                                            rel=1e-15, abs=0.0)
         assert tu.oma_capacity(1.0, 1e-300) == pytest.approx(0.0, abs=1e-290)
 
     def test_noma_weak_exact_points(self):
         assert tu.noma_capacity_weak(1.0, 3.0, 0.25) == pytest.approx(
-            math.log2(16.0 / 7.0), rel=1e-15)
+            math.log2(16.0 / 7.0), rel=1e-15, abs=0.0)
         assert tu.noma_capacity_weak(2.0, 1.5, 0.0) == pytest.approx(
-            math.log2(4.0), rel=1e-15)
+            math.log2(4.0), rel=1e-15, abs=0.0)
         assert tu.noma_capacity_weak(2.0, 1.5, 1.0) == 0.0
 
     def test_noma_strong_exact_points(self):
         assert tu.noma_capacity_strong(1.0, 8.0, 0.25) == pytest.approx(
-            math.log2(3.0), rel=1e-15)
+            math.log2(3.0), rel=1e-15, abs=0.0)
         assert tu.noma_capacity_strong(1.0, 8.0, 0.0) == 0.0
         assert tu.noma_capacity_strong(1.0, 8.0, 1.0) == pytest.approx(
-            2.0 * tu.oma_capacity(1.0, 8.0), rel=1e-15)
+            2.0 * tu.oma_capacity(1.0, 8.0), rel=1e-15, abs=0.0)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_domain_errors(self):
@@ -98,9 +98,11 @@ class TestCapacities:
 
 class TestAllocationBound:
     def test_exact_rational_points(self):
-        assert tu.allocation_bound(1.0, 3.0) == pytest.approx(1.0 / 3.0, rel=1e-15)
+        assert tu.allocation_bound(1.0, 3.0) == pytest.approx(
+            1.0 / 3.0, rel=1e-15, abs=0.0)
         assert tu.allocation_bound(1.0, 8.0) == 0.25
-        assert tu.allocation_bound(1.0, 99.0) == pytest.approx(1.0 / 11.0, rel=1e-15)
+        assert tu.allocation_bound(1.0, 99.0) == pytest.approx(
+            1.0 / 11.0, rel=1e-15, abs=0.0)
 
     def test_range_and_monotonicity(self):
         grid = np.geomspace(1e-9, 1e12, 300)
@@ -127,8 +129,8 @@ class TestFairRegion:
     def test_exact_region(self):
         params = tu.SystemParams(xi=1.0)
         region = tu.fair_region(params, tu.ChannelPair(3.0, 8.0))
-        assert region.a_inf == pytest.approx(0.25, rel=1e-15)
-        assert region.a_sup == pytest.approx(1.0 / 3.0, rel=1e-15)
+        assert region.a_inf == pytest.approx(0.25, rel=1e-15, abs=0.0)
+        assert region.a_sup == pytest.approx(1.0 / 3.0, rel=1e-15, abs=0.0)
 
     def test_degenerate_pair(self):
         params = tu.SystemParams(xi=2.0)
@@ -202,7 +204,7 @@ class TestFairnessProperties:
     def test_sum_rate_exact_point_and_dominance(self):
         pair = tu.ChannelPair(3.0, 8.0)
         assert tu.sum_rate(1.0, pair, 0.25) == pytest.approx(
-            math.log2(16.0 / 7.0) + math.log2(3.0), rel=1e-14)
+            math.log2(16.0 / 7.0) + math.log2(3.0), rel=1e-14, abs=0.0)
         rng = np.random.default_rng(104)
         xi, g1, g2 = _random_instances(rng, 2_000)
         for i in range(xi.size):
@@ -249,7 +251,8 @@ class TestHighSnr:
 
     def test_strong_user_closed_point(self):
         hs = tu.high_snr_capacities(1e5, tu.ChannelPair(1.0, 4.0))
-        assert hs.c2_asup == pytest.approx(0.5 * math.log2(1e5) + 2.0, rel=1e-14)
+        assert hs.c2_asup == pytest.approx(
+            0.5 * math.log2(1e5) + 2.0, rel=1e-14, abs=0.0)
 
     def test_weak_user_approximation_quality(self):
         # relative error decays like 1/sqrt(xi); ~7e-4 at 1e5, <1e-4 by 1e7
